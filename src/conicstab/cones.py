@@ -52,7 +52,6 @@ __all__ = [
     "Product",
     "product",
     "cone_from_descriptor",
-    "cone_to_descriptor",
     "cone_from_json",
     "cone_to_json",
 ]
@@ -481,10 +480,6 @@ def product(k1: Cone, k2: Cone) -> Product:
 # ---------------------------------------------------------------------------
 # JSON descriptors
 # ---------------------------------------------------------------------------
-
-
-def cone_to_descriptor(cone: Cone) -> dict:
-    return cone.descriptor()
 
 
 def cone_from_descriptor(data: dict) -> Cone:

@@ -8,28 +8,34 @@ with interior imaginary part, or report that a sampling budget found
 nothing.  The Verdict type keeps that asymmetry explicit — sampling never
 returns "certified_stable".
 
-Two search probes share every draw (x, y) with x Gaussian and y an
-interior sample of K:
+One sampling engine serves both falsifiers.  Every draw (x, y), with x
+Gaussian and y an interior sample of K, feeds two probes:
 
-* line probe — the univariate restriction t -> f(x + t y).  A root
-  t = alpha + i beta with beta > 0 gives the zero z = x + t y whose
-  imaginary part beta*y is interior.  This covers everything whose
-  instability is visible on a positive-measure set of lines.
-* fiber probe — fix all variables but one at x_j + i y_j and solve the
-  remaining univariate coordinate fiber exactly.  The resulting zero has
-  its imaginary part pinned to y off the solved coordinate, which lands
-  exactly on instability sets of measure zero (products of real linear
-  forms, difference-of-squares factorizations, ...) that the line probe
-  provably cannot hit: their line restrictions are real-rooted for every
-  (x, y), so only the fiber probe can exhibit the witness.
+* line probe — the univariate restriction t -> f(x + t y);
+* fiber probe — all variables but one fixed at a base point, the
+  remaining univariate coordinate fiber solved exactly.  Its zeros have
+  the imaginary part pinned off the solved coordinate, which lands on
+  instability sets of measure zero (products of real linear forms,
+  difference-of-squares factorizations, ...) that the line probe provably
+  cannot hit: their line restrictions are real-rooted for every (x, y).
 
-Witnesses are always confirmed at scalar precision before a verdict is
-issued: the candidate root is re-solved, polished by a single damped
-Newton step along its line or fiber (never in the full variable space),
-and accepted only if |f(z)| <= residual_tol * sum|coeff| * max(1,|z|)^deg
-and the imaginary part clears an interior margin of half the sampling
-margin.  Batch screening (vectorized roots, vectorized cone margins) only
-selects candidates and can never flip a verdict on its own.
+A probe mode says how roots are read.  Stability mode
+(`falsify_k_stability`) solves fibers at x + i y and keeps roots in the
+upper half-plane: a line root t gives the zero x + t y, a fiber root the
+base point with one coordinate replaced.  Hyperbolicity mode
+(`hyperbolicity_check`, homogeneous f) reads y as a direction e, keeps
+non-real line roots t, giving ±(x + t e), and real fiber roots at the
+real base point e, giving i e' for a real interior zero e'.
+`imaginary_projection_sample` solves the same fibers at uniform complex
+base points.
+
+Batch screening (vectorized roots, vectorized cone margins) only selects
+candidates and can never flip a verdict on its own.  Every witness passes
+one acceptance check: its root is re-solved at scalar precision, polished
+by a single damped Newton step along its line or fiber (never in the
+full variable space), and accepted only if |f(z)| <= residual_tol *
+sum|coeff| * max(1,|z|)^deg and Im(z) clears an interior margin of half
+the sampling margin.
 
 Determinism: sampling operations take an integer seed (the ``rng``
 argument).  Draw j is a pure function of (seed, j) — blocks of fixed size
@@ -44,7 +50,9 @@ The zero polynomial is unstable by convention everywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -82,6 +90,10 @@ FALSIFIED = "falsified"
 NOT_FALSIFIED = "not_falsified"
 
 _BLOCK = 2048
+# Near-real slack of the hyperbolic fiber screen, relative to max(1, |r|).
+# It only selects candidates for confirmation, which applies the tighter
+# ``real_root_im_tol``; a generous screen keeps borderline roots in play.
+_NEAR_REAL_SCREEN = 1e-4
 _DIR_SALT = 0x5EED_D12  # sub-stream tags for derived generators
 _PTS_SALT = 0x5EED_901
 _LIN_SALT = 0x11EA_4
@@ -198,8 +210,9 @@ def _check_fit(f: MultiPoly, K: Cone) -> None:
         )
 
 
-def _coeff_scale(f: MultiPoly, z: np.ndarray) -> float:
-    grow = max(1.0, float(np.max(np.abs(z)))) if z.size else 1.0
+def _coeff_scale(f: MultiPoly, z: np.ndarray):
+    """Residual scale sum|coeff| * max(1,|z|)^deg of a point or of each row."""
+    grow = np.maximum(1.0, np.max(np.abs(z), axis=-1, initial=0.0))
     return f.coeff_norm1() * grow ** max(f.degree, 0)
 
 
@@ -236,35 +249,55 @@ def _restriction_batch(f: MultiPoly, x: np.ndarray, y: np.ndarray) -> np.ndarray
     return out
 
 
-def _uni_from_onevar(p: MultiPoly, tol: ToleranceProfile) -> UniPoly:
-    return UniPoly([p.coefficient((d,)) for d in range(max(p.degree, 0) + 1)], tol=tol)
-
-
 def _newton_once(p: UniPoly, t: complex) -> complex:
-    """One damped Newton step on p; keeps the better of old and new."""
-    dp = p.derivative()
-    d = dp(t)
+    """One damped Newton step on p; keeps t unless a step lowers |p|."""
+    d = p.derivative()(t)
     if d == 0:
         return t
     step = p(t) / d
-    best, best_val = t, abs(p(t))
+    best_val = abs(p(t))
     for damp in (1.0, 0.5, 0.25, 0.125):
         cand = t - damp * step
-        v = abs(p(cand))
-        if v < best_val:
+        if abs(p(cand)) < best_val:
             return cand
-    return best
+    return t
 
 
-def _fiber_poly(f: MultiPoly, k: int, values: np.ndarray, tol: ToleranceProfile) -> MultiPoly:
-    """f with every variable except k fixed; univariate in variable k."""
-    assignments = {j: values[j] for j in range(f.nvars) if j != k}
-    return f.substitute_partial(assignments)
+def _fiber_uni(f: MultiPoly, k: int, w: np.ndarray, tol: ToleranceProfile) -> UniPoly:
+    """f with every variable except k fixed at w; univariate in variable k."""
+    fib = f.substitute_partial({j: w[j] for j in range(f.nvars) if j != k})
+    return UniPoly([fib.coefficient((d,)) for d in range(max(fib.degree, 0) + 1)], tol=tol)
 
 
-def _confirm_line(f, K, x_j, y_j, tol, floor):
-    """Re-solve the line restriction at scalar precision; return a witness or None."""
-    p = f.restrict_line(x_j, y_j, tol=tol)
+def _fiber_roots(fibers: dict, lo: int, V: np.ndarray, tol: ToleranceProfile):
+    """Batch-solve the coordinate fibers at one block of base points ``V``.
+
+    ``fibers`` maps each active coordinate k to f's coefficients in z_k;
+    draw ``lo + row`` solves coordinate ``active[(lo + row) mod #active]``.
+    Yields ``(k, owner, roots)``, with ``owner[i]`` the row of ``roots[i]``.
+    """
+    active = list(fibers)
+    ks_local = (lo + np.arange(V.shape[0])) % len(active)
+    for ki, k in enumerate(active):
+        rows = np.nonzero(ks_local == ki)[0]
+        if rows.size == 0:
+            continue
+        keep = [j for j in range(V.shape[1]) if j != k]
+        W = V[rows][:, keep]
+        cols = [np.broadcast_to(c(W), (rows.size,)) for c in fibers[k]]
+        froots = _roots_batch(np.column_stack(cols).astype(complex), tol)
+        yield k, np.repeat(rows, froots.shape[1]), froots.reshape(-1)
+
+
+def _confirm(f, K, p: UniPoly, ok, zero, tol, floor, start):
+    """Re-solve ``p`` at scalar precision; return (witness, residual) or None.
+
+    Roots are tried in lexicographic order.  A root passing ``ok`` is
+    polished by one Newton step from ``start(root)`` (kept unpolished if
+    the step leaves ``ok``), mapped to a zero of f by ``zero`` and
+    accepted when that zero clears the interior margin and the residual
+    bound.
+    """
     if p.degree < 1:
         return None
     try:
@@ -272,49 +305,14 @@ def _confirm_line(f, K, x_j, y_j, tol, floor):
     except (ValueError, ArithmeticError):
         return None
     for t0 in rts:
-        if not np.isfinite(t0) or t0.imag <= tol.stability_im_tol:
+        if not ok(t0, tol):
             continue
-        t1 = _newton_once(p, complex(t0))
-        if t1.imag <= tol.stability_im_tol:
+        t1 = _newton_once(p, start(t0))
+        if not ok(t1, tol):
             t1 = complex(t0)
-        z = x_j + t1 * y_j.astype(complex)
+        z = zero(t1)
         if K.interior_margin(z.imag) < floor:
             continue
-        res = abs(f(z))
-        if res <= tol.residual_tol * _coeff_scale(f, z):
-            return z, res
-    return None
-
-
-def _confirm_fiber(f, K, k, x_j, y_j, tol, floor):
-    """Solve the coordinate fiber exactly at scalar precision."""
-    w = x_j + 1j * y_j
-    fib = _fiber_poly(f, k, w, tol)
-    if not fib:
-        # f vanishes identically on this fiber; the draw itself is a zero.
-        z = w.copy()
-        if K.interior_margin(y_j) < floor:
-            return None
-        return z, abs(f(z))
-    p = _uni_from_onevar(fib, tol)
-    if p.degree < 1:
-        return None
-    try:
-        rts = roots(p, tol)
-    except (ValueError, ArithmeticError):
-        return None
-    for r0 in rts:
-        if not np.isfinite(r0) or r0.imag <= tol.stability_im_tol:
-            continue
-        r1 = _newton_once(p, complex(r0))
-        if r1.imag <= tol.stability_im_tol:
-            r1 = complex(r0)
-        yc = y_j.copy()
-        yc[k] = r1.imag
-        if K.interior_margin(yc) < floor:
-            continue
-        z = w.copy()
-        z[k] = r1
         res = abs(f(z))
         if res <= tol.residual_tol * _coeff_scale(f, z):
             return z, res
@@ -456,8 +454,135 @@ def linear_k_stability(
 
 
 # ---------------------------------------------------------------------------
-# Sampling falsifier
+# Sampling engine: one search, two probe modes
 # ---------------------------------------------------------------------------
+
+
+def _upper(t, tol):
+    """Root lies strictly above the real axis (rows or a scalar)."""
+    return np.isfinite(t) & (t.imag > tol.stability_im_tol)
+
+
+def _non_real(t, tol):
+    """Root is off the real axis beyond the real-rootedness slack."""
+    lim = np.maximum(tol.real_root_im_tol * np.maximum(1.0, np.abs(t)), tol.stability_im_tol)
+    return np.isfinite(t) & (np.abs(t.imag) > lim)
+
+
+def _near_real(t, slack):
+    """Root is within ``slack * max(1, |t|)`` of the real axis."""
+    return np.isfinite(t) & (np.abs(t.imag) <= slack * np.maximum(1.0, np.abs(t)))
+
+
+def _replace_coord(w, k, r):
+    """The base point(s) w with coordinate k replaced by r."""
+    z = w.copy()
+    z[..., k] = r
+    return z
+
+
+def _imaginary_real_point(w, k, r):
+    """i * e' with e' the real base point(s) w with coordinate k set to Re r."""
+    e = w.real.copy()
+    e[..., k] = np.real(r)
+    return 1j * e.astype(complex)
+
+
+def _signed_line_zero(x, e, t):
+    """x + t e, negated when Im t < 0 (f(-z) = ±f(z) for homogeneous f)."""
+    z = x + t * e.astype(complex)
+    return -z if t.imag < 0 else z
+
+
+@dataclass(frozen=True)
+class _Probe:
+    """How a search mode reads the roots of the shared line and fiber solves.
+
+    ``base(x, y)`` gives the complex points whose coordinate fibers are
+    solved.  ``line_ok``/``fiber_ok`` are the root predicates applied at
+    confirmation (``line_ok`` also screens the batch); ``fiber_screen``
+    selects batch fiber roots and may be more generous than ``fiber_ok``.
+    ``line_zero(x, y, t)`` and ``fiber_zero(w, k, r)`` map a root to the
+    zero of f it stands for; ``fiber_zero`` also works on rows.
+    ``fiber_start`` is where the Newton polish of a fiber root begins.
+    """
+
+    base: Callable
+    line_ok: Callable
+    fiber_screen: Callable
+    fiber_ok: Callable
+    line_zero: Callable
+    fiber_zero: Callable
+    fiber_start: Callable
+    line_cert: str
+    fiber_cert: str
+
+
+_STABILITY = _Probe(
+    base=lambda x, y: x + 1j * y,
+    line_ok=_upper,
+    fiber_screen=_upper,
+    fiber_ok=_upper,
+    line_zero=lambda x, y, t: x + t * y.astype(complex),
+    fiber_zero=_replace_coord,
+    fiber_start=complex,
+    line_cert="zero on a sampled line with interior imaginary direction",
+    fiber_cert="zero on the {var} coordinate fiber with interior imaginary part",
+)
+
+_HYPERBOLICITY = _Probe(
+    base=lambda x, e: e.astype(complex),
+    line_ok=_non_real,
+    fiber_screen=lambda t, tol: _near_real(t, _NEAR_REAL_SCREEN),
+    fiber_ok=lambda t, tol: _near_real(t, tol.real_root_im_tol),
+    line_zero=_signed_line_zero,
+    fiber_zero=_imaginary_real_point,
+    fiber_start=lambda r: complex(r.real),
+    line_cert="restriction along an interior direction has a non-real root",
+    fiber_cert="vanishes at a real interior point (not hyperbolic there)",
+)
+
+
+def _search(f, K, n_samples, rng, tol, probe: _Probe) -> Verdict:
+    """Run both probes over the draws of seed ``rng``; first witness wins."""
+    if not f:
+        return Verdict(CERTIFIED_UNSTABLE, certificate="zero polynomial", seed=rng)
+    if f.degree == 0:
+        return Verdict(NOT_FALSIFIED, certificate="nonvanishing constant", seed=rng)
+
+    fibers = {k: f.as_univariate_in(k) for k in range(f.nvars) if f.degree_in(k) >= 1}
+    floor = tol.sample_margin / 2
+
+    for lo, x, y in _blocks(rng, f.nvars, K, tol.sample_sigma, n_samples, tol.sample_margin):
+        V = probe.base(x, y)
+        # Candidates as (row, k): k = -1 is the line probe, so sorting
+        # gives draw order with the line before the fiber.
+        hits = set()
+        line_roots = _roots_batch(_restriction_batch(f, x, y), tol)
+        for row in np.nonzero(np.any(probe.line_ok(line_roots, tol), axis=1))[0]:
+            hits.add((int(row), -1))
+        for k, owner, r in _fiber_roots(fibers, lo, V, tol):
+            sel = probe.fiber_screen(r, tol)
+            owner, r = owner[sel], r[sel]
+            comp = probe.fiber_zero(V[owner], k, r).imag
+            for idx in np.nonzero(_screen_margins(K, comp, floor))[0]:
+                hits.add((int(owner[idx]), k))
+
+        for row, k in sorted(hits):
+            x_j, y_j, w = x[row], y[row], V[row]
+            if k < 0:
+                p, ok, start = f.restrict_line(x_j, y_j, tol=tol), probe.line_ok, complex
+                zero, cert = partial(probe.line_zero, x_j, y_j), probe.line_cert
+            else:
+                p, ok, start = _fiber_uni(f, k, w, tol), probe.fiber_ok, probe.fiber_start
+                zero = partial(probe.fiber_zero, w, k)
+                cert = probe.fiber_cert.format(var=f.var_names[k])
+            got = _confirm(f, K, p, ok, zero, tol, floor, start)
+            if got is not None:
+                z, res = got
+                return Verdict(FALSIFIED, witness=z, certificate=cert, samples=lo + row + 1,
+                               seed=rng, residual=res)
+    return Verdict(NOT_FALSIFIED, samples=n_samples, seed=rng)
 
 
 def falsify_k_stability(
@@ -469,91 +594,15 @@ def falsify_k_stability(
 ) -> Verdict:
     """Search for a zero of f with imaginary part interior to K.
 
-    Runs the two-probe portfolio described in the module docstring over
-    ``n_samples`` shared draws.  Returns ``falsified`` with a confirmed
-    witness, or ``not_falsified`` after a clean budget.  The zero
-    polynomial short-circuits to ``certified_unstable`` and nonzero
+    Runs the stability mode of the sampling engine (module docstring)
+    over ``n_samples`` shared draws.  Returns ``falsified`` with a
+    confirmed witness, or ``not_falsified`` after a clean budget.  The
+    zero polynomial short-circuits to ``certified_unstable`` and nonzero
     constants to ``not_falsified``.
     """
     seed = _as_seed(rng)
     _check_fit(f, K)
-    if not f:
-        return Verdict(CERTIFIED_UNSTABLE, certificate="zero polynomial", seed=seed)
-    if f.degree == 0:
-        return Verdict(NOT_FALSIFIED, certificate="nonvanishing constant", seed=seed)
-
-    n = f.nvars
-    active = [k for k in range(n) if f.degree_in(k) >= 1]
-    fibers = {k: f.as_univariate_in(k) for k in active}
-    floor = tol.sample_margin / 2
-
-    for lo, x, y in _blocks(seed, n, K, tol.sample_sigma, n_samples, tol.sample_margin):
-        B = x.shape[0]
-        hits: dict[int, list] = {}
-
-        # Line probe: batch roots of all restrictions, screened on Im > 0.
-        line_roots = _roots_batch(_restriction_batch(f, x, y), tol)
-        if line_roots.size:
-            up = np.where(np.isfinite(line_roots), line_roots.imag, -1.0)
-            for row in np.nonzero(np.any(up > tol.stability_im_tol, axis=1))[0]:
-                hits.setdefault(int(row), []).append((0, None))
-
-        # Fiber probe: draw j solves coordinate active[j mod #active].
-        ks_local = (lo + np.arange(B)) % len(active)
-        for ki, k in enumerate(active):
-            rows = np.nonzero(ks_local == ki)[0]
-            if rows.size == 0:
-                continue
-            keep = [j for j in range(n) if j != k]
-            W = x[rows][:, keep] + 1j * y[rows][:, keep]
-            cols = [np.broadcast_to(c(W), (rows.size,)) for c in fibers[k]]
-            froots = _roots_batch(np.column_stack(cols).astype(complex), tol)
-            if froots.size == 0:
-                # Constant fiber: flag rows whose fiber vanishes identically.
-                fib_val = cols[0]
-                for idx in np.nonzero(np.abs(fib_val) <= tol.coeff_zero_tol)[0]:
-                    hits.setdefault(int(rows[idx]), []).append((1, k))
-                continue
-            flat = froots.reshape(-1)
-            owner = np.repeat(rows, froots.shape[1])
-            ok = np.isfinite(flat) & (flat.imag > tol.stability_im_tol)
-            if not np.any(ok):
-                continue
-            owner, flat = owner[ok], flat[ok]
-            comp = y[owner].copy()
-            comp[:, k] = flat.imag
-            for idx in np.nonzero(_screen_margins(K, comp, floor))[0]:
-                hits.setdefault(int(owner[idx]), []).append((1, k))
-
-        # Confirm candidates in draw order, line probe first.
-        for row in sorted(hits):
-            j = lo + row
-            for probe, k in sorted(set(hits[row])):
-                if probe == 0:
-                    got = _confirm_line(f, K, x[row], y[row], tol, floor)
-                    cert = "zero on a sampled line with interior imaginary direction"
-                else:
-                    got = _confirm_fiber(f, K, k, x[row], y[row], tol, floor)
-                    cert = (
-                        f"zero on the {f.var_names[k]} coordinate fiber "
-                        "with interior imaginary part"
-                    )
-                if got is not None:
-                    z, res = got
-                    return Verdict(
-                        FALSIFIED,
-                        witness=z,
-                        certificate=cert,
-                        samples=j + 1,
-                        seed=seed,
-                        residual=res,
-                    )
-    return Verdict(NOT_FALSIFIED, samples=n_samples, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Hyperbolicity (homogeneous polynomials)
-# ---------------------------------------------------------------------------
+    return _search(f, K, n_samples, seed, tol, _STABILITY)
 
 
 def hyperbolicity_check(
@@ -565,146 +614,17 @@ def hyperbolicity_check(
 ) -> Verdict:
     """Falsify "f is hyperbolic with respect to every interior direction".
 
-    For homogeneous f this is equivalent to stability relative to K, and
-    the check mirrors the falsifier's structure: per draw (x, e) it
-    requires the restriction t -> f(x + t e) to be real-rooted, and hunts
-    (through real coordinate fibers) for interior real points where f
-    itself vanishes.  Either failure converts to a stability witness: a
-    non-real restriction root t gives z = x + t e (negated for roots in
-    the lower half-plane, using homogeneity f(-z) = ±f(z)), and a real
-    interior zero e' gives z = i e'.
+    For homogeneous f this is equivalent to stability relative to K.  Runs
+    the hyperbolicity mode of the sampling engine (module docstring): per
+    draw (x, e) the restriction t -> f(x + t e) must be real-rooted and f
+    must not vanish at a real interior point reached by a real coordinate
+    fiber.  Either failure converts to a stability witness.
     """
     seed = _as_seed(rng)
     _check_fit(f, K)
     if not f.is_homogeneous():
         raise ValueError("hyperbolicity_check requires a homogeneous polynomial")
-    if not f:
-        return Verdict(CERTIFIED_UNSTABLE, certificate="zero polynomial", seed=seed)
-    if f.degree == 0:
-        return Verdict(NOT_FALSIFIED, certificate="nonvanishing constant", seed=seed)
-
-    n = f.nvars
-    active = [k for k in range(n) if f.degree_in(k) >= 1]
-    fibers = {k: f.as_univariate_in(k) for k in active}
-    floor = tol.sample_margin / 2
-
-    for lo, x, e in _blocks(seed, n, K, tol.sample_sigma, n_samples, tol.sample_margin):
-        B = x.shape[0]
-        hits: dict[int, list] = {}
-
-        # Non-real roots of the restriction along the interior direction.
-        line_roots = _roots_batch(_restriction_batch(f, x, e), tol)
-        if line_roots.size:
-            mag = np.where(np.isfinite(line_roots), np.abs(line_roots.imag), 0.0)
-            bound = tol.real_root_im_tol * np.maximum(1.0, np.abs(line_roots))
-            bound = np.where(np.isfinite(bound), bound, np.inf)
-            for row in np.nonzero(np.any(mag > np.maximum(bound, tol.stability_im_tol), axis=1))[0]:
-                hits.setdefault(int(row), []).append((0, None))
-
-        # Real interior zeros of f found through real coordinate fibers.
-        ks_local = (lo + np.arange(B)) % len(active)
-        for ki, k in enumerate(active):
-            rows = np.nonzero(ks_local == ki)[0]
-            if rows.size == 0:
-                continue
-            keep = [j for j in range(n) if j != k]
-            Wr = e[rows][:, keep].astype(complex)
-            cols = [np.broadcast_to(c(Wr), (rows.size,)) for c in fibers[k]]
-            froots = _roots_batch(np.column_stack(cols).astype(complex), tol)
-            if froots.size == 0:
-                continue
-            flat = froots.reshape(-1)
-            owner = np.repeat(rows, froots.shape[1])
-            near_real = np.isfinite(flat) & (
-                np.abs(flat.imag) <= 1e-4 * np.maximum(1.0, np.abs(flat))
-            )
-            if not np.any(near_real):
-                continue
-            owner, flat = owner[near_real], flat[near_real]
-            comp = e[owner].copy()
-            comp[:, k] = flat.real
-            for idx in np.nonzero(_screen_margins(K, comp, floor))[0]:
-                hits.setdefault(int(owner[idx]), []).append((1, k))
-
-        for row in sorted(hits):
-            j = lo + row
-            for probe, k in sorted(set(hits[row])):
-                if probe == 0:
-                    got = _confirm_hyper_line(f, K, x[row], e[row], tol, floor)
-                    cert = "restriction along an interior direction has a non-real root"
-                else:
-                    got = _confirm_interior_zero(f, K, k, e[row], tol, floor)
-                    cert = "vanishes at a real interior point (not hyperbolic there)"
-                if got is not None:
-                    z, res = got
-                    return Verdict(
-                        FALSIFIED,
-                        witness=z,
-                        certificate=cert,
-                        samples=j + 1,
-                        seed=seed,
-                        residual=res,
-                    )
-    return Verdict(NOT_FALSIFIED, samples=n_samples, seed=seed)
-
-
-def _confirm_hyper_line(f, K, x_j, e_j, tol, floor):
-    p = f.restrict_line(x_j, e_j, tol=tol)
-    if p.degree < 1:
-        return None
-    try:
-        rts = roots(p, tol)
-    except (ValueError, ArithmeticError):
-        return None
-    for t0 in rts:
-        if not np.isfinite(t0):
-            continue
-        lim = max(tol.real_root_im_tol * max(1.0, abs(t0)), tol.stability_im_tol)
-        if abs(t0.imag) <= lim:
-            continue
-        t1 = _newton_once(p, complex(t0))
-        if abs(t1.imag) <= lim:
-            t1 = complex(t0)
-        z = x_j + t1 * e_j.astype(complex)
-        if t1.imag < 0:
-            z = -z  # homogeneity: f(-z) = (-1)^deg f(z) = 0 as well
-        if K.interior_margin(z.imag) < floor:
-            continue
-        res = abs(f(z))
-        if res <= tol.residual_tol * _coeff_scale(f, z):
-            return z, res
-    return None
-
-
-def _confirm_interior_zero(f, K, k, e_j, tol, floor):
-    fib = _fiber_poly(f, k, e_j.astype(complex), tol)
-    if not fib:
-        if K.interior_margin(e_j) < floor:
-            return None
-        z = 1j * e_j.astype(complex)
-        return z, abs(f(z))
-    p = _uni_from_onevar(fib, tol)
-    if p.degree < 1:
-        return None
-    try:
-        rts = roots(p, tol)
-    except (ValueError, ArithmeticError):
-        return None
-    for r0 in rts:
-        if not np.isfinite(r0):
-            continue
-        if abs(r0.imag) > tol.real_root_im_tol * max(1.0, abs(r0)):
-            continue
-        r1 = _newton_once(p, complex(r0.real))
-        real_pt = e_j.copy()
-        real_pt[k] = r1.real
-        if K.interior_margin(real_pt) < floor:
-            continue
-        z = 1j * real_pt.astype(complex)
-        res = abs(f(z))
-        if res <= tol.residual_tol * _coeff_scale(f, z):
-            return z, res
-    return None
+    return _search(f, K, n_samples, seed, tol, _HYPERBOLICITY)
 
 
 # ---------------------------------------------------------------------------
@@ -921,8 +841,7 @@ def imaginary_projection_sample(
     if not lo < hi:
         raise ValueError("box must be an increasing interval")
     n = f.nvars
-    active = [k for k in range(n) if f.degree_in(k) >= 1]
-    fibers = {k: f.as_univariate_in(k) for k in active}
+    fibers = {k: f.as_univariate_in(k) for k in range(n) if f.degree_in(k) >= 1}
     out: list[np.ndarray] = []
     total = 0
     bi = 0
@@ -931,37 +850,13 @@ def imaginary_projection_sample(
         gen = np.random.default_rng((seed, bi))
         re = gen.uniform(lo, hi, (_BLOCK, n))
         im = gen.uniform(lo, hi, (_BLOCK, n))
-        ks_local = (bi * _BLOCK + np.arange(_BLOCK)) % len(active)
-        for ki, k in enumerate(active):
-            rows = np.nonzero(ks_local == ki)[0]
-            if rows.size == 0:
-                continue
-            keep = [j for j in range(n) if j != k]
-            W = re[rows][:, keep] + 1j * im[rows][:, keep]
-            cols = [np.broadcast_to(c(W), (rows.size,)) for c in fibers[k]]
-            froots = _roots_batch(np.column_stack(cols).astype(complex), tol)
-            if froots.size == 0:
-                continue
-            d = froots.shape[1]
-            flat = froots.reshape(-1)
-            owner = np.repeat(rows, d)
-            good = np.isfinite(flat)
-            if not np.any(good):
-                continue
-            owner, flat = owner[good], flat[good]
-            Z = (re[owner] + 1j * im[owner]).astype(complex)
-            Z[:, k] = flat
-            resid = np.abs(f(Z))
-            scale = f.coeff_norm1() * np.maximum(1.0, np.max(np.abs(Z), axis=1)) ** max(
-                f.degree, 0
-            )
-            ok = resid <= tol.residual_tol * scale
-            if not np.any(ok):
-                continue
-            cloud = im[owner[ok]].copy()
-            cloud[:, k] = flat[ok].imag
-            out.append(cloud)
-            total += cloud.shape[0]
+        V = re + 1j * im
+        for k, owner, r in _fiber_roots(fibers, bi * _BLOCK, V, tol):
+            good = np.isfinite(r)
+            Z = _replace_coord(V[owner[good]], k, r[good])
+            ok = np.abs(f(Z)) <= tol.residual_tol * _coeff_scale(f, Z)
+            out.append(Z[ok].imag)
+            total += out[-1].shape[0]
         bi += 1
     if not out:
         return np.zeros((0, n))

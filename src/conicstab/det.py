@@ -179,17 +179,8 @@ def block_matrix_from_json(text: str) -> BlockMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Kronecker and Khatri-Rao products
+# Khatri-Rao products
 # ---------------------------------------------------------------------------
-
-
-def kronecker(A, B) -> np.ndarray:
-    """Kronecker product of two dense matrices (blocks a_ij * B)."""
-    a = np.asarray(A, dtype=complex)
-    b = np.asarray(B, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kronecker expects 2-D matrices")
-    return np.kron(a, b)
 
 
 def khatri_rao(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:

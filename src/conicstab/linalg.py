@@ -1,11 +1,9 @@
 """Dense Hermitian linear algebra on small complex matrices.
 
 Self-contained kernels sized for the rest of the package: a cyclic Jacobi
-eigensolver for Hermitian matrices, positive-semidefiniteness
-classification, the principal square root of a positive definite matrix,
-and an LU determinant with partial pivoting.  Matrices are plain numpy
-arrays (row-major complex entries); shape and Hermitian symmetry are
-validated at the interfaces.
+eigensolver for Hermitian matrices and positive-semidefiniteness
+classification.  Matrices are plain numpy arrays (row-major complex
+entries); shape and Hermitian symmetry are validated at the interfaces.
 
 The Jacobi solver is used instead of a library eigensolver because its
 convergence on Hermitian input is unconditional and its failure modes are
@@ -24,8 +22,6 @@ __all__ = [
     "hermitian_eigh",
     "hermitian_eigenvalues",
     "psd_classify",
-    "sqrt_pd",
-    "determinant",
 ]
 
 #: Classification labels returned by :func:`psd_classify`.
@@ -173,44 +169,3 @@ def psd_classify(m, tol: ToleranceProfile = DEFAULT_TOL) -> str:
         return INDEFINITE
     return POSITIVE_SEMIDEFINITE
 
-
-def sqrt_pd(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian positive definite matrix.
-
-    Computed through the Jacobi eigendecomposition as
-    ``v diag(sqrt(w)) v^H``; raises ``ValueError`` when the input is not
-    positive definite (smallest eigenvalue inside or below the
-    classification band).
-    """
-    a = _as_square(m)
-    w, v = hermitian_eigh(a, tol=tol)
-    band = tol.eig_tol * max(1.0, float(np.linalg.norm(a)))
-    if w[0] <= band:
-        raise ValueError(f"matrix is not positive definite (lambda_min = {w[0]:.3e})")
-    root = (v * np.sqrt(w)[np.newaxis, :]) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
-
-
-def determinant(m, tol: ToleranceProfile = DEFAULT_TOL) -> complex:
-    """Determinant of a square complex matrix via LU with partial pivoting.
-
-    When every candidate pivot in some elimination column falls below
-    ``tol.pivot_tol * max(1, max|m_ij|)`` the matrix is declared singular
-    and the result is exactly ``0j`` — callers can test it with ``== 0``.
-    """
-    a = _as_square(m).copy()
-    n = a.shape[0]
-    threshold = tol.pivot_tol * max(1.0, float(np.max(np.abs(a))) if n else 1.0)
-    det = 1.0 + 0.0j
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) <= threshold:
-            return 0.0 + 0.0j
-        if piv != k:
-            a[[k, piv], :] = a[[piv, k], :]
-            det = -det
-        det *= a[k, k]
-        if k + 1 < n:
-            factors = a[k + 1 :, k] / a[k, k]
-            a[k + 1 :, k + 1 :] -= np.outer(factors, a[k, k + 1 :])
-    return complex(det)

@@ -24,9 +24,6 @@ class ToleranceProfile:
         Acceptable eigendecomposition residual relative to the Frobenius
         norm of the input; also the half-width of the semidefinite
         classification band around zero.
-    pivot_tol : float
-        LU pivot threshold (relative to the largest input entry) below
-        which a matrix is declared singular and its determinant exactly 0.
     coeff_zero_tol : float
         Polynomial coefficients with modulus at or below this are dropped
         during canonicalization.
@@ -55,7 +52,6 @@ class ToleranceProfile:
 
     hermitian_tol: float = 1e-10
     eig_tol: float = 1e-10
-    pivot_tol: float = 1e-12
     coeff_zero_tol: float = 1e-12
     root_tol: float = 1e-8
     root_merge_tol: float = 1e-7

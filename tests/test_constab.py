@@ -37,6 +37,11 @@ from conicstab.poly import MultiPoly, parse
 from conicstab.tolerances import DEFAULT_TOL
 
 
+def _sliver(delta):
+    """z11*z22 - (1+delta)*z12^2: not PSD-stable, but only on a thin sliver of directions."""
+    return parse(f"z11*z22 - (1 + {delta})*z12^2", var_names=("z11", "z12", "z22"))
+
+
 def _assert_valid_witness(verdict, f, K, tol=DEFAULT_TOL):
     """The confirmation contract every falsified verdict must meet."""
     z = verdict.witness
@@ -191,21 +196,39 @@ class TestFalsifier:
         _assert_valid_witness(v, f, K)
         assert v.residual is not None and v.residual >= 0.0
 
+    # Both entry points run the one sampling engine, so determinism and
+    # prefix-stability are checked for each of them.
     def test_determinism_bit_for_bit(self):
         f = parse("(z1 + z3)^2 - z2^2")
-        a = falsify_k_stability(f, Orthant(3), n_samples=1_000, rng=11)
-        b = falsify_k_stability(f, Orthant(3), n_samples=1_000, rng=11)
-        assert a.status == b.status == FALSIFIED
-        assert a.samples == b.samples
-        assert np.array_equal(np.asarray(a.witness), np.asarray(b.witness))
+        for search in (falsify_k_stability, hyperbolicity_check):
+            a = search(f, Orthant(3), n_samples=1_000, rng=11)
+            b = search(f, Orthant(3), n_samples=1_000, rng=11)
+            assert a.status == b.status == FALSIFIED
+            assert a.samples == b.samples
+            assert a.certificate == b.certificate
+            assert np.array_equal(np.asarray(a.witness), np.asarray(b.witness))
 
     def test_budget_extension_preserves_first_witness(self):
         f = parse("z1^2 - z2^2")
-        small = falsify_k_stability(f, Orthant(2), n_samples=500, rng=3)
-        large = falsify_k_stability(f, Orthant(2), n_samples=5_000, rng=3)
-        assert small.status == large.status == FALSIFIED
-        assert small.samples == large.samples
-        assert np.array_equal(np.asarray(small.witness), np.asarray(large.witness))
+        for search in (falsify_k_stability, hyperbolicity_check):
+            small = search(f, Orthant(2), n_samples=500, rng=3)
+            large = search(f, Orthant(2), n_samples=5_000, rng=3)
+            assert small.status == large.status == FALSIFIED
+            assert small.samples == large.samples
+            assert np.array_equal(np.asarray(small.witness), np.asarray(large.witness))
+        # A witness past the first draw block (2048 draws) is found again at
+        # the same draw by every budget that reaches it, and missed cleanly
+        # by every budget that stops short of it.
+        for search, f, first in (
+            (falsify_k_stability, _sliver(0.0003), 2822),
+            (hyperbolicity_check, _sliver(0.0001), 1828),
+        ):
+            found = [search(f, PSD(2), n_samples=n, rng=1) for n in (5_000, 9_000)]
+            assert found[0].status == found[1].status == FALSIFIED
+            assert found[0].samples == found[1].samples == first
+            assert np.array_equal(np.asarray(found[0].witness), np.asarray(found[1].witness))
+            short = search(f, PSD(2), n_samples=first - 1, rng=1)
+            assert short.status == NOT_FALSIFIED and short.samples == first - 1
 
     def test_seed_echoed_in_verdict(self):
         v = falsify_k_stability(parse("z1 - z2"), Orthant(2), n_samples=500, rng=42)
@@ -612,3 +635,58 @@ class TestCrossChecks:
         v = falsify_k_stability(f, Orthant(2), n_samples=1_000, rng=0)
         assert v.status == FALSIFIED
         assert abs(v.residual - abs(complex(f(np.asarray(v.witness))))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Golden values of the sampling engine
+# ---------------------------------------------------------------------------
+
+LINE_CERT = "zero on a sampled line with interior imaginary direction"
+NON_REAL_CERT = "restriction along an interior direction has a non-real root"
+REAL_ZERO_CERT = "vanishes at a real interior point (not hyperbolic there)"
+MATRIX_VARS = ("z11", "z12", "z22")
+
+
+class TestEngineGolden:
+    """(status, samples, certificate) pinned for each probe of both modes.
+
+    A refactor of the engine must reproduce the same first witness (draw
+    index and probe) and the same clean budgets.
+    """
+
+    @pytest.mark.parametrize(
+        "search,text,names,K,rng,expect",
+        [
+            (falsify_k_stability, "z1^2 + z2^2", None, Orthant(2), 0,
+             (FALSIFIED, 1, LINE_CERT)),
+            (falsify_k_stability, "(z1 + z3)^2 - z2^2", None, Orthant(3), 0,
+             (FALSIFIED, 2, "zero on the z2 coordinate fiber with interior imaginary part")),
+            (falsify_k_stability, "(z11 + z22)^2 - z12^2", MATRIX_VARS, PSD(2), 0,
+             (NOT_FALSIFIED, 2_000, None)),
+            (hyperbolicity_check, "z1^2 + z2^2", None, Orthant(2), 0,
+             (FALSIFIED, 1, NON_REAL_CERT)),
+            (hyperbolicity_check, "z1 - z2", None, Orthant(2), 9,
+             (FALSIFIED, 1, REAL_ZERO_CERT)),
+            (hyperbolicity_check, "z11*z22 - z12^2", MATRIX_VARS, PSD(2), 0,
+             (NOT_FALSIFIED, 2_000, None)),
+        ],
+    )
+    def test_first_witness(self, search, text, names, K, rng, expect):
+        f = parse(text, var_names=names) if names else parse(text)
+        v = search(f, K, n_samples=2_000, rng=rng)
+        assert (v.status, v.samples, v.certificate) == expect
+        if v.status == FALSIFIED:
+            _assert_valid_witness(v, f, K)
+
+    def test_imaginary_projection_cloud(self):
+        cloud = imaginary_projection_sample(parse("z1*z2 + z3 + 1"), n_points=500, rng=4)
+        assert cloud.shape == (500, 3)
+        np.testing.assert_allclose(
+            cloud[:3],
+            [
+                [-10.437781995894898, -0.28126262128113266, 0.6640238611174549],
+                [0.26650097807032613, -0.9605972343341973, -1.1241154309974886],
+                [-1.6649911959925014, -1.1536781859518648, 0.9936366011400666],
+            ],
+            rtol=1e-12,
+        )

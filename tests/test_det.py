@@ -27,7 +27,6 @@ from conicstab.det import (
     block_matrix_to_json,
     expand_det_polynomial,
     khatri_rao,
-    kronecker,
     liu_psd_check,
     perturbed_certify,
     prop56_diagonal_criterion,
@@ -143,13 +142,6 @@ class TestBlockMatrix:
 
 
 class TestProducts:
-    def test_kronecker_identities(self):
-        assert np.array_equal(kronecker(np.eye(2), np.eye(2)), np.eye(4))
-        B = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(kronecker(np.array([[3.0]]), B), 3.0 * B)
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(kronecker(swap, np.array([[2.0]])), np.array([[0.0, 2.0], [2.0, 0.0]]))
-
     def test_kronecker_spectrum_is_pairwise_products(self):
         gen = np.random.default_rng(7)
         for _ in range(10):
@@ -157,7 +149,7 @@ class TestProducts:
             Ma = gen.normal(size=(na, na)) + 1j * gen.normal(size=(na, na))
             Mb = gen.normal(size=(nb, nb)) + 1j * gen.normal(size=(nb, nb))
             Ha, Hb = Ma + Ma.conj().T, Mb + Mb.conj().T
-            lam = hermitian_eigenvalues(kronecker(Ha, Hb))
+            lam = hermitian_eigenvalues(np.kron(Ha, Hb))
             prods = np.sort(np.outer(hermitian_eigenvalues(Ha), hermitian_eigenvalues(Hb)).ravel())
             assert np.max(np.abs(lam - prods)) <= 1e-8
 

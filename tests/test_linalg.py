@@ -45,7 +45,7 @@ class TestHermitianEigh:
             w = linalg.hermitian_eigenvalues(m)
             npt.assert_allclose(np.sum(w), np.trace(m).real, atol=1e-10)
             npt.assert_allclose(
-                np.prod(w), linalg.determinant(m).real, rtol=1e-9, atol=1e-10
+                np.prod(w), np.linalg.det(m).real, rtol=1e-9, atol=1e-10
             )
 
     def test_degenerate_spectrum(self):
@@ -88,71 +88,3 @@ class TestPsdClassify:
             m = random_gram(rng, rng.integers(1, 7))
             assert linalg.psd_classify(m) != "indefinite"
 
-
-class TestSqrtPd:
-    def test_known_2x2_by_multiplication(self):
-        m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        s = linalg.sqrt_pd(m)
-        npt.assert_allclose(s @ s, m, atol=1e-12)
-        assert linalg.is_hermitian(s)
-        assert linalg.psd_classify(s) == "positive_definite"
-
-    def test_random_pd_roundtrip(self):
-        rng = np.random.default_rng(23)
-        for n in (2, 3, 6):
-            m = random_gram(rng, n) + 0.5 * np.eye(n)
-            s = linalg.sqrt_pd(m)
-            npt.assert_allclose(s @ s, m, atol=1e-9 * np.linalg.norm(m))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            linalg.sqrt_pd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_rejects_singular(self):
-        with pytest.raises(ValueError):
-            linalg.sqrt_pd(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-
-class TestDeterminant:
-    def test_hand_cofactor_2x2(self):
-        # cofactor expansion: 1*1 - 2*2 = -3
-        assert linalg.determinant(np.array([[1.0, 2.0], [2.0, 1.0]])) == pytest.approx(-3.0)
-
-    def test_diagonal(self):
-        assert linalg.determinant(np.diag([2.0, 0.5])) == pytest.approx(1.0)
-
-    def test_singular_is_exact_zero(self):
-        d = linalg.determinant(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        assert d == 0j
-
-    def test_permutation_sign(self):
-        p = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert linalg.determinant(p) == pytest.approx(-1.0)
-
-    def test_matches_cofactor_oracle_random(self):
-        def cofactor_det(a):
-            n = a.shape[0]
-            if n == 1:
-                return a[0, 0]
-            total = 0j
-            for j in range(n):
-                minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-                total += ((-1) ** j) * a[0, j] * cofactor_det(minor)
-            return total
-
-        rng = np.random.default_rng(29)
-        for n in (1, 2, 3, 4, 5):
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            npt.assert_allclose(
-                linalg.determinant(a), cofactor_det(a), rtol=1e-10, atol=1e-12
-            )
-
-    def test_multiplicativity(self):
-        rng = np.random.default_rng(31)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        npt.assert_allclose(
-            linalg.determinant(a @ b),
-            linalg.determinant(a) * linalg.determinant(b),
-            rtol=1e-9,
-        )
