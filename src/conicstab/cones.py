@@ -385,8 +385,9 @@ class PSD(Cone):
         return float(hermitian_eigenvalues(mat)[0])
 
     def interior_margin_batch(self, P) -> np.ndarray:
-        # Screening only (see base class): minimum eigenvalue per row via
-        # the library solver; decisions re-check via interior_margin.
+        # Screening only (see base class): minimum eigenvalue per row from
+        # LAPACK, as in hermitian_eigh, but without its validation and
+        # residual check; decisions re-check via interior_margin.
         P = np.asarray(P, dtype=float)
         mats = np.zeros((P.shape[0], self.n, self.n))
         mats[:, self._rows, self._cols] = P

@@ -269,7 +269,7 @@ def _fiber_uni(f: MultiPoly, k: int, w: np.ndarray, tol: ToleranceProfile) -> Un
     return UniPoly([fib.coefficient((d,)) for d in range(max(fib.degree, 0) + 1)], tol=tol)
 
 
-def _fiber_roots(fibers: dict, lo: int, V: np.ndarray, tol: ToleranceProfile):
+def _fiber_roots(fibers: dict, lo: int, V: np.ndarray):
     """Batch-solve the coordinate fibers at one block of base points ``V``.
 
     ``fibers`` maps each active coordinate k to f's coefficients in z_k;
@@ -285,7 +285,7 @@ def _fiber_roots(fibers: dict, lo: int, V: np.ndarray, tol: ToleranceProfile):
         keep = [j for j in range(V.shape[1]) if j != k]
         W = V[rows][:, keep]
         cols = [np.broadcast_to(c(W), (rows.size,)) for c in fibers[k]]
-        froots = _roots_batch(np.column_stack(cols).astype(complex), tol)
+        froots = _roots_batch(np.column_stack(cols).astype(complex))
         yield k, np.repeat(rows, froots.shape[1]), froots.reshape(-1)
 
 
@@ -558,10 +558,10 @@ def _search(f, K, n_samples, rng, tol, probe: _Probe) -> Verdict:
         # Candidates as (row, k): k = -1 is the line probe, so sorting
         # gives draw order with the line before the fiber.
         hits = set()
-        line_roots = _roots_batch(_restriction_batch(f, x, y), tol)
+        line_roots = _roots_batch(_restriction_batch(f, x, y))
         for row in np.nonzero(np.any(probe.line_ok(line_roots, tol), axis=1))[0]:
             hits.add((int(row), -1))
-        for k, owner, r in _fiber_roots(fibers, lo, V, tol):
+        for k, owner, r in _fiber_roots(fibers, lo, V):
             sel = probe.fiber_screen(r, tol)
             owner, r = owner[sel], r[sel]
             comp = probe.fiber_zero(V[owner], k, r).imag
@@ -851,7 +851,7 @@ def imaginary_projection_sample(
         re = gen.uniform(lo, hi, (_BLOCK, n))
         im = gen.uniform(lo, hi, (_BLOCK, n))
         V = re + 1j * im
-        for k, owner, r in _fiber_roots(fibers, bi * _BLOCK, V, tol):
+        for k, owner, r in _fiber_roots(fibers, bi * _BLOCK, V):
             good = np.isfinite(r)
             Z = _replace_coord(V[owner[good]], k, r[good])
             ok = np.abs(f(Z)) <= tol.residual_tol * _coeff_scale(f, Z)

@@ -1,14 +1,12 @@
 """Dense Hermitian linear algebra on small complex matrices.
 
-Self-contained kernels sized for the rest of the package: a cyclic Jacobi
-eigensolver for Hermitian matrices and positive-semidefiniteness
+The package's one Hermitian eigensolver and positive-semidefiniteness
 classification.  Matrices are plain numpy arrays (row-major complex
-entries); shape and Hermitian symmetry are validated at the interfaces.
-
-The Jacobi solver is used instead of a library eigensolver because its
-convergence on Hermitian input is unconditional and its failure modes are
-transparent; on the matrix sizes handled here (tens of rows) it is more
-than fast enough.
+entries); shape, finiteness and Hermitian symmetry are validated at the
+interfaces.  Eigenvalues come from LAPACK (``np.linalg.eigh``), the
+library the PSD cone's batched margin screen also calls, so screening and
+confirmation run on one solver; each decomposition is accepted only after
+its reconstruction residual is checked against ``tol.eig_tol``.
 """
 
 from __future__ import annotations
@@ -53,99 +51,50 @@ def _require_hermitian(a: np.ndarray, tol: ToleranceProfile) -> None:
         raise ValueError("matrix is not Hermitian within tolerance")
 
 
-def hermitian_eigh(
-    m,
-    tol: ToleranceProfile = DEFAULT_TOL,
-    max_sweeps: int = 40,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eigh(m, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix (LAPACK ``np.linalg.eigh``).
 
     Parameters
     ----------
     m : array_like
-        Hermitian matrix (validated against ``tol.hermitian_tol``).
+        Hermitian matrix with finite entries (validated against
+        ``tol.hermitian_tol``).  The solver sees the Hermitian average
+        ``(m + m^H) / 2``, which sheds the validated asymmetry noise.
     tol : ToleranceProfile
         Tolerance profile; ``tol.eig_tol`` bounds the accepted residual.
-    max_sweeps : int
-        Safety cap on full sweeps; convergence is quadratic and typically
-        takes fewer than ten.
 
     Returns
     -------
     (w, v) : tuple of ndarray
         ``w`` real eigenvalues in ascending order, ``v`` unitary with
         ``m @ v[:, k] == w[k] * v[:, k]``.  The reconstruction residual
-        ``||m v - v diag(w)||_F`` is guaranteed ``<= tol.eig_tol * ||m||_F``.
+        ``||m v - v diag(w)||_F`` is checked against
+        ``tol.eig_tol * ||m||_F``; a larger one raises ``ArithmeticError``.
 
-    Notes
-    -----
-    Each rotation first removes the phase of the pivot entry and then
-    applies the classical symmetric Jacobi rotation, so the update is a
-    plane unitary.  Off-diagonal mass decreases monotonically, which gives
-    unconditional convergence on Hermitian input.
+    Raises
+    ------
+    ValueError
+        If ``m`` is not square, has a NaN or infinite entry, or is not
+        Hermitian within tolerance.
     """
-    a = _as_square(m).copy()
+    a = _as_square(m)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has a non-finite entry")
     _require_hermitian(a, tol)
-    n = a.shape[0]
     scale = float(np.linalg.norm(a))
-    if n == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=complex)
-
-    # Work on the Hermitian average to shed the validated asymmetry noise.
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex)
-    stop = max(np.finfo(float).eps * scale * n, 1e-300)
-
-    for _ in range(max_sweeps):
-        # Off-diagonal mass measured entrywise: subtracting the diagonal
-        # mass from the total cancels catastrophically once convergence
-        # is near and can report 0 while an O(sqrt(eps)) entry survives.
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= stop / n:
-                    continue
-                phase = apq / abs(apq)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-                sgn = 1.0 if tau >= 0.0 else -1.0
-                t = sgn / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c * phase
-                # A <- G^H A G with the plane unitary G = [[c, s], [-conj(s), c]].
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - np.conj(s) * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = np.conj(s) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vcol_p, vcol_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vcol_p - np.conj(s) * vcol_q
-                v[:, q] = s * vcol_p + c * vcol_q
-
-    w = np.real(np.diag(a))
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-
-    herm = 0.5 * (_as_square(m) + _as_square(m).conj().T)
+    herm = 0.5 * (a + a.conj().T)
+    w, v = np.linalg.eigh(herm)
     residual = float(np.linalg.norm(herm @ v - v * w[np.newaxis, :]))
     if residual > tol.eig_tol * max(scale, 1e-300):
         raise ArithmeticError(
-            f"Jacobi eigensolver did not reach the requested residual: "
+            f"eigensolver did not reach the requested residual: "
             f"{residual:.3e} > {tol.eig_tol:.1e} * {scale:.3e}"
         )
     return w, v
 
 
 def hermitian_eigenvalues(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix (cyclic Jacobi)."""
+    """Ascending real eigenvalues of a Hermitian matrix, from :func:`hermitian_eigh`."""
     w, _ = hermitian_eigh(m, tol=tol)
     return w
 

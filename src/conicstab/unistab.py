@@ -1,13 +1,21 @@
 """Univariate root location: stability, real-rootedness, interlacing.
 
 Everything downstream reduces multivariate questions to polynomials in one
-variable, so this module carries the numerical workhorses: an
-Aberth–Ehrlich simultaneous root finder (with a companion-matrix fallback
-start), the half-plane stability test (no root with positive imaginary
+variable, so this module carries the numerical workhorses: the root
+engine, the half-plane stability test (no root with positive imaginary
 part; the zero polynomial counts as unstable by convention), real-rooted
 detection, classification of interlacing patterns between two real-rooted
 polynomials, and a sampled nonpositivity test for the Wronskian
 ``f' g - g' f``.
+
+The root engine has one path per shape of input.  A single polynomial
+(:func:`roots`) is solved in closed form up to degree 2 and from
+companion-matrix eigenvalues (LAPACK, via ``np.roots``) above that.  A
+batch of same-degree polynomials (the samplers' line restrictions and
+fibers) is solved by Aberth–Ehrlich simultaneous iteration started on the
+Cauchy-bound circle, vectorized across the batch.  Both fall back to one
+helper, companion eigenvalues polished by Aberth–Ehrlich iteration, for a
+polynomial the first attempt does not solve to tolerance.
 
 A :class:`UniPoly` stores coefficients in ascending degree order and is
 canonicalized on construction: trailing coefficients with modulus at or
@@ -233,59 +241,85 @@ def _aberth_batch(
     return z, converged
 
 
-def _roots_batch(coeffs: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def _closed_form(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of a batch of degree-1 or degree-2 rows, shape (B, d)."""
+    if coeffs.shape[1] == 2:
+        return -coeffs[:, :1] / coeffs[:, 1:]
+    return _batch_quadratic(coeffs)
+
+
+def _companion_polished(c: np.ndarray) -> np.ndarray:
+    """Roots of one ascending coefficient row, shape (d,).
+
+    Companion-matrix eigenvalues (``np.roots``) are the start of an
+    Aberth–Ehrlich polish.  No ordering guarantee.
+    """
+    start = np.roots(c[::-1])
+    z, _ = _aberth_batch(
+        c[np.newaxis, :].astype(complex), start=start[np.newaxis, :], max_iter=60
+    )
+    return z[0]
+
+
+def _roots_batch(coeffs: np.ndarray) -> np.ndarray:
     """All roots for a batch of same-degree polynomials, shape (B, d).
 
-    Rows that resist the circle start are retried from companion-matrix
-    eigenvalues (``np.roots``).  No ordering guarantee inside a row.
+    Degrees 1 and 2 use closed forms; higher degrees use Aberth–Ehrlich
+    iteration started on the Cauchy-bound circle, and rows that resist it
+    are retried by :func:`_companion_polished`.  No ordering guarantee
+    inside a row.
     """
     b, d1 = coeffs.shape
     d = d1 - 1
     if d <= 0:
         return np.zeros((b, 0), dtype=complex)
-    if d == 1:
-        return (-coeffs[:, :1] / coeffs[:, 1:]).astype(complex)
-    if d == 2:
-        return _batch_quadratic(coeffs.astype(complex))
+    if d <= 2:
+        return _closed_form(coeffs.astype(complex))
     z, converged = _aberth_batch(coeffs.astype(complex))
-    if not np.all(converged):
-        for row in np.flatnonzero(~converged):
-            comp = np.roots(coeffs[row, ::-1])
-            z_row, ok = _aberth_batch(
-                coeffs[row : row + 1].astype(complex),
-                start=comp[np.newaxis, :],
-                max_iter=60,
-            )
-            z[row] = z_row[0]
+    for row in np.flatnonzero(~converged):
+        z[row] = _companion_polished(coeffs[row])
     return z
+
+
+def _within_bound(p: UniPoly, z: np.ndarray, tol: ToleranceProfile) -> bool:
+    """Every ``|p(r)| <= tol.root_tol * ||p||_1 * max(1, |r|)^deg``; NaN fails."""
+    norm1 = sum(abs(c) for c in p.coeffs)
+    resid = np.abs(p(z))
+    bound = tol.root_tol * norm1 * np.maximum(1.0, np.abs(z)) ** p.degree
+    return bool(np.all(resid <= bound))
 
 
 def roots(p: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """All complex roots of ``p`` with multiplicity, deterministically ordered.
 
-    Uses Aberth–Ehrlich simultaneous iteration started on the Cauchy-bound
-    circle, falling back to companion-matrix eigenvalues as the start when
-    the first pass stalls.  Each accepted root satisfies
-    ``|p(r)| <= tol.root_tol * ||p||_1 * max(1, |r|)^deg``; violation
-    raises ``ArithmeticError``.  Roots are sorted by (real, imaginary).
+    Degrees 1 and 2 use closed forms (the quadratic one cancellation-safe);
+    higher degrees use companion-matrix eigenvalues from LAPACK
+    (``np.roots``).  Each accepted root satisfies
+    ``|p(r)| <= tol.root_tol * ||p||_1 * max(1, |r|)^deg``.  A root list
+    that misses this bound is retried once from companion eigenvalues
+    polished by Aberth–Ehrlich iteration.  Roots are sorted by (real,
+    imaginary).
 
     Raises
     ------
     ValueError
         If ``p`` is the zero polynomial (its root set is all of C).
+    ArithmeticError
+        If ``p`` is nonconstant with a non-finite coefficient, or a
+        residual is still above the bound (or NaN) after the retry.
     """
     if not p:
         raise ValueError("the zero polynomial does not have a root list")
     if p.degree == 0:
         return np.zeros(0, dtype=complex)
-    z = _roots_batch(np.array([p.coeffs]), tol=tol)[0]
-    norm1 = sum(abs(c) for c in p.coeffs)
-    resid = np.abs(p(z))
-    bound = tol.root_tol * norm1 * np.maximum(1.0, np.abs(z)) ** p.degree
-    if np.any(resid > bound):
-        raise ArithmeticError(
-            f"root residual {float(np.max(resid)):.3e} exceeds the acceptance bound"
-        )
+    c = np.array(p.coeffs, dtype=complex)
+    if not np.all(np.isfinite(c)):
+        raise ArithmeticError("polynomial has a non-finite coefficient")
+    z = _closed_form(c[np.newaxis, :])[0] if p.degree <= 2 else np.roots(c[::-1])
+    if not _within_bound(p, z, tol):
+        z = _companion_polished(c)
+        if not _within_bound(p, z, tol):
+            raise ArithmeticError("root residual exceeds the acceptance bound")
     order = np.lexsort((z.imag, z.real))
     return z[order]
 
@@ -421,10 +455,13 @@ def interlacing(
     empty = np.zeros(0)
     if not f or not g or not f.is_real(tol) or not g.is_real(tol):
         return InterlaceReport(KIND_NONE, empty, empty)
-    if not is_real_rooted(f, tol) or not is_real_rooted(g, tol):
-        return InterlaceReport(KIND_NONE, empty, empty)
-    rf = np.sort(roots(f, tol).real) if f.degree > 0 else empty
-    rg = np.sort(roots(g, tol).real) if g.degree > 0 else empty
+    real_parts = []
+    for p in (f, g):
+        z = roots(p, tol)
+        if not np.all(np.abs(z.imag) <= tol.real_root_im_tol):
+            return InterlaceReport(KIND_NONE, empty, empty)
+        real_parts.append(np.sort(z.real))
+    rf, rg = real_parts
     if abs(f.degree - g.degree) > 1:
         return InterlaceReport(KIND_NONE, rf, rg)
 

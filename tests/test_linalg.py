@@ -1,6 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conicstab import linalg
 from conicstab.tolerances import DEFAULT_TOL
@@ -64,6 +67,40 @@ class TestHermitianEigh:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             linalg.hermitian_eigh(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_before_lapack(self, bad, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("non-finite input reached the eigensolver")
+
+        monkeypatch.setattr(linalg.np.linalg, "eigh", unreachable)
+        m = np.eye(3, dtype=complex)
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.hermitian_eigh(m)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    # Entries on a grid of step 1e-3 in the unit square, so the overall
+    # scale is set by the drawn power of ten alone (and ties are common).
+    n = draw(st.integers(1, 16))
+    grid = st.integers(-1000, 1000)
+    re, im = (draw(hnp.arrays(int, (n, n), elements=grid)) for _ in range(2))
+    g = (re + 1j * im) / 1000.0
+    return 10.0 ** draw(st.floats(-6.0, 6.0)) * 0.5 * (g + g.conj().T)
+
+
+class TestHermitianEighProperties:
+    @given(hermitian_matrices())
+    def test_eigh_contract(self, m):
+        n = m.shape[0]
+        w, v = linalg.hermitian_eigh(m)
+        bound = DEFAULT_TOL.eig_tol * np.linalg.norm(m)
+        assert np.all(np.diff(w) >= 0)
+        assert np.all(np.abs(w - np.linalg.eigvalsh(m)) <= bound)
+        npt.assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-12)
+        assert np.linalg.norm(m @ v - v * w[np.newaxis, :]) <= bound
 
 
 class TestPsdClassify:

@@ -1,8 +1,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conicstab import unistab
+from conicstab.tolerances import DEFAULT_TOL
 from conicstab.unistab import UniPoly
 
 
@@ -78,6 +81,43 @@ class TestRoots:
             norm1 = sum(abs(x) for x in p.coeffs)
             bound = 1e-8 * norm1 * np.maximum(1.0, np.abs(r)) ** p.degree
             assert np.all(np.abs(p(r)) <= bound)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(1.0, 0.5, np.inf), (1.0, np.nan, 1.0), (np.inf, 1.0, 0.0, 1.0), (1.0, 2.0, 0.0, np.nan)],
+    )
+    def test_non_finite_coefficients_raise(self, coeffs):
+        with pytest.raises(ArithmeticError):
+            unistab.roots(UniPoly(coeffs))
+
+    def test_failed_bound_retries_once_then_raises(self, monkeypatch):
+        p = poly(2.0, -3.0, 1.0)  # (t-1)(t-2)
+        monkeypatch.setattr(unistab, "_closed_form", lambda c: np.full((1, 2), 5.0 + 0j))
+        npt.assert_allclose(unistab.roots(p), [1.0, 2.0], atol=1e-12)
+        monkeypatch.setattr(unistab, "_companion_polished", lambda c: np.full(2, 5.0 + 0j))
+        with pytest.raises(ArithmeticError):
+            unistab.roots(p)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+    )
+    def test_residual_contract_and_order_property(self, clusters, lead):
+        true = [r for r, mult in clusters for _ in range(mult)][:8]
+        p = UniPoly.from_roots(true, lead=lead)
+        r = unistab.roots(p)
+        assert r.size == p.degree == len(true)
+        norm1 = sum(abs(x) for x in p.coeffs)
+        bound = DEFAULT_TOL.root_tol * norm1 * np.maximum(1.0, np.abs(r)) ** p.degree
+        assert np.all(np.abs(p(r)) <= bound)
+        assert np.all(np.lexsort((r.imag, r.real)) == np.arange(r.size))
 
     def test_batch_agrees_with_companion_oracle(self):
         rng = np.random.default_rng(13)
