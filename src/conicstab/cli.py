@@ -44,6 +44,8 @@ from .constab import (
     wronskian_certificate,
 )
 from .det import (
+    _EXPAND_D_CAP,
+    _EXPAND_N_CAP,
     CERTIFIED_STABLE as DET_CERTIFIED,
     IDENTICALLY_ZERO,
     NOT_CERTIFIED,
@@ -340,7 +342,7 @@ def _cmd_detstab(args, out) -> int:
         "seed": args.seed,
     }
     expansion = None
-    if A.n1 <= 4 and A.p <= 4:
+    if A.n1 <= _EXPAND_N_CAP and A.p <= _EXPAND_D_CAP:
         expansion = expand_det_polynomial(A, B, tol)
         payload["polynomial"] = _poly_text(expansion)
     if cert.outcome == NOT_CERTIFIED and expansion is not None:

@@ -29,13 +29,16 @@ real base point e, giving i e' for a real interior zero e'.
 `imaginary_projection_sample` solves the same fibers at uniform complex
 base points.
 
+Each restriction is expanded once per block: the line rows come from
+`MultiPoly.restrict_line` on the whole block, the fiber rows from f's
+coefficients in the solved variable evaluated at the base points.
 Batch screening (vectorized roots, vectorized cone margins) only selects
 candidates and can never flip a verdict on its own.  Every witness passes
-one acceptance check: its root is re-solved at scalar precision, polished
-by a single damped Newton step along its line or fiber (never in the
-full variable space), and accepted only if |f(z)| <= residual_tol *
-sum|coeff| * max(1,|z|)^deg and Im(z) clears an interior margin of half
-the sampling margin.
+one acceptance check: the coefficient row that screened it is re-solved
+at scalar precision, its root polished by a single damped Newton step
+along its line or fiber (never in the full variable space), and accepted
+only if |f(z)| <= residual_tol * sum|coeff| * max(1,|z|)^deg and Im(z)
+clears an interior margin of half the sampling margin.
 
 Determinism: sampling operations take an integer seed (the ``rng``
 argument).  Draw j is a pure function of (seed, j) — blocks of fixed size
@@ -229,26 +232,6 @@ def _blocks(seed: int, n: int, K: Cone, sigma: float, n_samples: int, margin: fl
         bi += 1
 
 
-def _restriction_batch(f: MultiPoly, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients of t -> f(x_row + t y_row) for every row, shape (B, deg+1)."""
-    B = x.shape[0]
-    out = np.zeros((B, max(f.degree, 0) + 1), dtype=complex)
-    for e, c in f.terms.items():
-        fac = np.full((B, 1), c, dtype=complex)
-        for k, a in enumerate(e):
-            if a == 0:
-                continue
-            xk = x[:, k : k + 1]
-            yk = y[:, k : k + 1]
-            for _ in range(a):
-                nxt = np.zeros((B, fac.shape[1] + 1), dtype=complex)
-                nxt[:, :-1] = fac * xk
-                nxt[:, 1:] += fac * yk
-                fac = nxt
-        out[:, : fac.shape[1]] += fac
-    return out
-
-
 def _newton_once(p: UniPoly, t: complex) -> complex:
     """One damped Newton step on p; keeps t unless a step lowers |p|."""
     d = p.derivative()(t)
@@ -263,18 +246,13 @@ def _newton_once(p: UniPoly, t: complex) -> complex:
     return t
 
 
-def _fiber_uni(f: MultiPoly, k: int, w: np.ndarray, tol: ToleranceProfile) -> UniPoly:
-    """f with every variable except k fixed at w; univariate in variable k."""
-    fib = f.substitute_partial({j: w[j] for j in range(f.nvars) if j != k})
-    return UniPoly([fib.coefficient((d,)) for d in range(max(fib.degree, 0) + 1)], tol=tol)
-
-
 def _fiber_roots(fibers: dict, lo: int, V: np.ndarray):
     """Batch-solve the coordinate fibers at one block of base points ``V``.
 
     ``fibers`` maps each active coordinate k to f's coefficients in z_k;
     draw ``lo + row`` solves coordinate ``active[(lo + row) mod #active]``.
-    Yields ``(k, owner, roots)``, with ``owner[i]`` the row of ``roots[i]``.
+    Yields ``(k, rows, coeffs, roots)``: ``coeffs[i]`` are the ascending
+    coefficients of the fiber at ``V[rows[i]]`` and ``roots[i]`` its roots.
     """
     active = list(fibers)
     ks_local = (lo + np.arange(V.shape[0])) % len(active)
@@ -285,8 +263,8 @@ def _fiber_roots(fibers: dict, lo: int, V: np.ndarray):
         keep = [j for j in range(V.shape[1]) if j != k]
         W = V[rows][:, keep]
         cols = [np.broadcast_to(c(W), (rows.size,)) for c in fibers[k]]
-        froots = _roots_batch(np.column_stack(cols).astype(complex))
-        yield k, np.repeat(rows, froots.shape[1]), froots.reshape(-1)
+        coeffs = np.column_stack(cols).astype(complex)
+        yield k, rows, coeffs, _roots_batch(coeffs)
 
 
 def _confirm(f, K, p: UniPoly, ok, zero, tol, floor, start):
@@ -555,27 +533,27 @@ def _search(f, K, n_samples, rng, tol, probe: _Probe) -> Verdict:
 
     for lo, x, y in _blocks(rng, f.nvars, K, tol.sample_sigma, n_samples, tol.sample_margin):
         V = probe.base(x, y)
-        # Candidates as (row, k): k = -1 is the line probe, so sorting
-        # gives draw order with the line before the fiber.
-        hits = set()
-        line_roots = _roots_batch(_restriction_batch(f, x, y))
-        for row in np.nonzero(np.any(probe.line_ok(line_roots, tol), axis=1))[0]:
-            hits.add((int(row), -1))
-        for k, owner, r in _fiber_roots(fibers, lo, V):
-            sel = probe.fiber_screen(r, tol)
-            owner, r = owner[sel], r[sel]
-            comp = probe.fiber_zero(V[owner], k, r).imag
-            for idx in np.nonzero(_screen_margins(K, comp, floor))[0]:
-                hits.add((int(owner[idx]), k))
+        # Candidates map (row, k) to the coefficient row that screened
+        # them: k = -1 is the line probe, so sorting gives draw order with
+        # the line before the fiber.
+        hits = {}
+        line = f.restrict_line(x, y)
+        for row in np.nonzero(np.any(probe.line_ok(_roots_batch(line), tol), axis=1))[0]:
+            hits[int(row), -1] = line[row]
+        for k, rows, coeffs, r in _fiber_roots(fibers, lo, V):
+            i, j = np.nonzero(probe.fiber_screen(r, tol))
+            comp = probe.fiber_zero(V[rows[i]], k, r[i, j]).imag
+            for idx in i[_screen_margins(K, comp, floor)]:
+                hits[int(rows[idx]), k] = coeffs[idx]
 
         for row, k in sorted(hits):
-            x_j, y_j, w = x[row], y[row], V[row]
+            p = UniPoly(hits[row, k], tol=tol)
             if k < 0:
-                p, ok, start = f.restrict_line(x_j, y_j, tol=tol), probe.line_ok, complex
-                zero, cert = partial(probe.line_zero, x_j, y_j), probe.line_cert
+                ok, start = probe.line_ok, complex
+                zero, cert = partial(probe.line_zero, x[row], y[row]), probe.line_cert
             else:
-                p, ok, start = _fiber_uni(f, k, w, tol), probe.fiber_ok, probe.fiber_start
-                zero = partial(probe.fiber_zero, w, k)
+                ok, start = probe.fiber_ok, probe.fiber_start
+                zero = partial(probe.fiber_zero, V[row], k)
                 cert = probe.fiber_cert.format(var=f.var_names[k])
             got = _confirm(f, K, p, ok, zero, tol, floor, start)
             if got is not None:
@@ -771,10 +749,7 @@ def wronskian_certificate(
             )
             continue
         vals = np.real(w(pts))
-        scales = w.coeff_norm1() * np.maximum(1.0, np.max(np.abs(pts), axis=1)) ** max(
-            w.degree, 0
-        )
-        excess = vals - tol.sign_tol * scales
+        excess = vals - tol.sign_tol * _coeff_scale(w, pts)
         bad = np.nonzero(excess > 0)[0]
         worst = bad[np.argsort(excess[bad])[::-1][:5]]
         reports.append(
@@ -851,9 +826,9 @@ def imaginary_projection_sample(
         re = gen.uniform(lo, hi, (_BLOCK, n))
         im = gen.uniform(lo, hi, (_BLOCK, n))
         V = re + 1j * im
-        for k, owner, r in _fiber_roots(fibers, bi * _BLOCK, V):
-            good = np.isfinite(r)
-            Z = _replace_coord(V[owner[good]], k, r[good])
+        for k, rows, _, r in _fiber_roots(fibers, bi * _BLOCK, V):
+            i, j = np.nonzero(np.isfinite(r))
+            Z = _replace_coord(V[rows[i]], k, r[i, j])
             ok = np.abs(f(Z)) <= tol.residual_tol * _coeff_scale(f, Z)
             out.append(Z[ok].imag)
             total += out[-1].shape[0]

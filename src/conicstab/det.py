@@ -331,8 +331,6 @@ def expand_det_polynomial(
     A: BlockMatrix,
     B,
     tol: ToleranceProfile = DEFAULT_TOL,
-    n_cap: int = _EXPAND_N_CAP,
-    d_cap: int = _EXPAND_D_CAP,
 ) -> MultiPoly:
     """Exact expansion of det(sum A_ij z_ij + B) in symmetric variables.
 
@@ -343,8 +341,10 @@ def expand_det_polynomial(
     if A.n1 != A.n2 or A.p != A.q:
         raise ValueError("expected a square grid of square blocks")
     n, d = A.n1, A.p
-    if n > n_cap or d > d_cap:
-        raise ValueError(f"expansion capped at grid {n_cap}, block {d_cap} (got {n}, {d})")
+    if n > _EXPAND_N_CAP or d > _EXPAND_D_CAP:
+        raise ValueError(
+            f"expansion capped at grid {_EXPAND_N_CAP}, block {_EXPAND_D_CAP} (got {n}, {d})"
+        )
     b = np.asarray(B, dtype=complex)
     if b.shape != (d, d):
         raise ValueError(f"B must be {d} x {d}")
@@ -376,11 +376,10 @@ class DetCertificate:
     nonzero_method: str | None = None
 
 
-def _poly_is_nonzero(A: BlockMatrix, B: np.ndarray, tol: ToleranceProfile,
-                     n_cap: int, d_cap: int) -> tuple[bool, str]:
+def _poly_is_nonzero(A: BlockMatrix, B: np.ndarray, tol: ToleranceProfile) -> tuple[bool, str]:
     n, d = A.n1, A.p
-    if n <= n_cap and d <= d_cap:
-        f = expand_det_polynomial(A, B, tol, n_cap=n_cap, d_cap=d_cap)
+    if n <= _EXPAND_N_CAP and d <= _EXPAND_D_CAP:
+        f = expand_det_polynomial(A, B, tol)
         return bool(f), "expansion"
     # Above the cap: randomized evaluation.  A nonzero value is proof; a
     # run of zeros at generic points leaves only the zero polynomial as a
@@ -400,8 +399,6 @@ def thm54_certify(
     A: BlockMatrix,
     B,
     tol: ToleranceProfile = DEFAULT_TOL,
-    n_cap: int = _EXPAND_N_CAP,
-    d_cap: int = _EXPAND_D_CAP,
 ) -> DetCertificate:
     """Sufficient stability certificate for det(sum A_ij z_ij + B).
 
@@ -438,7 +435,7 @@ def thm54_certify(
             ),
         )
 
-    nonzero, method = _poly_is_nonzero(A, b, tol, n_cap, d_cap)
+    nonzero, method = _poly_is_nonzero(A, b, tol)
     if not nonzero:
         return DetCertificate(
             outcome=IDENTICALLY_ZERO,

@@ -221,27 +221,37 @@ class MultiPoly:
             return np.broadcast_to(val, (pt.shape[0],)).astype(complex)
         return complex(val)
 
-    def restrict_line(self, x, y, tol: ToleranceProfile = DEFAULT_TOL) -> UniPoly:
+    def restrict_line(self, x, y, tol: ToleranceProfile = DEFAULT_TOL) -> UniPoly | np.ndarray:
         """The univariate restriction ``t -> f(x + t y)``, expanded exactly.
 
-        ``x`` and ``y`` are real vectors; each monomial contributes the
-        convolution of its factors ``(x_k + t y_k)^{a_k}``.
+        ``x`` and ``y`` are real vectors (shape (n,)), giving a
+        :class:`UniPoly` trimmed at ``tol``, or batches (shape (B, n)),
+        giving the untrimmed ascending coefficient rows, shape
+        (B, deg+1).  Each monomial multiplies in its factors
+        ``(x_k + t y_k)`` one at a time by shift-and-add.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if x.shape != (self.nvars,) or y.shape != (self.nvars,):
-            raise ValueError("offset/direction length must match the variable count")
-        acc = np.zeros(max(self.degree, 0) + 1, dtype=complex)
+        batch = x.ndim == 2
+        if x.shape != y.shape or x.shape[-1:] != (self.nvars,) or x.ndim != 1 + batch:
+            raise ValueError("offset/direction shapes must match (n,) or (B, n)")
+        xs, ys = (x, y) if batch else (x[np.newaxis], y[np.newaxis])
+        B = xs.shape[0]
+        out = np.zeros((B, max(self.degree, 0) + 1), dtype=complex)
         for e, c in self.terms.items():
-            factor = np.array([c], dtype=complex)
+            fac = np.full((B, 1), c, dtype=complex)
             for k, a in enumerate(e):
                 if a == 0:
                     continue
-                lin = np.array([x[k], y[k]], dtype=complex)
+                xk = xs[:, k : k + 1]
+                yk = ys[:, k : k + 1]
                 for _ in range(a):
-                    factor = np.convolve(factor, lin)
-            acc[: len(factor)] += factor
-        return UniPoly(acc, tol=tol)
+                    nxt = np.zeros((B, fac.shape[1] + 1), dtype=complex)
+                    nxt[:, :-1] = fac * xk
+                    nxt[:, 1:] += fac * yk
+                    fac = nxt
+            out[:, : fac.shape[1]] += fac
+        return out if batch else UniPoly(out[0], tol=tol)
 
     def substitute_partial(self, assignments: dict[int, complex]) -> "MultiPoly":
         """Fix some variables to complex values; returns a polynomial in the rest.

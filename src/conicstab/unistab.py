@@ -266,13 +266,22 @@ def _roots_batch(coeffs: np.ndarray) -> np.ndarray:
 
     Degrees 1 and 2 use closed forms; higher degrees use Aberth–Ehrlich
     iteration started on the Cauchy-bound circle, and rows that resist it
-    are retried by :func:`_companion_polished`.  No ordering guarantee
-    inside a row.
+    are retried by :func:`_companion_polished`.  A row whose leading
+    coefficient is exactly zero gets the roots of the row with that
+    coefficient dropped, padded with NaN.  No ordering guarantee inside a
+    row.
     """
     b, d1 = coeffs.shape
     d = d1 - 1
     if d <= 0:
         return np.zeros((b, 0), dtype=complex)
+    lead = coeffs[:, -1] != 0
+    if not lead.all():
+        z = np.full((b, d), np.nan, dtype=complex)
+        z[lead] = _roots_batch(coeffs[lead])
+        for row in np.flatnonzero(~lead):
+            z[row, :-1] = _roots_batch(coeffs[row : row + 1, :-1])[0]
+        return z
     if d <= 2:
         return _closed_form(coeffs.astype(complex))
     z, converged = _aberth_batch(coeffs.astype(complex))

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conicstab.poly import (
     MatrixVarIndex,
@@ -152,6 +154,16 @@ class TestEval:
         assert np.all(p(np.ones((7, 2))) == 0)
 
 
+@st.composite
+def _sparse_poly(draw):
+    """Random sparse polynomial in at most 4 variables of degree at most 5."""
+    n = draw(st.integers(1, 4))
+    exps = st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(lambda e: sum(e) <= 5)
+    coeffs = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    terms = draw(st.dictionaries(exps.map(tuple), coeffs, min_size=1, max_size=8))
+    return MultiPoly(tuple(f"z{k + 1}" for k in range(n)), terms)
+
+
 class TestRestrictLine:
     def test_direction_in_the_cancellation_locus(self):
         # (z1+z3)^2 - z2^2 vanishes identically on the line spanned by
@@ -163,12 +175,42 @@ class TestRestrictLine:
     def test_matches_pointwise_evaluation(self):
         rng = np.random.default_rng(22)
         p = parse("z1^2*z2 - 3*z3^3 + i*z1*z3 + 2")
-        for _ in range(10):
-            x = rng.normal(size=3)
-            y = rng.normal(size=3)
-            r = p.restrict_line(x, y)
+        X = rng.normal(size=(10, 3))
+        Y = rng.normal(size=(10, 3))
+        rows = p.restrict_line(X, Y)
+        assert rows.shape == (10, p.degree + 1)
+        for x, y, row in zip(X, Y, rows):
             t = complex(rng.normal(), rng.normal())
-            assert r(t) == pytest.approx(p(x + t * np.asarray(y, dtype=complex)))
+            want = p(x + t * np.asarray(y, dtype=complex))
+            assert p.restrict_line(x, y)(t) == pytest.approx(want)
+            assert UniPoly(row)(t) == pytest.approx(want)
+
+    @given(_sparse_poly(), st.integers(1, 5), st.data())
+    def test_batch_rows_property(self, p, B, data):
+        # Each row evaluates to f(x_i + t y_i) within the coefficient mass
+        # of the expansion, and the vector form is row i, trimmed.
+        n = p.nvars
+        reals = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+        block = st.lists(st.lists(reals, min_size=n, max_size=n), min_size=B, max_size=B)
+        X, Y = np.array(data.draw(block)), np.array(data.draw(block))
+        t = data.draw(st.complex_numbers(max_magnitude=3.0))
+        rows = p.restrict_line(X, Y)
+        assert rows.shape == (B, max(p.degree, 0) + 1)
+        mass = MultiPoly(p.var_names, {e: abs(c) for e, c in p.terms.items()})
+        for x, y, row in zip(X, Y, rows):
+            want = p(x + t * y.astype(complex))
+            scale = mass(np.abs(x) + abs(t) * np.abs(y)).real
+            assert abs(np.polyval(row[::-1], t) - want) <= 100 * np.finfo(float).eps * scale
+            assert p.restrict_line(x, y).coeffs == UniPoly(row).coeffs
+
+    @pytest.mark.parametrize(
+        "x_shape, y_shape",
+        [((3,), (2, 3)), ((2, 3), (3,)), ((2, 3), (4, 3)), ((2,), (2,)), ((1, 2, 3), (1, 2, 3))],
+    )
+    def test_rejects_mismatched_shapes(self, x_shape, y_shape):
+        p = parse("z1*z2 + z3^2")
+        with pytest.raises(ValueError):
+            p.restrict_line(np.zeros(x_shape), np.ones(y_shape))
 
     def test_derivative_along_direction(self):
         # d/dt f(x + t y) equals the y-directional derivative on the line.

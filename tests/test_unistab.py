@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -130,6 +132,31 @@ class TestRoots:
                 npt.assert_allclose(
                     np.sort_complex(mine[row]), np.sort_complex(oracle), atol=1e-6
                 )
+
+    @pytest.mark.parametrize("deg", [1, 2, 3, 5])
+    def test_batch_zero_leading_coefficient(self, deg):
+        # A row with a vanishing leading coefficient gets the roots of its
+        # trimmed polynomial padded with NaN; the other rows are unchanged.
+        rng = np.random.default_rng(14)
+        c = rng.standard_normal((30, deg + 1)) + 1j * rng.standard_normal((30, deg + 1))
+        c[:, -1] += 3.0
+        mixed = c.copy()
+        mixed[[4, 11], -1] = 0.0
+        mixed[11, :] = 0.0
+        mixed[11, 0] = 1.0  # the constant 1: no roots at all
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = unistab._roots_batch(mixed)
+        assert z.shape == (30, deg)
+        keep = np.ones(30, dtype=bool)
+        keep[[4, 11]] = False
+        assert np.array_equal(z[keep], unistab._roots_batch(c)[keep])
+        assert np.all(np.isnan(z[11]))
+        assert np.isnan(z[4, -1])
+        assert np.array_equal(unistab._roots_batch(mixed[4:5]), z[4:5], equal_nan=True)
+        npt.assert_allclose(
+            np.sort_complex(z[4, :-1]), np.sort_complex(np.roots(mixed[4, -2::-1])), atol=1e-8
+        )
 
 
 class TestStability:
