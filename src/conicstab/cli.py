@@ -205,14 +205,19 @@ def _verdict_payload(v: Verdict) -> dict:
 
 
 def _verify_verdict(v: Verdict, f: MultiPoly, K: Cone, tol: ToleranceProfile) -> bool:
-    """Re-check the witness contract from scratch."""
-    if v.status != FALSIFIED:
+    """Re-check the witness contract from scratch, for any verdict carrying one.
+
+    The residual bound always applies; Im(z) must clear half the sampling
+    margin for a sampling witness and be interior for an exact one.
+    """
+    if v.witness is None:
         return True
     z = np.asarray(v.witness)
     residual = abs(complex(f(z)))
     scale = f.coeff_norm1() * max(1.0, float(np.max(np.abs(z)))) ** f.degree
     margin = K.interior_margin(z.imag)
-    return residual <= tol.residual_tol * scale and margin >= tol.sample_margin / 2.0
+    interior = margin >= tol.sample_margin / 2.0 if v.status == FALSIFIED else margin > 0
+    return residual <= tol.residual_tol * scale and interior
 
 
 def _emit(payload: dict, mode: str, out) -> None:

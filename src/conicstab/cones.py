@@ -8,6 +8,10 @@ flattened symmetric matrices, and finite products of those — behind one
 small interface:
 
 * ``contains_interior(p, tol)``  — is ``p`` strictly inside ``K``?
+* ``dual_minimizer(a)`` — ``(margin, p)``: the minimum of ``<a, p>``
+  over a compact slice of ``K`` (unit vectors e_k, unit generators
+  divided by ``|a|``, unit-trace rank-one matrices) and a point ``p`` of
+  ``K`` attaining it; ``dual_margin(a)`` is the margin alone.
 * ``dual_contains_interior(a, tol)`` / ``dual_contains(a, tol)`` — does
   the linear functional ``z -> <a, z>`` lie strictly inside / inside the
   dual cone ``K*``?
@@ -40,7 +44,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues
+from .linalg import hermitian_eigenvalues, hermitian_eigh
 from .poly import MatrixVarIndex
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
@@ -192,8 +196,16 @@ class Cone:
     def contains_interior(self, p, tol: float = DEFAULT_TOL.interior_tol) -> bool:
         return self.interior_margin(p) > tol
 
-    def dual_margin(self, a) -> float:
+    def dual_minimizer(self, a) -> tuple[float, np.ndarray]:
+        """``(margin, p)`` with ``p`` in ``K`` and ``<a, p> = margin``.
+
+        ``margin >= 0`` exactly when ``a`` lies in ``K*``; the module
+        docstring lists the slice of ``K`` each variant minimizes over.
+        """
         raise NotImplementedError
+
+    def dual_margin(self, a) -> float:
+        return self.dual_minimizer(a)[0]
 
     def dual_contains_interior(self, a, tol: float = DEFAULT_TOL.interior_tol) -> bool:
         return self.dual_margin(a) > tol
@@ -234,9 +246,11 @@ class Orthant(Cone):
     def interior_margin_batch(self, P) -> np.ndarray:
         return np.min(np.asarray(P, dtype=float), axis=1)
 
-    def dual_margin(self, a) -> float:
+    def dual_minimizer(self, a) -> tuple[float, np.ndarray]:
         # The orthant is self-dual in the flat inner product.
-        return float(np.min(self._check_point(a)))
+        a = self._check_point(a)
+        k = int(np.argmin(a))
+        return float(a[k]), (np.arange(self.n) == k).astype(float)
 
     def interior_from_normals(self, u, margin: float = DEFAULT_TOL.sample_margin) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -345,12 +359,12 @@ class Polyhedral(Cone):
             return None  # LP-only cone: no vectorized screening
         return np.min(np.asarray(P, dtype=float) @ self._dual_rays.T, axis=1)
 
-    def dual_margin(self, a) -> float:
+    def dual_minimizer(self, a) -> tuple[float, np.ndarray]:
         a = self._check_point(a)
-        scale = np.linalg.norm(a)
-        if scale == 0.0:
-            return 0.0
-        return float(np.min(self._unit_gens @ (a / scale)))
+        scale = np.linalg.norm(a) or 1.0
+        vals = self._unit_gens @ (a / scale)
+        k = int(np.argmin(vals))
+        return float(vals[k]), self._unit_gens[k] / scale
 
     def interior_from_normals(self, u, margin: float = DEFAULT_TOL.sample_margin) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -401,8 +415,9 @@ class PSD(Cone):
         half = (mat + np.diag(np.diag(mat))) / 2.0
         return half
 
-    def dual_margin(self, a) -> float:
-        return float(hermitian_eigenvalues(self._dual_matrix(a))[0])
+    def dual_minimizer(self, a) -> tuple[float, np.ndarray]:
+        w, v = hermitian_eigh(self._dual_matrix(a))
+        return float(w[0]), self.index.flat_from_mat(np.outer(v[:, 0], v[:, 0].conj()).real)
 
     def interior_from_normals(self, u, margin: float = DEFAULT_TOL.sample_margin) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -457,9 +472,13 @@ class Product(Cone):
             margins.append(m)
         return np.min(np.stack(margins, axis=1), axis=1)
 
-    def dual_margin(self, a) -> float:
+    def dual_minimizer(self, a) -> tuple[float, np.ndarray]:
         a = self._check_point(a)
-        return min(f.dual_margin(a[s]) for f, s in zip(self.factors, self._slices))
+        parts = [f.dual_minimizer(a[s]) for f, s in zip(self.factors, self._slices)]
+        k = int(np.argmin([m for m, _ in parts]))
+        p = np.zeros(self.dim)
+        p[self._slices[k]] = parts[k][1]
+        return parts[k][0], p
 
     def interior_from_normals(self, u, margin: float = DEFAULT_TOL.sample_margin) -> np.ndarray:
         u = np.asarray(u, dtype=float)

@@ -312,52 +312,25 @@ def _screen_margins(K: Cone, points: np.ndarray, floor: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _interior_pair_hunt(K: Cone, a: np.ndarray, tol: ToleranceProfile):
-    """Deterministically find interior y', y'' with <a,y'> < 0 < <a,y''>."""
-    gen = np.random.default_rng((_LIN_SALT, K.dim))
-    neg = pos = None
-    floor = tol.sample_margin / 2
-    for _ in range(128):
-        batch = K.interior_from_normals(gen.standard_normal((64, K.draw_dim)))
-        vals = batch @ a
-        for row, v in zip(batch, vals):
-            if v < 0 and neg is None and K.interior_margin(row) >= floor:
-                neg = row
-            elif v > 0 and pos is None and K.interior_margin(row) >= floor:
-                pos = row
-        if neg is not None and pos is not None:
-            return neg, pos
-    raise ArithmeticError("could not locate sign-splitting interior directions")
+def _linear_witness(K: Cone, a: np.ndarray, b: complex, one_sided: bool) -> np.ndarray:
+    """The closed-form zero of <a,z>+b from one interior point c.
 
-
-def _linear_witness(K: Cone, a: np.ndarray, b: complex, tol: ToleranceProfile) -> np.ndarray:
-    """A zero of <a,z>+b with Im(z) interior, for a outside both dual halves."""
-    target = -b.imag  # need <a, y> = target with y interior
-    dm_pos = K.dual_margin(a)
-    dm_neg = K.dual_margin(-a)
+    With ``target = -Im b`` and ``s = <a,c>``: when a or -a lies in K*
+    (``one_sided``) and s has the sign of target, ``y = (target/s) c``;
+    otherwise ``y = c + lam p`` with ``p`` the dual minimizer of ``a`` or
+    ``-a``, a point of K where <a,.> has the sign of ``target - s``, and
+    ``lam >= 0`` solving ``<a,y> = target``.  Adding a point of K keeps y
+    interior.  x solves ``<a,x> = -Re b``.
+    """
+    target = -b.imag
     gen = np.random.default_rng((_LIN_SALT, K.dim, 1))
-    if dm_pos >= -tol.interior_tol or dm_neg >= -tol.interior_tol:
-        # One-sided case (only reachable with a complex constant): <a, .>
-        # has a fixed sign on the interior, so scale a single sample.
-        y0 = K.interior_from_normals(gen.standard_normal((1, K.draw_dim)))[0]
-        s = target / float(a @ y0)
-        if s <= 0:
-            raise ArithmeticError("no witness on this side (polynomial is stable)")
-        y = s * y0
+    c = K.interior_from_normals(gen.standard_normal((1, K.draw_dim)))[0]
+    s = float(a @ c)
+    if one_sided and target * s > 0:
+        y = (target / s) * c
     else:
-        neg, pos = _interior_pair_hunt(K, a, tol)
-        lo, hi = 0.0, 1.0  # y(s) = (1-s)*neg + s*pos crosses zero
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(a @ ((1 - mid) * neg + mid * pos)) < 0:
-                lo = mid
-            else:
-                hi = mid
-        y = (1 - hi) * neg + hi * pos
-        if abs(target) > 0:
-            # Shift along whichever endpoint direction matches the sign.
-            d = pos if target > 0 else neg
-            y = y + (target / float(a @ d)) * d
+        _, p = K.dual_minimizer(a if target < s else -a)
+        y = c + ((target - s) / float(a @ p)) * p
     x = -(b.real / float(a @ a)) * a
     return x + 1j * y
 
@@ -381,9 +354,12 @@ def linear_k_stability(
     set; with the flag, stability additionally requires Im(b) to have the
     matching sign (Im(b) >= 0 for a in K*, <= 0 for -a in K*).
 
-    Unstable inputs come back with a constructed witness: an interior y
-    with <a, y> = -Im(b), found by scaling or bisecting between interior
-    points of opposite sign, and x solving <a, x> = -Re(b).
+    Unstable inputs come back with a witness in closed form: an interior
+    y with <a, y> = -Im(b), either a scaled interior point or an interior
+    point shifted along the dual minimizer of a or -a (a point of K on
+    which that functional is negative), and x solving <a, x> = -Re(b).  The
+    witness is accepted as the samplers' are: Im(z) interior and the
+    residual bound met; otherwise ``ArithmeticError`` is raised.
     """
     _check_fit(f, K)
     if f.degree > 1:
@@ -421,14 +397,17 @@ def linear_k_stability(
             cert = f"{name} ∈ ∂K* ∖ {{0}} (boundary of the dual: exact but fragile)"
         return Verdict(CERTIFIED_STABLE, certificate=cert)
 
-    witness = _linear_witness(K, a, complex(b), tol)
+    if dm_pos >= -band:
+        cert = "a ∈ K* but Im b < 0"
+    elif dm_neg >= -band:
+        cert = "-a ∈ K* but Im b > 0"
+    else:
+        cert = "neither a nor -a lies in the dual cone"
+    witness = _linear_witness(K, a, complex(b), max(dm_pos, dm_neg) >= -band)
     res = abs(f(witness))
-    return Verdict(
-        CERTIFIED_UNSTABLE,
-        witness=witness,
-        certificate="neither a nor -a lies in the dual cone (sign-splitting witness)",
-        residual=res,
-    )
+    if K.interior_margin(witness.imag) <= 0 or res > tol.residual_tol * _coeff_scale(f, witness):
+        raise ArithmeticError("closed-form linear witness failed its margin or residual check")
+    return Verdict(CERTIFIED_UNSTABLE, witness=witness, certificate=cert, residual=res)
 
 
 # ---------------------------------------------------------------------------

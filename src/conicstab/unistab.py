@@ -381,52 +381,18 @@ def is_real_rooted(
 # ---------------------------------------------------------------------------
 
 
-def _alternates(lo: np.ndarray, hi: np.ndarray, slack: float) -> bool:
-    """Weak alternation lo_1 <= hi_1 <= lo_2 <= hi_2 ... for |lo| = |hi| or |lo| = |hi|+1."""
-    merged = []
-    for k in range(len(hi)):
-        if k < len(lo):
-            merged.append(lo[k])
-        merged.append(hi[k])
-    if len(lo) > len(hi):
-        merged.append(lo[-1])
-    arr = np.asarray(merged)
-    return bool(np.all(np.diff(arr) >= -slack))
+def _chain(first: np.ndarray, second: np.ndarray, slack: float) -> bool:
+    """Weak alternation first_1 <= second_1 <= first_2 <= ... within ``slack``.
 
-
-def _weakly_interlaced(a: np.ndarray, b: np.ndarray, slack: float) -> bool:
-    """Roots alternate on the line, in either phase."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(b) - len(a) > 1:
+    Sorted inputs only; ``first`` must hold as many roots as ``second`` or
+    one more.
+    """
+    if len(first) - len(second) not in (0, 1):
         return False
-    if len(b) == len(a):
-        return _alternates(a, b, slack) or _alternates(b, a, slack)
-    # |b| = |a| + 1: b must take both extremes
-    return _alternates_outer(a, b, slack)
-
-
-def _alternates_outer(inner: np.ndarray, outer: np.ndarray, slack: float) -> bool:
-    """outer_1 <= inner_1 <= outer_2 <= ... <= inner_p <= outer_{p+1}."""
-    merged = []
-    for k in range(len(inner)):
-        merged.append(outer[k])
-        merged.append(inner[k])
-    merged.append(outer[-1])
-    return bool(np.all(np.diff(np.asarray(merged)) >= -slack))
-
-
-def _descending_chain(first: np.ndarray, second: np.ndarray, slack: float) -> bool:
-    """first_1 >= second_1 >= first_2 >= second_2 >= ... on descending-sorted inputs."""
-    if not (len(first) == len(second) or len(first) == len(second) + 1):
-        return False
-    merged = []
-    for k in range(len(first)):
-        merged.append(first[k])
-        if k < len(second):
-            merged.append(second[k])
-    arr = np.asarray(merged)
-    return bool(np.all(np.diff(arr) <= slack))
+    merged = np.empty(len(first) + len(second))
+    merged[0::2] = first
+    merged[1::2] = second
+    return bool(np.all(np.diff(merged) >= -slack))
 
 
 def _proper_pair(
@@ -438,11 +404,11 @@ def _proper_pair(
     descending chain alternates g-root, f-root, ...; with opposing signs
     the chain starts from f.  Both comparisons are within ``slack``.
     """
-    f_desc = rf[::-1]
-    g_desc = rg[::-1]
+    # Negated and reversed, the descending chain is an ascending one.
+    nf, ng = -rf[::-1], -rg[::-1]
     if lead_f * lead_g > 0:
-        return _descending_chain(g_desc, f_desc, slack)
-    return _descending_chain(f_desc, g_desc, slack)
+        return _chain(ng, nf, slack)
+    return _chain(nf, ng, slack)
 
 
 def interlacing(
@@ -479,7 +445,7 @@ def interlacing(
         f.degree == 0 or bool(np.all(np.abs(rf - rg) <= slack))
     ):
         return InterlaceReport(KIND_IDENTICAL, rf, rg)
-    if not _weakly_interlaced(rf, rg, slack):
+    if not (_chain(rf, rg, slack) or _chain(rg, rf, slack)):
         return InterlaceReport(KIND_NONE, rf, rg)
 
     lead_f = float(f.lead.real)

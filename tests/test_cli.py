@@ -10,8 +10,10 @@ import json
 import numpy as np
 import pytest
 
+import conicstab.cli
 from conicstab.cli import main, parse_cone, parse_tol
 from conicstab.cones import Orthant, Polyhedral, Product, PSD
+from conicstab.constab import CERTIFIED_UNSTABLE, Verdict
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +126,18 @@ class TestStab:
         )
         assert code == 1
         assert data["verified"] is True
+
+    def test_verify_flag_rejects_bad_exact_witness(self, capsys, monkeypatch):
+        # An exact-route witness must be re-checked too: this one has
+        # Im(z) = (1, 1) interior but f(z) = 1 + 0i, far above the bound.
+        bad = Verdict(CERTIFIED_UNSTABLE, witness=np.array([1 + 1j, 1j]), certificate="planted")
+        monkeypatch.setattr(conicstab.cli, "linear_k_stability", lambda *a, **k: bad)
+        code, out, err = run_cli(
+            capsys, "stab", "-e", "z1 - z2", "--cone", "orthant:2", "--verify", "--output", "json"
+        )
+        assert code == 1
+        assert out == ""
+        assert "failed re-verification" in err
 
     def test_parse_error_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "stab", "-e", "z1 + @", "--cone", "orthant:1")

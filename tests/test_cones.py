@@ -1,7 +1,10 @@
 """Tests for cone membership, duals, sampling, and the simplex core."""
 
 import numpy as np
+import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conicstab.cones import (
@@ -224,6 +227,51 @@ class TestProduct:
         k = Product([Product([Orthant(1), Orthant(2)]), PSD(2)])
         assert len(k.factors) == 3
         assert k.dim == 6
+
+
+_WEDGE = Polyhedral([[1.0, 0.0], [1.0, 1.0]])
+_MINIMIZER_CONES = [
+    Orthant(1),
+    Orthant(4),
+    _WEDGE,
+    Polyhedral([[2.0, 0.0, 1.0], [0.0, 1.0, 0.5], [1.0, 1.0, 2.0], [0.5, 2.0, 1.0]]),
+    PSD(2),
+    PSD(3),
+    product(Orthant(1), PSD(2)),
+    product(_WEDGE, Orthant(1)),
+]
+
+
+class TestDualMinimizer:
+    def test_hand_values(self):
+        m, p = Orthant(3).dual_minimizer(np.array([2.0, -1.0, 0.5]))
+        assert m == -1.0 and np.array_equal(p, [0.0, 1.0, 0.0])
+        # a = (1, -3): the unit generator (1, 1)/sqrt(2) pairs to -2/sqrt(2).
+        m, p = _WEDGE.dual_minimizer(np.array([1.0, -3.0]))
+        assert m == pytest.approx(-2.0 / np.sqrt(2) / np.sqrt(10))
+        npt.assert_allclose(p, np.array([1.0, 1.0]) / np.sqrt(2) / np.sqrt(10))
+        # z11 - z22 acts via diag(1, -1): the minimizer is E22.
+        m, p = PSD(2).dual_minimizer(np.array([1.0, 0.0, -1.0]))
+        assert m == pytest.approx(-1.0)
+        npt.assert_allclose(p, [0.0, 0.0, 1.0], atol=1e-15)
+
+    def test_product_pads_the_minimizing_factor(self):
+        k = product(Orthant(2), PSD(2))
+        m, p = k.dual_minimizer(np.array([1.0, 2.0, 1.0, 0.0, -3.0]))
+        assert m == pytest.approx(-3.0)
+        npt.assert_allclose(p, [0.0, 0.0, 0.0, 0.0, 1.0], atol=1e-15)
+
+    @given(st.data())
+    def test_contract_property(self, data):
+        k = data.draw(st.sampled_from(_MINIMIZER_CONES))
+        coeffs = st.lists(st.floats(-100.0, 100.0), min_size=k.dim, max_size=k.dim)
+        a = np.array(data.draw(coeffs))
+        m, p = k.dual_minimizer(a)
+        assert m == k.dual_margin(a)
+        scale = max(1.0, float(np.linalg.norm(p)))
+        assert k.interior_margin(p) >= -1e-12 * scale  # p lies in the closed cone
+        bound = 1e-12 * max(1.0, float(np.abs(a).sum())) * scale
+        assert float(a @ p) == pytest.approx(m, abs=bound)
 
 
 class TestSampling:

@@ -16,6 +16,8 @@ Expected values come from hand analysis of small instances:
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conicstab.cones import Orthant, Polyhedral, PSD, product
 from conicstab.constab import (
@@ -51,6 +53,26 @@ def _assert_valid_witness(verdict, f, K, tol=DEFAULT_TOL):
     assert val <= tol.residual_tol * scale
     margin = K.interior_margin(np.asarray(z).imag)
     assert margin >= tol.sample_margin / 2.0
+
+
+def _assert_exact_witness(verdict, f, K, tol=DEFAULT_TOL):
+    """An exact-route witness: residual bound met, Im(z) interior."""
+    z = verdict.witness
+    scale = f.coeff_norm1() * max(1.0, float(np.max(np.abs(z)))) ** f.degree
+    assert abs(complex(f(z))) <= tol.residual_tol * scale
+    assert K.interior_margin(np.asarray(z).imag) > 0
+
+
+_WEDGE = Polyhedral([[1.0, 0.0], [1.0, 1.0]])
+_LINEAR_CONES = [
+    Orthant(1),
+    Orthant(3),
+    _WEDGE,
+    PSD(2),
+    PSD(3),
+    product(Orthant(1), PSD(2)),
+    product(_WEDGE, Orthant(1)),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +165,51 @@ class TestLinearStability:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             linear_k_stability(parse("z1 + z2"), Orthant(3))
+
+    def test_one_sided_certificate_names_the_dual_side(self):
+        # a = (1, 1) lies in int K*; only the sign of Im(b) breaks stability.
+        v = linear_k_stability(parse("z1 + z2 + 1 - 2*i"), Orthant(2), allow_complex_constant=True)
+        assert v.certificate == "a ∈ K* but Im b < 0"
+        v = linear_k_stability(parse("-z1 - z2 + 1 + 2*i"), Orthant(2), allow_complex_constant=True)
+        assert v.certificate == "-a ∈ K* but Im b > 0"
+        v = linear_k_stability(parse("z1 - z2 + 1 - 2*i"), Orthant(2), allow_complex_constant=True)
+        assert v.certificate == "neither a nor -a lies in the dual cone"
+
+    @pytest.mark.parametrize(
+        "K, expr, names",
+        [
+            (Orthant(6), "5*z1 + 4*z2 + 3*z3 + 2*z4 + z5 - 0.01*z6 + 1", None),
+            (PSD(2), "z11 + z22 - 2.0002*z12 + 0.5", ("z11", "z12", "z22")),
+            (_WEDGE, "z1 - 1.0001*z2", None),
+            (
+                product(Orthant(1), PSD(2)),
+                "z1 + z11 + z22 - 2.0002*z12 - 0.3*i",
+                ("z1", "z11", "z12", "z22"),
+            ),
+        ],
+        ids=["orthant6", "psd2", "wedge", "orthant1xpsd2"],
+    )
+    def test_witness_just_outside_the_dual(self, K, expr, names):
+        # Interior points where <a, y> < 0 are a sliver of K here; the
+        # witness comes from the dual minimizer, not from sampling.
+        f = parse(expr, var_names=names)
+        v = linear_k_stability(f, K, allow_complex_constant=True)
+        assert v.status == CERTIFIED_UNSTABLE
+        _assert_exact_witness(v, f, K)
+
+    @given(st.data())
+    def test_decides_every_form_property(self, data):
+        K = data.draw(st.sampled_from(_LINEAR_CONES))
+        coeff = st.floats(-100.0, 100.0)
+        a = data.draw(st.lists(coeff, min_size=K.dim, max_size=K.dim))
+        b = complex(data.draw(coeff), data.draw(coeff))
+        names = tuple(f"z{k}" for k in range(K.dim))
+        terms = {tuple(int(j == k) for j in range(K.dim)): a[k] for k in range(K.dim)}
+        terms[(0,) * K.dim] = b
+        f = MultiPoly(names, terms)
+        v = linear_k_stability(f, K, allow_complex_constant=True)
+        if v.witness is not None:
+            _assert_exact_witness(v, f, K)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,21 @@ def interleaved_pair(rng, deg_f, same_degree, gap=0.5):
 
 
 class TestInterlacing:
+    @pytest.mark.parametrize(
+        "first, second, slack, expected",
+        [
+            ([0.0, 2.0], [1.0, 3.0], 0.0, True),
+            ([0.0, 2.0, 4.0], [1.0, 3.0], 0.0, True),
+            ([1.0, 3.0], [0.0, 2.0, 4.0], 0.0, False),  # first must not be shorter
+            ([0.0, 2.0, 4.0, 6.0], [1.0, 3.0], 0.0, False),
+            ([0.0, 1.0], [0.5, 1.0 - 1e-9], 1e-7, True),
+            ([0.0, 1.0], [0.5, 1.0 - 1e-9], 0.0, False),
+            ([], [], 0.0, True),
+        ],
+    )
+    def test_chain(self, first, second, slack, expected):
+        assert unistab._chain(np.array(first), np.array(second), slack) is expected
+
     def test_textbook_proper(self):
         rep = unistab.interlacing(poly(0.0, 1.0), poly(-1.0, 0.0, 1.0))
         assert rep.kind in ("strict", "proper")
