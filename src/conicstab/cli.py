@@ -27,6 +27,7 @@ are deterministic functions of (seed, draw index).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -34,9 +35,9 @@ import numpy as np
 
 from .cones import Cone, Orthant, Polyhedral, PSD, cone_from_descriptor, product
 from .constab import (
-    CERTIFIED_UNSTABLE,
     FALSIFIED,
     Verdict,
+    _coeff_scale,
     falsify_k_stability,
     imaginary_projection_sample,
     linear_k_stability,
@@ -44,8 +45,6 @@ from .constab import (
     wronskian_certificate,
 )
 from .det import (
-    _EXPAND_D_CAP,
-    _EXPAND_N_CAP,
     CERTIFIED_STABLE as DET_CERTIFIED,
     IDENTICALLY_ZERO,
     NOT_CERTIFIED,
@@ -213,11 +212,9 @@ def _verify_verdict(v: Verdict, f: MultiPoly, K: Cone, tol: ToleranceProfile) ->
     if v.witness is None:
         return True
     z = np.asarray(v.witness)
-    residual = abs(complex(f(z)))
-    scale = f.coeff_norm1() * max(1.0, float(np.max(np.abs(z)))) ** f.degree
     margin = K.interior_margin(z.imag)
     interior = margin >= tol.sample_margin / 2.0 if v.status == FALSIFIED else margin > 0
-    return residual <= tol.residual_tol * scale and interior
+    return bool(abs(complex(f(z))) <= tol.residual_tol * _coeff_scale(f, z)) and interior
 
 
 def _emit(payload: dict, mode: str, out) -> None:
@@ -231,10 +228,6 @@ def _emit(payload: dict, mode: str, out) -> None:
             print(f"{key:12} {rendered}", file=out)
         else:
             print(f"{key:12} {value}", file=out)
-
-
-def _exit_for_status(status: str) -> int:
-    return 1 if status in (FALSIFIED, CERTIFIED_UNSTABLE) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +249,7 @@ def _cmd_stab(args, out) -> int:
     f = parse_poly(_read_exprs(args, 1, "stab")[0], K)
     if f.degree <= 1 and _linear_part_real(f, tol):
         v = linear_k_stability(f, K, allow_complex_constant=True, tol=tol)
-        v = Verdict(
-            status=v.status, witness=v.witness, certificate=v.certificate,
-            samples=v.samples, seed=args.seed, residual=v.residual,
-        )
+        v = dataclasses.replace(v, seed=args.seed)
         route = "exact-linear"
     else:
         v = falsify_k_stability(f, K, n_samples=args.samples, rng=args.seed, tol=tol)
@@ -273,7 +263,7 @@ def _cmd_stab(args, out) -> int:
             print("witness failed re-verification", file=sys.stderr)
             return 1
     _emit(payload, args.output, out)
-    return _exit_for_status(v.status)
+    return int(v.falsified)
 
 
 def _cmd_hko(args, out) -> int:
@@ -346,9 +336,13 @@ def _cmd_detstab(args, out) -> int:
         "certificate": cert.certificate,
         "seed": args.seed,
     }
-    expansion = None
-    if A.n1 <= _EXPAND_N_CAP and A.p <= _EXPAND_D_CAP:
-        expansion = expand_det_polynomial(A, B, tol)
+    expansion = cert.polynomial
+    if cert.outcome == NOT_CERTIFIED:
+        try:
+            expansion = expand_det_polynomial(A, B, tol)
+        except ValueError:  # above the expansion caps: certificate only
+            pass
+    if expansion is not None:
         payload["polynomial"] = _poly_text(expansion)
     if cert.outcome == NOT_CERTIFIED and expansion is not None:
         v = falsify_k_stability(
@@ -465,10 +459,7 @@ def main(argv=None) -> int:
         parser.error("csv output applies to improj only")
     try:
         return args.func(args, sys.stdout)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

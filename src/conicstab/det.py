@@ -16,7 +16,10 @@ the machinery here makes it checkable:
 * :func:`assemble_coefficient` forms sum y_ij A_ij and cross-checks it
   against the flanked Khatri-Rao identity
   (1 x n of I_d) (Y * A) (n x 1 of I_d),
-* :func:`thm54_certify` issues the certificate itself,
+* :func:`thm54_certify` issues the certificate itself; a PSD flattening
+  makes f stable or zero, and the expansion (within the caps, returned
+  with the certificate) or the one value f(iI) = det(B + i sum_i A_ii)
+  says which,
 * :func:`expand_det_polynomial` expands f symbolically for small sizes so
   the certificate can be cross-checked against the sampling falsifier,
 * :func:`perturbed_certify` walks a singular PSD matrix through the
@@ -39,8 +42,9 @@ from .linalg import (
     INDEFINITE,
     POSITIVE_DEFINITE,
     POSITIVE_SEMIDEFINITE,
-    hermitian_eigenvalues,
+    hermitian_eigh,
     is_hermitian,
+    psd_class_of,
     psd_classify,
 )
 from .poly import MatrixVarIndex, MultiPoly
@@ -103,9 +107,6 @@ class BlockMatrix:
     def grid(self) -> tuple[int, int]:
         return (self.n1, self.n2)
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        return np.array(self.blocks[i, j])
-
     def flatten(self) -> np.ndarray:
         n1, n2, p, q = self.blocks.shape
         return self.blocks.transpose(0, 2, 1, 3).reshape(n1 * p, n2 * q).copy()
@@ -144,14 +145,25 @@ class BlockMatrix:
         return f"BlockMatrix(grid={self.n1}x{self.n2}, block={self.p}x{self.q})"
 
 
+def _check_square(A: BlockMatrix, B=None) -> np.ndarray | None:
+    """Require a square grid of square blocks; return B as a d x d complex array."""
+    if A.n1 != A.n2 or A.p != A.q:
+        raise ValueError("expected a square grid of square blocks")
+    if B is None:
+        return None
+    b = np.asarray(B, dtype=complex)
+    if b.shape != (A.p, A.p):
+        raise ValueError(f"B must be {A.p} x {A.p}")
+    return b
+
+
 def block_matrix_to_json(A: BlockMatrix) -> str:
     """Serialize a square-grid, square-block matrix.
 
     Complex grids set ``re_im`` and store every entry as an [re, im] pair;
     real grids store plain floats.
     """
-    if A.n1 != A.n2 or A.p != A.q:
-        raise ValueError("JSON format covers square grids of square blocks")
+    _check_square(A)
     complex_entries = bool(np.max(np.abs(A.blocks.imag)) > 0.0)
     if complex_entries:
         paired = np.stack([A.blocks.real, A.blocks.imag], axis=-1)
@@ -256,8 +268,7 @@ def assemble_coefficient(Y, A: BlockMatrix, tol: ToleranceProfile = DEFAULT_TOL)
     turns on.
     """
     y = np.asarray(Y, dtype=float)
-    if A.n1 != A.n2 or A.p != A.q:
-        raise ValueError("expected a square grid of square blocks")
+    _check_square(A)
     n, d = A.n1, A.p
     if y.shape != (n, n):
         raise ValueError(f"Y must be {n} x {n}")
@@ -338,16 +349,12 @@ def expand_det_polynomial(
     symmetric argument, so off-diagonal pairs contribute A_ij + A_ji.
     Sizes are capped because cofactor expansion is exponential in d.
     """
-    if A.n1 != A.n2 or A.p != A.q:
-        raise ValueError("expected a square grid of square blocks")
+    b = _check_square(A, B)
     n, d = A.n1, A.p
     if n > _EXPAND_N_CAP or d > _EXPAND_D_CAP:
         raise ValueError(
             f"expansion capped at grid {_EXPAND_N_CAP}, block {_EXPAND_D_CAP} (got {n}, {d})"
         )
-    b = np.asarray(B, dtype=complex)
-    if b.shape != (d, d):
-        raise ValueError(f"B must be {d} x {d}")
     entries = _entry_polynomials(A, b, tol)
     names = MatrixVarIndex(n).names
     return _det_cofactor(entries, names, tol)
@@ -368,31 +375,33 @@ class DetCertificate:
     matrix is indefinite; the criterion is sufficient only, so nothing is
     claimed about stability either way.  ``identically_zero`` — the
     coefficient structure makes the determinant vanish as a polynomial.
+
+    ``flat_class`` and ``lambda_min`` describe the flattening.  The zero
+    test (``nonzero_method``) is ``"expansion"`` within the caps, which
+    also sets ``polynomial``, or ``"evaluation"`` of f(iI) above them,
+    which leaves it ``None``; for ``not_certified`` both are ``None``.
     """
 
     outcome: str
     lambda_min: float
     certificate: str
+    flat_class: str
     nonzero_method: str | None = None
+    polynomial: MultiPoly | None = None
 
 
-def _poly_is_nonzero(A: BlockMatrix, B: np.ndarray, tol: ToleranceProfile) -> tuple[bool, str]:
-    n, d = A.n1, A.p
-    if n <= _EXPAND_N_CAP and d <= _EXPAND_D_CAP:
-        f = expand_det_polynomial(A, B, tol)
-        return bool(f), "expansion"
-    # Above the cap: randomized evaluation.  A nonzero value is proof; a
-    # run of zeros at generic points leaves only the zero polynomial as a
-    # realistic possibility.
-    gen = np.random.default_rng(0x5E7_D47)
-    index = MatrixVarIndex(n)
-    for _ in range(8):
-        flat = gen.normal(size=index.dim) + 1j * gen.normal(size=index.dim)
-        Z = index.mat_from_flat(flat)
-        M = np.einsum("ijab,ij->ab", A.blocks, Z) + B
-        if abs(np.linalg.det(M)) > 1e-9:
-            return True, "evaluation"
-    return False, "evaluation"
+def _poly_is_nonzero(A: BlockMatrix, b: np.ndarray, tol: ToleranceProfile) -> tuple[bool, str, MultiPoly | None]:
+    """Zero test for det(sum A_ij z_ij + B) when the flattening is PSD.
+
+    Within the caps the expansion decides (and is returned).  Above them,
+    as f is stable or zero, f(iI) decides: B + i sum_i A_ii is singular
+    when sigma_min <= tol.eig_tol * sigma_max, which includes the zero matrix.
+    """
+    if A.n1 <= _EXPAND_N_CAP and A.p <= _EXPAND_D_CAP:
+        f = expand_det_polynomial(A, b, tol)
+        return bool(f), "expansion", f
+    sigma = np.linalg.svd(b + 1j * np.einsum("iiab->ab", A.blocks), compute_uv=False)
+    return bool(sigma[-1] > tol.eig_tol * sigma[0]), "evaluation", None
 
 
 def thm54_certify(
@@ -409,23 +418,16 @@ def thm54_certify(
     claims instability (there are indefinite examples whose polynomial is
     stable regardless).
     """
-    if A.n1 != A.n2 or A.p != A.q:
-        raise ValueError("expected a square grid of square blocks")
-    d = A.p
-    b = np.asarray(B, dtype=complex)
-    if b.shape != (d, d):
-        raise ValueError(f"B must be {d} x {d}")
+    b = _check_square(A, B)
     if not A.is_hermitian(tol):
         raise ValueError("block matrix must be Hermitian (A_ij = A_ji^H)")
     if not is_hermitian(b, tol):
         raise ValueError("B must be Hermitian")
 
     flat = A.flatten()
-    lam_min = float(hermitian_eigenvalues(flat, tol)[0])
-    classification = psd_classify(flat, tol)
-    b_residual = float(np.max(np.abs(b - b.conj().T))) if d else 0.0
-
-    if classification == INDEFINITE:
+    lam_min = float(hermitian_eigh(flat, tol)[0][0])
+    flat_class = psd_class_of(lam_min, flat, tol)
+    if flat_class == INDEFINITE:
         return DetCertificate(
             outcome=NOT_CERTIFIED,
             lambda_min=lam_min,
@@ -433,24 +435,24 @@ def thm54_certify(
                 f"flattened coefficient matrix is indefinite (lambda_min = {lam_min:.6g}); "
                 "the semidefinite test is sufficient only"
             ),
+            flat_class=flat_class,
         )
 
-    nonzero, method = _poly_is_nonzero(A, b, tol)
-    if not nonzero:
-        return DetCertificate(
-            outcome=IDENTICALLY_ZERO,
-            lambda_min=lam_min,
-            certificate="determinant vanishes identically",
-            nonzero_method=method,
+    nonzero, method, poly = _poly_is_nonzero(A, b, tol)
+    outcome, text = IDENTICALLY_ZERO, "determinant vanishes identically"
+    if nonzero:
+        b_residual = float(np.max(np.abs(b - b.conj().T)))
+        outcome, text = CERTIFIED_STABLE, (
+            f"flattened coefficient matrix is {flat_class} "
+            f"(lambda_min = {lam_min:.6g}); B Hermitian residual {b_residual:.2g}"
         )
     return DetCertificate(
-        outcome=CERTIFIED_STABLE,
+        outcome=outcome,
         lambda_min=lam_min,
-        certificate=(
-            f"flattened coefficient matrix is {classification} "
-            f"(lambda_min = {lam_min:.6g}); B Hermitian residual {b_residual:.2g}"
-        ),
+        certificate=text,
+        flat_class=flat_class,
         nonzero_method=method,
+        polynomial=poly,
     )
 
 
@@ -479,6 +481,11 @@ class PerturbReport:
         return all(e.outcome == CERTIFIED_STABLE for e in self.entries)
 
 
+def _expansion(cert: DetCertificate, A: BlockMatrix, b: np.ndarray, tol: ToleranceProfile) -> MultiPoly:
+    """The certificate's expansion, or a fresh one (which raises above the caps)."""
+    return cert.polynomial if cert.polynomial is not None else expand_det_polynomial(A, b, tol)
+
+
 def perturbed_certify(
     A: BlockMatrix,
     B,
@@ -490,24 +497,19 @@ def perturbed_certify(
     Adds eps * I to every diagonal block (equivalently eps * I to the
     flattening), checks each perturbation is PSD with definite diagonal
     blocks, certifies it, and tracks coefficientwise convergence of the
-    expanded polynomials back to the unperturbed one.  Definite input
-    needs no approximation and reports a trivial pass; indefinite input
-    is rejected.
+    expanded polynomials (each from its step's certificate) back to the
+    unperturbed one.  Definite input needs no approximation and reports a
+    trivial pass; indefinite input is rejected.
     """
-    if A.n1 != A.n2 or A.p != A.q:
-        raise ValueError("expected a square grid of square blocks")
+    b = _check_square(A, B)
     n, d = A.n1, A.p
-    b = np.asarray(B, dtype=complex)
-    if b.shape != (d, d):
-        raise ValueError(f"B must be {d} x {d}")
-    classification = psd_classify(A.flatten(), tol)
-    if classification == INDEFINITE:
+    base = thm54_certify(A, b, tol)
+    if base.flat_class == INDEFINITE:
         raise ValueError("perturbed_certify requires a semidefinite block matrix")
-    if classification == POSITIVE_DEFINITE:
-        base = thm54_certify(A, b, tol)
+    if base.flat_class == POSITIVE_DEFINITE:
         entry = PerturbEntry(
             eps=0.0,
-            flat_class=classification,
+            flat_class=base.flat_class,
             diagonal_definite=True,
             outcome=base.outcome,
             coeff_diff=0.0,
@@ -520,27 +522,22 @@ def perturbed_certify(
     if any(e <= 0 for e in eps_list):
         raise ValueError("schedule entries must be positive")
 
-    base_poly = expand_det_polynomial(A, b, tol)
-    eye = np.eye(d)
+    base_poly = _expansion(base, A, b, tol)
+    flat = A.flatten()
     entries = []
     for eps in eps_list:
-        blocks = np.array(A.blocks)
-        for i in range(n):
-            blocks[i, i] += eps * eye
-        Ak = BlockMatrix(blocks)
-        flat_class = psd_classify(Ak.flatten(), tol)
+        Ak = BlockMatrix.from_flat(flat + eps * np.eye(n * d), n, n)
+        cert = thm54_certify(Ak, b, tol)
         diag_def = all(
             psd_classify(Ak.blocks[i, i], tol) == POSITIVE_DEFINITE for i in range(n)
         )
-        cert = thm54_certify(Ak, b, tol)
-        diff = expand_det_polynomial(Ak, b, tol).max_coeff_diff(base_poly)
         entries.append(
             PerturbEntry(
                 eps=eps,
-                flat_class=flat_class,
+                flat_class=cert.flat_class,
                 diagonal_definite=diag_def,
                 outcome=cert.outcome,
-                coeff_diff=diff,
+                coeff_diff=_expansion(cert, Ak, b, tol).max_coeff_diff(base_poly),
             )
         )
 
@@ -581,8 +578,7 @@ def prop56_diagonal_criterion(A: BlockMatrix, tol: ToleranceProfile = DEFAULT_TO
     slice conditions are also reported as the explicit scalar
     inequalities (diagonal nonnegativity plus determinant).
     """
-    if A.n1 != A.n2 or A.p != A.q:
-        raise ValueError("expected a square grid of square blocks")
+    _check_square(A)
     n, d = A.n1, A.p
     off_mask = ~np.eye(d, dtype=bool)
     worst = float(np.max(np.abs(A.blocks[:, :, off_mask]))) if d > 1 else 0.0

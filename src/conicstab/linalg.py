@@ -20,6 +20,7 @@ __all__ = [
     "hermitian_eigh",
     "hermitian_eigenvalues",
     "psd_classify",
+    "psd_class_of",
 ]
 
 #: Classification labels returned by :func:`psd_classify`.
@@ -109,12 +110,14 @@ def psd_classify(m, tol: ToleranceProfile = DEFAULT_TOL) -> str:
     classifies as positive semidefinite.
     """
     a = _as_square(m)
-    w = hermitian_eigenvalues(a, tol=tol)
-    band = tol.eig_tol * max(1.0, float(np.linalg.norm(a)))
-    lam_min = float(w[0])
+    return psd_class_of(float(hermitian_eigenvalues(a, tol=tol)[0]), a, tol)
+
+
+def psd_class_of(lam_min: float, m, tol: ToleranceProfile = DEFAULT_TOL) -> str:
+    """The :func:`psd_classify` label of ``m``, given its smallest eigenvalue."""
+    band = tol.eig_tol * max(1.0, float(np.linalg.norm(m)))
     if lam_min > band:
         return POSITIVE_DEFINITE
     if lam_min < -band:
         return INDEFINITE
     return POSITIVE_SEMIDEFINITE
-

@@ -274,6 +274,26 @@ class TestDetstab:
         assert code == 1
         assert data["outcome"] == "identically_zero"
 
+    def test_identically_zero_prints_zero_polynomial(self, capsys, tmp_path):
+        a_path = tmp_path / "A.json"
+        zero = np.zeros((2, 2, 2, 2))
+        a_path.write_text(json.dumps({"n": 2, "d": 2, "re_im": False, "blocks": zero.tolist()}))
+        code, data = run_json(capsys, "detstab", "-f", str(a_path))
+        assert code == 1
+        assert data["polynomial"] == "0"
+
+    def test_above_expansion_caps_certificate_only(self, capsys, tmp_path):
+        # A 5 x 5 grid is above the expansion caps: no polynomial is printed
+        # and an indefinite flattening gets no falsifier run.
+        for blocks, outcome in ((np.eye(5), "certified_stable"), (np.eye(5) - 0.5, "not_certified")):
+            path = tmp_path / "A.json"
+            grid = blocks[:, :, None, None]
+            path.write_text(json.dumps({"n": 5, "d": 1, "re_im": False, "blocks": grid.tolist()}))
+            code, data = run_json(capsys, "detstab", "-f", str(path))
+            assert code == 0
+            assert data["outcome"] == outcome
+            assert "polynomial" not in data and "falsifier" not in data
+
     def test_rejects_expressions(self, capsys):
         code, _, err = run_cli(capsys, "detstab", "-e", "z1")
         assert code == 2

@@ -14,6 +14,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conicstab.cones import PSD
 from conicstab.constab import NOT_FALSIFIED, falsify_k_stability
@@ -52,6 +54,25 @@ def coupling_example() -> BlockMatrix:
 def indefinite_example() -> BlockMatrix:
     off2 = np.array([[0.0, 2.0], [2.0, 0.0]])
     return BlockMatrix([[np.diag([1.0, 5.0]), off2], [off2, np.diag([5.0, 1.0])]])
+
+
+def planted_grid(seed, plant_a, plant_b, n=5, d=2):
+    """A PSD n x n grid of d x d blocks and a Hermitian d x d B.
+
+    A unit vector v drawn with the seed is planted in the kernel of every
+    diagonal block (``plant_a``) and of B (``plant_b``).  Then
+    B + i sum_i A_ii is singular exactly when both are planted, so the
+    determinant vanishes identically exactly then.
+    """
+    gen = np.random.default_rng(seed)
+    v = gen.normal(size=d) + 1j * gen.normal(size=d)
+    proj = np.eye(d) - np.outer(v, v.conj()) / np.vdot(v, v).real
+    G = gen.normal(size=(n * d, n * d)) + 1j * gen.normal(size=(n * d, n * d))
+    if plant_a:
+        G = G @ np.kron(np.eye(n), proj)
+    H = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+    H = H + H.conj().T
+    return BlockMatrix.from_flat(G.conj().T @ G, n, n), proj @ H @ proj if plant_b else H
 
 
 def random_psd_blocks(gen, n, d):
@@ -370,6 +391,78 @@ class TestCertify:
             thm54_certify(coupling_example(), np.zeros((3, 3)))
 
 
+class TestEvaluationRoute:
+    """Above the expansion caps one value f(iI) = det(B + i sum_i A_ii) decides."""
+
+    def test_definite_grid_certified(self):
+        A = random_psd_blocks(np.random.default_rng(5), 5, 2)
+        cert = thm54_certify(A, np.zeros((2, 2)))
+        assert cert.outcome == CERTIFIED_STABLE
+        assert cert.nonzero_method == "evaluation"
+
+    def test_zero_blocks_zero_offset_identically_zero(self):
+        cert = thm54_certify(BlockMatrix(np.zeros((5, 5, 2, 2))), np.zeros((2, 2)))
+        assert cert.outcome == IDENTICALLY_ZERO
+        assert cert.nonzero_method == "evaluation"
+
+    def test_zero_blocks_identity_offset_certified(self):
+        cert = thm54_certify(BlockMatrix(np.zeros((5, 5, 2, 2))), np.eye(2))
+        assert cert.outcome == CERTIFIED_STABLE
+        assert cert.nonzero_method == "evaluation"
+
+    def test_tiny_definite_grid_certified(self):
+        # det of a 2 x 2 matrix with entries ~1e-5 is ~1e-10 at unit Z; a
+        # definite flattening still cannot give the zero polynomial.
+        A = random_psd_blocks(np.random.default_rng(6), 5, 2)
+        A = BlockMatrix(A.blocks * (1e-5 / np.linalg.norm(A.flatten())))
+        cert = thm54_certify(A, np.zeros((2, 2)))
+        assert cert.outcome == CERTIFIED_STABLE
+        assert cert.nonzero_method == "evaluation"
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        plant_a=st.booleans(),
+        plant_b=st.booleans(),
+        log_c=st.floats(-12.0, 12.0),
+    )
+    def test_outcome_is_scale_free_and_matches_planted_kernel(self, seed, plant_a, plant_b, log_c):
+        A, B = planted_grid(seed, plant_a, plant_b)
+        expected = IDENTICALLY_ZERO if plant_a and plant_b else CERTIFIED_STABLE
+        for c in (1.0, 10.0 ** log_c):
+            cert = thm54_certify(BlockMatrix(A.blocks * c), B * c)
+            assert cert.nonzero_method == "evaluation"
+            assert cert.outcome == expected
+
+
+class TestCertificateContract:
+    def test_expansion_route_carries_the_expansion(self):
+        for A, B in (
+            (coupling_example(), np.zeros((2, 2))),
+            (BlockMatrix(np.zeros((2, 2, 2, 2))), np.zeros((2, 2))),
+            (BlockMatrix(np.zeros((2, 2, 2, 2))), np.eye(2)),
+        ):
+            cert = thm54_certify(A, B)
+            assert cert.nonzero_method == "expansion"
+            assert cert.polynomial == expand_det_polynomial(A, B)
+
+    def test_no_polynomial_on_evaluation_route_or_when_not_certified(self):
+        big = random_psd_blocks(np.random.default_rng(2), 5, 1)
+        assert thm54_certify(big, np.zeros((1, 1))).polynomial is None
+        cert = thm54_certify(indefinite_example(), np.zeros((2, 2)))
+        assert cert.polynomial is None and cert.nonzero_method is None
+
+    def test_flat_class_matches_psd_classify(self):
+        cases = (
+            (coupling_example(), np.zeros((2, 2)), CERTIFIED_STABLE),
+            (BlockMatrix(np.zeros((2, 2, 2, 2))), np.zeros((2, 2)), IDENTICALLY_ZERO),
+            (indefinite_example(), np.zeros((2, 2)), NOT_CERTIFIED),
+        )
+        for A, B, outcome in cases:
+            cert = thm54_certify(A, B)
+            assert cert.outcome == outcome
+            assert cert.flat_class == psd_classify(A.flatten())
+
+
 # ---------------------------------------------------------------------------
 # Boundary approximation
 # ---------------------------------------------------------------------------
@@ -390,6 +483,26 @@ class TestPerturbation:
         epss = [e.eps for e in rep.entries]
         assert diffs[-1] <= 1e-5
         assert all(d <= 4.0 * e for d, e in zip(diffs, epss))
+
+    def test_singular_grid_entries(self):
+        # Blocks I2 / offdiag(1): flattening eigenvalues {0, 0, 2, 2} and
+        # det = (z11+z22)^2 - 4 z12^2.  A step adds eps to z11 and z22, so
+        # the z11*z22 coefficient moves by 2 eps (2 + eps), the largest
+        # drift.  Values recorded from the implementation that re-expanded
+        # every step.
+        off1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        rep = perturbed_certify(BlockMatrix([[I2, off1], [off1, I2]]), np.zeros((2, 2)))
+        assert not rep.trivial and rep.converged and rep.all_certified
+        assert len(rep.entries) == 20
+        for e in rep.entries:
+            assert (e.flat_class, e.diagonal_definite, e.outcome) == (
+                POSITIVE_DEFINITE, True, CERTIFIED_STABLE,
+            )
+            assert e.coeff_diff == pytest.approx(2.0 * e.eps * (2.0 + e.eps), rel=1e-12)
+        recorded = {0: (0.5, 2.5), 4: (0.03125, 0.126953125), 19: (9.5367431640625e-07, 3.8146990846144035e-06)}
+        for k, (eps, diff) in recorded.items():
+            assert rep.entries[k].eps == eps
+            assert rep.entries[k].coeff_diff == pytest.approx(diff, rel=1e-12)
 
     def test_definite_input_passes_trivially(self):
         rep = perturbed_certify(coupling_example(), np.zeros((2, 2)))

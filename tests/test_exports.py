@@ -1,6 +1,7 @@
 """Every name a conicstab module exports, or the benchmark tracer binds, must exist."""
 
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -41,3 +42,29 @@ def test_bench_tracer_binds_every_layer():
         check=True,
         timeout=120,
     )
+
+
+def test_bench_tracer_reaches_every_certificates_layer():
+    # One traced pass of the certificates workload must record calls to
+    # every layer it is expected to reach (det.expand, det.certify,
+    # linalg.eigh, ...), so a refactor that routes around a traced entry
+    # point fails here, not only in a traced benchmark run.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    script = (
+        "import json, tracing, worker, workloads\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install([workloads])\n"
+        "worker.measure(workloads.certificates(1), 0, tracer)\n"
+        "print(json.dumps(tracing.missing_calls(tracer.summary(), 'certificates')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=root / "bench",
+        env=env,
+        check=True,
+        timeout=120,
+        capture_output=True,
+        text=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == []
