@@ -32,8 +32,13 @@ base points.
 Each restriction is expanded once per block: the line rows come from
 `MultiPoly.restrict_line` on the whole block, the fiber rows from f's
 coefficients in the solved variable evaluated at the base points.
-Batch screening (vectorized roots, vectorized cone margins) only selects
-candidates and can never flip a verdict on its own.  Every witness passes
+Batch screening only selects candidates and can never flip a verdict on
+its own.  It runs in three stages: a root-free Bezoutian test clears rows
+of degree >= 3 that provably hold no root the probe keeps (stability-mode
+lines and fibers read as (Re p, Im p): no root above the axis;
+hyperbolicity-mode real lines read as (p, p'): real, simple roots); the
+remaining rows are solved by the batched root engine; vectorized cone
+margins then filter the fiber roots.  Every witness passes
 one acceptance check: the coefficient row that screened it is re-solved
 at scalar precision, its root polished by a single damped Newton step
 along its line or fiber (never in the full variable space), and accepted
@@ -62,7 +67,7 @@ import numpy as np
 from .cones import Cone, Orthant, Polyhedral, product
 from .poly import MultiPoly, wronskian_v
 from .tolerances import DEFAULT_TOL, ToleranceProfile
-from .unistab import UniPoly, _roots_batch, roots
+from .unistab import UniPoly, _clears_lower, _roots_batch, roots
 
 __all__ = [
     "CERTIFIED_STABLE",
@@ -220,15 +225,19 @@ def _coeff_scale(f: MultiPoly, z: np.ndarray):
 
 
 def _blocks(seed: int, n: int, K: Cone, sigma: float, n_samples: int, margin: float):
-    """Yield (start_index, x, y) blocks; content depends only on (seed, block)."""
+    """Yield (start_index, x, y) blocks; content depends only on (seed, block).
+
+    x is drawn for the whole block, so the interior normals always start at
+    the same stream position; they are drawn, and mapped into K, only for
+    the rows the budget takes (the leading rows of a full block's draw).
+    """
     bi = 0
     while bi * _BLOCK < n_samples:
         gen = np.random.default_rng((seed, bi))
-        x = gen.normal(0.0, sigma, (_BLOCK, n))
-        u = gen.standard_normal((_BLOCK, K.draw_dim))
-        y = K.interior_from_normals(u, margin)
         take = min(n_samples - bi * _BLOCK, _BLOCK)
-        yield bi * _BLOCK, x[:take], y[:take]
+        x = gen.normal(0.0, sigma, (_BLOCK, n))[:take]
+        u = gen.standard_normal((take, K.draw_dim))
+        yield bi * _BLOCK, x, K.interior_from_normals(u, margin)
         bi += 1
 
 
@@ -246,13 +255,32 @@ def _newton_once(p: UniPoly, t: complex) -> complex:
     return t
 
 
-def _fiber_roots(fibers: dict, lo: int, V: np.ndarray):
+def _screened_roots(coeffs: np.ndarray, pairs) -> np.ndarray:
+    """``_roots_batch`` of the rows, NaN on the rows the Bezoutian screen clears.
+
+    ``pairs`` maps the rows to the complex rows P + iQ that
+    ``_clears_lower`` tests (None: no screen, or rows it cannot screen).
+    Rows of degree <= 2 are always solved: their closed forms cost less.
+    """
+    rows = None if pairs is None or coeffs.shape[1] < 4 else pairs(coeffs)
+    if rows is None:
+        return _roots_batch(coeffs)
+    keep = ~_clears_lower(rows)
+    z = np.full((coeffs.shape[0], coeffs.shape[1] - 1), np.nan, dtype=complex)
+    if keep.any():
+        z[keep] = _roots_batch(coeffs[keep])
+    return z
+
+
+def _fiber_roots(fibers: dict, lo: int, V: np.ndarray, pairs=None):
     """Batch-solve the coordinate fibers at one block of base points ``V``.
 
     ``fibers`` maps each active coordinate k to f's coefficients in z_k;
     draw ``lo + row`` solves coordinate ``active[(lo + row) mod #active]``.
     Yields ``(k, rows, coeffs, roots)``: ``coeffs[i]`` are the ascending
-    coefficients of the fiber at ``V[rows[i]]`` and ``roots[i]`` its roots.
+    coefficients of the fiber at ``V[rows[i]]`` and ``roots[i]`` its roots
+    (NaN where ``pairs`` lets the screen clear the row, see
+    ``_screened_roots``).
     """
     active = list(fibers)
     ks_local = (lo + np.arange(V.shape[0])) % len(active)
@@ -264,7 +292,7 @@ def _fiber_roots(fibers: dict, lo: int, V: np.ndarray):
         W = V[rows][:, keep]
         cols = [np.broadcast_to(c(W), (rows.size,)) for c in fibers[k]]
         coeffs = np.column_stack(cols).astype(complex)
-        yield k, rows, coeffs, _roots_batch(coeffs)
+        yield k, rows, coeffs, _screened_roots(coeffs, pairs)
 
 
 def _confirm(f, K, p: UniPoly, ok, zero, tol, floor, start):
@@ -431,6 +459,20 @@ def _near_real(t, slack):
     return np.isfinite(t) & (np.abs(t.imag) <= slack * np.maximum(1.0, np.abs(t)))
 
 
+def _with_derivative(c):
+    """Rows p + i p' of real rows p (None unless every row is real).
+
+    Clear exactly when p has only real, simple roots (Hermite–Kakeya–
+    Obreschkoff: p and p' then interlace properly).
+    """
+    if np.any(c.imag):
+        return None
+    d = c.shape[1] - 1
+    dp = np.zeros_like(c)
+    dp[:, :-1] = c[:, 1:] * np.arange(1, d + 1)
+    return c + 1j * dp
+
+
 def _replace_coord(w, k, r):
     """The base point(s) w with coordinate k replaced by r."""
     z = w.copy()
@@ -462,6 +504,10 @@ class _Probe:
     ``line_zero(x, y, t)`` and ``fiber_zero(w, k, r)`` map a root to the
     zero of f it stands for; ``fiber_zero`` also works on rows.
     ``fiber_start`` is where the Newton polish of a fiber root begins.
+    ``line_pairs``/``fiber_pairs`` map a block of coefficient rows to the
+    rows P + iQ of ``_screened_roots``: a row cleared there has no root
+    passing ``line_ok``, respectively ``fiber_screen``.  None screens
+    nothing.
     """
 
     base: Callable
@@ -473,6 +519,8 @@ class _Probe:
     fiber_start: Callable
     line_cert: str
     fiber_cert: str
+    line_pairs: Callable | None
+    fiber_pairs: Callable | None
 
 
 _STABILITY = _Probe(
@@ -485,6 +533,9 @@ _STABILITY = _Probe(
     fiber_start=complex,
     line_cert="zero on a sampled line with interior imaginary direction",
     fiber_cert="zero on the {var} coordinate fiber with interior imaginary part",
+    # (Re p, Im p) clears p with every root below the axis.
+    line_pairs=np.asarray,
+    fiber_pairs=np.asarray,
 )
 
 _HYPERBOLICITY = _Probe(
@@ -497,6 +548,9 @@ _HYPERBOLICITY = _Probe(
     fiber_start=lambda r: complex(r.real),
     line_cert="restriction along an interior direction has a non-real root",
     fiber_cert="vanishes at a real interior point (not hyperbolic there)",
+    line_pairs=_with_derivative,
+    # A real fiber root is what this probe keeps, so no fiber is screened.
+    fiber_pairs=None,
 )
 
 
@@ -517,9 +571,10 @@ def _search(f, K, n_samples, rng, tol, probe: _Probe) -> Verdict:
         # the line before the fiber.
         hits = {}
         line = f.restrict_line(x, y)
-        for row in np.nonzero(np.any(probe.line_ok(_roots_batch(line), tol), axis=1))[0]:
+        r = _screened_roots(line, probe.line_pairs)
+        for row in np.nonzero(np.any(probe.line_ok(r, tol), axis=1))[0]:
             hits[int(row), -1] = line[row]
-        for k, rows, coeffs, r in _fiber_roots(fibers, lo, V):
+        for k, rows, coeffs, r in _fiber_roots(fibers, lo, V, probe.fiber_pairs):
             i, j = np.nonzero(probe.fiber_screen(r, tol))
             comp = probe.fiber_zero(V[rows[i]], k, r[i, j]).imag
             for idx in i[_screen_margins(K, comp, floor)]:

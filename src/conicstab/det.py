@@ -42,6 +42,7 @@ from .linalg import (
     INDEFINITE,
     POSITIVE_DEFINITE,
     POSITIVE_SEMIDEFINITE,
+    hermitian_eigenvalues,
     hermitian_eigh,
     is_hermitian,
     psd_class_of,
@@ -524,12 +525,15 @@ def perturbed_certify(
 
     base_poly = _expansion(base, A, b, tol)
     flat = A.flatten()
+    # A_ii + eps*I has eigenvalues lambda(A_ii) + eps: one solve per block.
+    diag_min = [float(hermitian_eigenvalues(A.blocks[i, i], tol)[0]) for i in range(n)]
     entries = []
     for eps in eps_list:
         Ak = BlockMatrix.from_flat(flat + eps * np.eye(n * d), n, n)
         cert = thm54_certify(Ak, b, tol)
         diag_def = all(
-            psd_classify(Ak.blocks[i, i], tol) == POSITIVE_DEFINITE for i in range(n)
+            psd_class_of(lam + eps, Ak.blocks[i, i], tol) == POSITIVE_DEFINITE
+            for i, lam in enumerate(diag_min)
         )
         entries.append(
             PerturbEntry(

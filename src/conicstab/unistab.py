@@ -17,6 +17,14 @@ Cauchy-bound circle, vectorized across the batch.  Both fall back to one
 helper, companion eigenvalues polished by Aberth–Ehrlich iteration, for a
 polynomial the first attempt does not solve to tolerance.
 
+Ahead of the batch solve, the samplers ask a root-free question of each
+row: does every root lie strictly below the real axis?  By Hermite's
+theorem (the Hermite–Biehler base of the conic theory) the inertia of the
+Bezoutian of P and Q counts the roots of P + iQ in each half-plane, so a
+clearly positive definite Bezoutian answers yes without solving.  The
+batch test (``_clears_lower``) errs only towards "not cleared": a row it
+cannot clear goes to the batch solve as before.
+
 A :class:`UniPoly` stores coefficients in ascending degree order and is
 canonicalized on construction: trailing coefficients with modulus at or
 below ``coeff_zero_tol`` are dropped, so the zero polynomial has an empty
@@ -26,6 +34,7 @@ coefficient tuple and degree -1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -288,6 +297,74 @@ def _roots_batch(coeffs: np.ndarray) -> np.ndarray:
     for row in np.flatnonzero(~converged):
         z[row] = _companion_polished(coeffs[row])
     return z
+
+
+# The Bezoutian screen clears a row only when its smallest eigenvalue
+# exceeds this multiple of the product of the row's two coefficient masses
+# (see :func:`_clears_lower`); forming Bez errs by about 1e-16 of it.
+_BEZOUT_BAND = 1e-8
+
+
+@lru_cache(maxsize=None)
+def _bezout_pattern(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs a > b and the 0/1 map from p_a q_b - p_b q_a to Bez entries.
+
+    ``(P(s)Q(t) - P(t)Q(s)) / (s - t)`` collects ``s^b t^b (s^(a-b) -
+    t^(a-b)) / (s - t)`` for each pair, whose monomials are
+    ``s^(b+k) t^(a-1-k)``, k < a - b.
+    """
+    hi, lo = np.tril_indices(d + 1, -1)
+    T = np.zeros((hi.size, d, d))
+    for n, (a, b) in enumerate(zip(hi, lo)):
+        k = np.arange(a - b)
+        T[n, b + k, a - 1 - k] = 1.0
+    for arr in (hi, lo, T):
+        arr.flags.writeable = False  # cached: every caller gets these arrays
+    return hi, lo, T.reshape(hi.size, d * d)
+
+
+def _clears_lower(coeffs: np.ndarray) -> np.ndarray:
+    """Root-free test that every root of a row lies strictly below the real axis.
+
+    ``coeffs`` has shape (B, d+1), ascending, d >= 1; row p = P + iQ with
+    P, Q real.  By Hermite's theorem the inertia of the Bezoutian Bez(P, Q)
+    counts the roots of p in the two half-planes, so Bez(P, Q) positive
+    definite means every root lies in the open lower half-plane.  Each row
+    is made monic, shifted by its real root centroid h and scaled by its
+    root radius rho (neither moves a root across the axis), and cleared iff
+    ``lambda_min(Bez) > _BEZOUT_BAND * m * max(m, M)``.  Here ``m`` is the
+    coefficient mass of the transformed row and ``M = sum_j |c_j| (|h| +
+    rho)^j / rho^d`` the mass of the monic row at the shifted radius,
+    which bounds ``m`` and the rounding the shift makes (M = m when h = 0).
+    Bez is bilinear in the row, so by Weyl's inequality a cleared row stays
+    positive definite under any perturbation of relative size well below
+    the band measured in ``M``.  Rows with a zero leading coefficient or a
+    non-finite entry are never cleared.  Returns a boolean mask of shape (B,).
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    b, d1 = c.shape
+    d = d1 - 1
+    ok = np.all(np.isfinite(c), axis=1) & (c[:, -1] != 0)
+    c = np.where(ok[:, np.newaxis], c, 1.0)
+    c = c / c[:, -1:]
+    moduli = np.abs(c)
+    h = -c[:, d - 1].real / d
+    for i in range(d):  # Taylor shift: c(t) -> c(t + h)
+        for j in range(d - 1, i - 1, -1):
+            c[:, j] += h * c[:, j + 1]
+    # max_j |c_j|^(1/(d-j)) lies between half and d times the largest |root|
+    rho = np.max(np.abs(c[:, :-1]) ** (1.0 / np.arange(d, 0, -1)), axis=1)
+    rho = np.where(rho > 0, rho, 1.0)  # rho = 0: (t - h)^d, whose Bez is 0
+    c *= rho[:, np.newaxis] ** np.arange(-d, 1)
+    M = _horner_batch(moduli, (np.abs(h) + rho)[:, np.newaxis])[:, 0] / rho**d
+    hi, lo, T = _bezout_pattern(d)
+    P, Q = c.real, c.imag
+    pairs = P[:, hi] * Q[:, lo] - P[:, lo] * Q[:, hi]
+    # einsum, not matmul: a threaded BLAS call costs more than it saves here
+    bez = np.einsum("bn,nk->bk", pairs, T).reshape(b, d, d)
+    m = np.sum(np.abs(c), axis=1)
+    # M < m only by rounding, or by underflow when rho^d leaves the float range
+    return ok & (np.linalg.eigvalsh(bez)[:, 0] > _BEZOUT_BAND * m * np.maximum(m, M))
 
 
 def _within_bound(p: UniPoly, z: np.ndarray, tol: ToleranceProfile) -> bool:

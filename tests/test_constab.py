@@ -16,9 +16,10 @@ Expected values come from hand analysis of small instances:
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conicstab import constab
 from conicstab.cones import Orthant, Polyhedral, PSD, product
 from conicstab.constab import (
     CERTIFIED_STABLE,
@@ -35,8 +36,10 @@ from conicstab.constab import (
     specialize_stability_check,
     wronskian_certificate,
 )
+from conicstab.constab import _HYPERBOLICITY, _STABILITY, _non_real, _upper
 from conicstab.poly import MultiPoly, parse
 from conicstab.tolerances import DEFAULT_TOL
+from conicstab.unistab import UniPoly, _clears_lower, _roots_batch, roots
 
 
 def _sliver(delta):
@@ -757,3 +760,113 @@ class TestEngineGolden:
             ],
             rtol=1e-12,
         )
+
+
+# ---------------------------------------------------------------------------
+# Draw blocks and the Bezoutian screen
+# ---------------------------------------------------------------------------
+
+
+class TestDrawBlocks:
+    @pytest.mark.parametrize("K", [Orthant(3), PSD(2), product(Orthant(1), PSD(2)), _WEDGE])
+    @pytest.mark.parametrize("budget", [600, 2_048, 2_500])
+    def test_blocks_are_prefixes_of_full_blocks(self, K, budget):
+        sigma, margin, size = 2.0, 1e-3, constab._BLOCK
+        got = list(constab._blocks(7, K.dim, K, sigma, budget, margin))
+        assert [lo for lo, _, _ in got] == list(range(0, budget, size))
+        for bi, (lo, x, y) in enumerate(got):
+            gen = np.random.default_rng((7, bi))
+            full_x = gen.normal(0.0, sigma, (size, K.dim))
+            full_y = K.interior_from_normals(gen.standard_normal((size, K.draw_dim)), margin)
+            take = min(budget - lo, size)
+            assert np.array_equal(x, full_x[:take])
+            assert np.array_equal(y, full_y[:take])
+
+
+@st.composite
+def _planted_roots(draw, real):
+    """Degree 3-6 roots around a centre, scaled by 10^[-6, 6].
+
+    Complex: |Im| = 10^[-13, 1], with none, one or all of the roots above
+    the axis.  Real: real roots, with none, one or d // 2 conjugate pairs
+    of |Im| = 10^[-13, 1] in front.  Either way root 1 may sit within
+    10^[-13, -2] of root 0 in real part (a clustered pair, which may
+    straddle the axis).  Returns (roots, number of off-axis roots), the
+    latter counting upper roots (complex) or roots in pairs (real).
+    """
+    d = draw(st.integers(3, 6))
+    re = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    im = 10.0 ** np.array(draw(st.lists(st.floats(-13.0, 1.0), min_size=d, max_size=d)))
+    if draw(st.booleans()):
+        re[1] = re[0] + 10.0 ** draw(st.floats(-13.0, -2.0))
+    if real:
+        n_off = 2 * draw(st.sampled_from([0, 1, d // 2]))
+        im[:n_off:2] *= -1.0
+        im[1:n_off:2] = -im[:n_off:2]
+        re[1:n_off:2] = re[:n_off:2]
+        im[n_off:] = 0.0
+    else:
+        n_off = draw(st.sampled_from([0, 1, d]))
+        im[n_off:] *= -1.0
+    centre = draw(st.one_of(st.just(0.0), st.floats(-300.0, 300.0)))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    return scale * (centre + re + 1j * im), n_off
+
+
+def _scalar_roots(row):
+    try:
+        return roots(UniPoly(row))
+    except ArithmeticError:
+        return np.zeros(0, dtype=complex)
+
+
+class TestBezoutScreen:
+    """A row the screen clears has no root its probe predicate would keep.
+
+    Gated on the planted roots and on the scalar ``roots`` that confirms
+    candidates, not on ``_roots_batch``, whose Aberth iterates carry their
+    own forward error near the axis.
+    """
+
+    @settings(max_examples=400)
+    @given(_planted_roots(real=False), st.floats(0.0, 2.0 * np.pi))
+    def test_cleared_complex_row_has_no_upper_root(self, planted, phase):
+        r, n_upper = planted
+        row = np.exp(1j * phase) * np.poly(r)[::-1]
+        if _clears_lower(_STABILITY.line_pairs(row[np.newaxis, :]))[0]:
+            assert n_upper == 0
+            assert not np.any(_upper(_scalar_roots(row), DEFAULT_TOL))
+
+    @settings(max_examples=400)
+    @given(_planted_roots(real=True), st.sampled_from([-1.0, 1.0]))
+    def test_cleared_real_row_is_real_rooted(self, planted, sign):
+        r, n_pairs = planted
+        row = sign * np.poly(r).real[::-1].astype(complex)
+        if _clears_lower(_HYPERBOLICITY.line_pairs(row[np.newaxis, :]))[0]:
+            assert n_pairs == 0
+            assert not np.any(_non_real(_scalar_roots(row), DEFAULT_TOL))
+
+    def test_cleared_rows_hold_nan_and_the_rest_are_solved(self):
+        rows = np.array([np.poly(r)[::-1] for r in ([-1j, 2 - 1j, -3 - 2j], [1j, 2 - 1j, -3 - 2j])])
+        z = constab._screened_roots(rows, np.asarray)
+        assert np.all(np.isnan(z[0]))
+        assert np.array_equal(z[1], _roots_batch(rows[1:])[0])
+        # Degree <= 2 rows, and probes without a screen, are always solved.
+        assert not np.any(np.isnan(constab._screened_roots(rows[:, 1:], np.asarray)))
+        assert np.array_equal(constab._screened_roots(rows, None), _roots_batch(rows))
+
+    def test_complex_rows_skip_the_real_rooted_screen(self):
+        row = np.poly([1.0, 2.0, 3.0])[::-1].astype(complex)
+        assert _HYPERBOLICITY.line_pairs(row[np.newaxis, :]) is not None
+        assert _HYPERBOLICITY.line_pairs((1j * row)[np.newaxis, :]) is None
+
+    def test_screen_spares_batched_roots_on_a_stable_product(self, monkeypatch):
+        # Unscreened, each draw solves one line row and one fiber row of
+        # degree 3: 8,192 rows for 4,096 draws.
+        rows = []
+        solve = constab._roots_batch
+        monkeypatch.setattr(constab, "_roots_batch", lambda c: rows.append(c.shape[0]) or solve(c))
+        f = parse("(z1 + 2*z2 + i)*(3*z1 + z2 + 0.5 + 2*i)*(z1 + z2 - 1 + 0.5*i)")
+        v = falsify_k_stability(f, Orthant(2), n_samples=4_096, rng=3)
+        assert (v.status, v.samples) == (NOT_FALSIFIED, 4_096)
+        assert sum(rows) < 8_192 // 2

@@ -159,6 +159,43 @@ class TestRoots:
         )
 
 
+class TestBezoutScreen:
+    """``_clears_lower``: Bez(Re p, Im p) clearly positive definite."""
+
+    def test_t_plus_i_is_cleared_and_t_minus_i_is_not(self):
+        rows = np.array([[1j, 1.0], [-1j, 1.0]])
+        assert unistab._clears_lower(rows).tolist() == [True, False]
+
+    def test_pair_t_squared_plus_one_and_2t_is_not_cleared(self):
+        # (t^2 + 1) + i(2t) has roots (-1 ± sqrt 2) i, one above the axis.
+        assert not unistab._clears_lower(np.array([[1.0, 2j, 1.0]]))[0]
+
+    def test_double_lower_root_is_cleared(self):
+        # (t + i)^2 = t^2 - 1 + 2it: P and Q share no real root.
+        assert unistab._clears_lower(np.array([[-1.0, 2j, 1.0]]))[0]
+
+    def test_invariant_under_unit_phase_scale_and_shift(self):
+        rows = np.array(
+            [
+                np.poly([0.3 - 1j, -2.0 - 0.5j, 1.0 - 2j])[::-1],
+                np.poly([100.3 - 1j, 98.0 - 0.5j, 101.0 - 2j])[::-1],
+                1e6 * np.exp(0.7j) * np.poly([0.3 - 1j, -2.0 - 0.5j, 1.0 - 2j])[::-1],
+            ]
+        )
+        assert unistab._clears_lower(rows).all()
+        assert not unistab._clears_lower(rows.conj()).any()
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_zero_lead_or_non_finite_entry_is_never_cleared(self, bad):
+        row = np.poly([-1j, -2j, 1.0 - 1j])[::-1].astype(complex)
+        assert unistab._clears_lower(row[np.newaxis, :])[0]
+        for col in ([-1] if bad == 0.0 else [0, 2, -1]):
+            broken = row.copy()
+            broken[col] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert not unistab._clears_lower(broken[np.newaxis, :])[0]
+
+
 class TestStability:
     def test_lower_root_is_stable(self):
         assert unistab.is_stable_univariate(poly(1j, 1.0))  # t + i, root -i
