@@ -73,13 +73,7 @@ def parse_cone(spec: str) -> Cone:
         return PSD(_positive_int(spec[4:], "matrix size"))
     if spec.startswith("poly:@"):
         path = spec[6:]
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise CliError(f"cannot read cone file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise CliError(f"cone file {path} is not valid JSON: {exc}") from exc
+        data = _read_json(path)
         try:
             if isinstance(data, dict):
                 return cone_from_descriptor(data)
@@ -147,14 +141,23 @@ def parse_poly(text: str, K: Cone | None) -> MultiPoly:
     return f
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _read_exprs(args, needed: int, what: str) -> list[str]:
-    texts: list[str] = list(args.expr or [])
-    for path in args.file or []:
-        try:
-            with open(path) as fh:
-                texts.append(fh.read().strip())
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}") from exc
+    texts = list(args.expr or []) + [_read_text(path).strip() for path in args.file or []]
     if len(texts) != needed:
         raise CliError(f"{what} needs exactly {needed} expression(s) (-e/--expr or -f/--file), got {len(texts)}")
     return texts
@@ -297,13 +300,7 @@ def _cmd_hko(args, out) -> int:
 
 
 def _read_matrix_file(path: str) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path} is not valid JSON: {exc}") from exc
+    data = _read_json(path)
     if isinstance(data, dict):
         re = np.asarray(data.get("re"), dtype=float)
         im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
@@ -318,12 +315,10 @@ def _cmd_detstab(args, out) -> int:
         raise CliError("detstab reads JSON files (-f); expressions are not supported")
     if not 1 <= len(paths) <= 2:
         raise CliError("detstab needs the block-matrix file and optionally an offset file")
+    text = _read_text(paths[0])
     try:
-        with open(paths[0]) as fh:
-            A = block_matrix_from_json(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read {paths[0]}: {exc}") from exc
-    except (json.JSONDecodeError, ValueError, KeyError) as exc:
+        A = block_matrix_from_json(text)
+    except (ValueError, KeyError) as exc:
         raise CliError(f"bad block-matrix data in {paths[0]}: {exc}") from exc
     B = _read_matrix_file(paths[1]) if len(paths) == 2 else np.zeros((A.p, A.p))
     try:
@@ -343,7 +338,7 @@ def _cmd_detstab(args, out) -> int:
         except ValueError:  # above the expansion caps: certificate only
             pass
     if expansion is not None:
-        payload["polynomial"] = _poly_text(expansion)
+        payload["polynomial"] = str(expansion)
     if cert.outcome == NOT_CERTIFIED and expansion is not None:
         v = falsify_k_stability(
             expansion, PSD(A.n1), n_samples=args.samples, rng=args.seed, tol=tol
@@ -356,24 +351,6 @@ def _cmd_detstab(args, out) -> int:
     if cert.outcome == IDENTICALLY_ZERO:
         return 1
     return 0 if payload.get("falsifier") != FALSIFIED else 1
-
-
-def _poly_text(f: MultiPoly) -> str:
-    """Render a polynomial as a parseable expression string."""
-    if not f.terms:
-        return "0"
-    bits = []
-    for e in sorted(f.terms, key=lambda t: (sum(t), t)):
-        c = f.terms[e]
-        mon = "*".join(
-            f"{v}^{k}" if k > 1 else v for v, k in zip(f.var_names, e) if k
-        )
-        if abs(c.imag) < 1e-15:
-            coeff = f"({c.real:g})"
-        else:
-            coeff = f"({c.real:g}{c.imag:+g}*i)"
-        bits.append(coeff + (f"*{mon}" if mon else ""))
-    return " + ".join(bits)
 
 
 def _cmd_improj(args, out) -> int:
@@ -423,11 +400,11 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; results never depend on it")
-        p.add_argument("--verify", action="store_true",
-                       help="re-check any witness against the residual and interior contracts")
 
     p = sub.add_parser("stab", help="stability of one polynomial over a cone")
     common(p, cone_required=True)
+    p.add_argument("--verify", action="store_true",
+                   help="re-check any witness against the residual and interior contracts")
     p.set_defaults(func=_cmd_stab)
 
     p = sub.add_parser("hko", help="pencil vs complex-combination consistency for a real pair")

@@ -69,8 +69,8 @@ class BlockMatrix:
 
     Stored as a read-only (n1, n2, p, q) array.  ``flatten`` produces the
     ordinary (n1*p) x (n2*q) matrix; ``is_hermitian`` checks the blockwise
-    condition A_ij = A_ji^H (equivalent to the flattened matrix being
-    Hermitian, but phrased on blocks so failures localize).
+    condition A_ij = A_ji^H, which holds exactly when the grid is square
+    and the flattening is Hermitian (:func:`conicstab.linalg.is_hermitian`).
     """
 
     __slots__ = ("blocks",)
@@ -113,11 +113,8 @@ class BlockMatrix:
         return self.blocks.transpose(0, 2, 1, 3).reshape(n1 * p, n2 * q).copy()
 
     def is_hermitian(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-        if self.n1 != self.n2 or self.p != self.q:
-            return False
-        swapped = np.conj(self.blocks.transpose(1, 0, 3, 2))
-        scale = max(1.0, float(np.max(np.abs(self.blocks))))
-        return float(np.max(np.abs(self.blocks - swapped))) <= tol.hermitian_tol * scale
+        square = self.n1 == self.n2 and self.p == self.q
+        return square and is_hermitian(self.flatten(), tol)
 
     def is_real(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
         return float(np.max(np.abs(self.blocks.imag))) <= tol.coeff_zero_tol
@@ -273,7 +270,7 @@ def assemble_coefficient(Y, A: BlockMatrix, tol: ToleranceProfile = DEFAULT_TOL)
     n, d = A.n1, A.p
     if y.shape != (n, n):
         raise ValueError(f"Y must be {n} x {n}")
-    if float(np.max(np.abs(y - y.T))) > tol.hermitian_tol * max(1.0, float(np.max(np.abs(y)))):
+    if not is_hermitian(y, tol):
         raise ValueError("Y must be symmetric")
     out = np.einsum("ij,ijab->ab", y, A.blocks)
 
@@ -580,13 +577,15 @@ def prop56_diagonal_criterion(A: BlockMatrix, tol: ToleranceProfile = DEFAULT_TO
     sum of the slice matrices A_k = (A_ij[k, k])_ij, so semidefiniteness
     holds exactly when every slice is semidefinite.  For 2 x 2 grids the
     slice conditions are also reported as the explicit scalar
-    inequalities (diagonal nonnegativity plus determinant).
+    inequalities (diagonal nonnegativity plus determinant).  A block
+    entry off its diagonal counts as zero up to ``tol.hermitian_tol``
+    times the largest entry of the grid; a larger one raises ``ValueError``.
     """
     _check_square(A)
     n, d = A.n1, A.p
     off_mask = ~np.eye(d, dtype=bool)
     worst = float(np.max(np.abs(A.blocks[:, :, off_mask]))) if d > 1 else 0.0
-    if worst > tol.hermitian_tol:
+    if worst > tol.hermitian_tol * float(np.max(np.abs(A.blocks))):
         raise ValueError("all blocks must be diagonal for the slice reduction")
 
     slices = [np.array(A.blocks[:, :, k, k]) for k in range(d)]

@@ -39,17 +39,12 @@ def _as_square(m) -> np.ndarray:
 def is_hermitian(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """True when ``m`` equals its conjugate transpose within tolerance.
 
-    The comparison is relative: the defect ``||m - m^H||_F`` is measured
-    against ``max(1, ||m||_F)``.
+    The package's one Hermitian test.  It is relative, with no absolute
+    floor: ``||m - m^H||_F <= tol.hermitian_tol * ||m||_F``, so the verdict
+    does not depend on the scale of ``m`` and the zero matrix passes.
     """
     a = _as_square(m)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    return float(np.linalg.norm(a - a.conj().T)) <= tol.hermitian_tol * scale
-
-
-def _require_hermitian(a: np.ndarray, tol: ToleranceProfile) -> None:
-    if not is_hermitian(a, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
+    return float(np.linalg.norm(a - a.conj().T)) <= tol.hermitian_tol * float(np.linalg.norm(a))
 
 
 def hermitian_eigh(m, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +76,8 @@ def hermitian_eigh(m, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[np.ndarray, 
     a = _as_square(m)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has a non-finite entry")
-    _require_hermitian(a, tol)
+    if not is_hermitian(a, tol):
+        raise ValueError("matrix is not Hermitian within tolerance")
     scale = float(np.linalg.norm(a))
     herm = 0.5 * (a + a.conj().T)
     w, v = np.linalg.eigh(herm)

@@ -90,19 +90,23 @@ class MultiPoly:
             and self.terms == other.terms
         )
 
-    def __repr__(self) -> str:
+    def __str__(self) -> str:
+        """A parseable expression: terms by (total degree, exponent), ``0`` if none.
+
+        Real coefficients print as ``(c)``, complex ones as ``(a+b*i)``.
+        """
         if not self.terms:
-            return "MultiPoly(0)"
+            return "0"
         bits = []
         for e in sorted(self.terms, key=lambda t: (sum(t), t)):
             c = self.terms[e]
-            mon = "*".join(
-                f"{v}^{k}" if k > 1 else v
-                for v, k in zip(self.var_names, e)
-                if k > 0
-            )
-            bits.append(f"({c:g})" + (f"*{mon}" if mon else ""))
-        return "MultiPoly(" + " + ".join(bits) + ")"
+            mon = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip(self.var_names, e) if k)
+            coeff = f"({c.real:g})" if abs(c.imag) < 1e-15 else f"({c.real:g}{c.imag:+g}*i)"
+            bits.append(coeff + (f"*{mon}" if mon else ""))
+        return " + ".join(bits)
+
+    def __repr__(self) -> str:
+        return f"MultiPoly({self})"
 
     @property
     def degree(self) -> int:

@@ -4,9 +4,10 @@ Everything downstream reduces multivariate questions to polynomials in one
 variable, so this module carries the numerical workhorses: the root
 engine, the half-plane stability test (no root with positive imaginary
 part; the zero polynomial counts as unstable by convention), real-rooted
-detection, classification of interlacing patterns between two real-rooted
-polynomials, and a sampled nonpositivity test for the Wronskian
-``f' g - g' f``.
+detection, the interlacing test for two real-rooted polynomials (roots
+that alternate are proper in one of two orientations, so the kinds are
+proper, reversed, identical roots and none), and a sampled nonpositivity
+test for the Wronskian ``f' g - g' f``.
 
 The root engine has one path per shape of input.  A single polynomial
 (:func:`roots`) is solved in closed form up to degree 2 and from
@@ -52,8 +53,6 @@ __all__ = [
 ]
 
 # Interlacing kinds reported by :func:`interlacing`.
-KIND_STRICT = "strict"
-KIND_NON_STRICT = "non_strict"
 KIND_PROPER = "proper"
 KIND_PROPER_REVERSED = "proper_reversed"
 KIND_NONE = "none"
@@ -141,9 +140,10 @@ class UniPoly:
 class InterlaceReport:
     """Outcome of :func:`interlacing`.
 
-    ``kind`` is one of ``strict``, ``non_strict``, ``proper``,
-    ``proper_reversed``, ``identical_roots`` or ``none``; the root arrays
-    are the (real parts of the) computed roots, sorted ascending.
+    ``kind`` is one of ``proper``, ``proper_reversed``,
+    ``identical_roots`` or ``none``; the root arrays are the (real parts
+    of the) computed roots, sorted ascending.  Plain alternation has no
+    kind of its own: it always holds in one of the two proper orientations.
     """
 
     kind: str
@@ -500,8 +500,10 @@ def interlacing(
     the degrees differ by more than one; ``identical_roots`` when the
     sorted root lists agree within ``tol.root_merge_tol``; ``proper`` /
     ``proper_reversed`` for the sign-aware orientations (f into g,
-    respectively g into f); otherwise ``strict`` or ``non_strict`` plain
-    alternation.  Roots closer than ``tol.root_merge_tol`` are treated as
+    respectively g into f); otherwise ``none``.  The two orientations
+    read the descending root chain from either start, so any alternation
+    is proper one way or the other: no strict or non-strict kind is left
+    over.  Roots closer than ``tol.root_merge_tol`` are treated as
     coincident throughout.
     """
     empty = np.zeros(0)
@@ -522,21 +524,13 @@ def interlacing(
         f.degree == 0 or bool(np.all(np.abs(rf - rg) <= slack))
     ):
         return InterlaceReport(KIND_IDENTICAL, rf, rg)
-    if not (_chain(rf, rg, slack) or _chain(rg, rf, slack)):
-        return InterlaceReport(KIND_NONE, rf, rg)
 
-    lead_f = float(f.lead.real)
-    lead_g = float(g.lead.real)
+    lead_f, lead_g = float(f.lead.real), float(g.lead.real)
     if _proper_pair(rf, rg, lead_f, lead_g, slack):
         return InterlaceReport(KIND_PROPER, rf, rg)
     if _proper_pair(rg, rf, lead_g, lead_f, slack):
         return InterlaceReport(KIND_PROPER_REVERSED, rf, rg)
-
-    both = np.sort(np.concatenate([rf, rg]))
-    gaps = np.diff(both)
-    if len(gaps) == 0 or np.all(gaps > slack):
-        return InterlaceReport(KIND_STRICT, rf, rg)
-    return InterlaceReport(KIND_NON_STRICT, rf, rg)
+    return InterlaceReport(KIND_NONE, rf, rg)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +557,8 @@ def wronskian_sign_leq0(
     with ``R`` one plus the Wronskian's root bound, augmented with the
     real critical points (roots of the derivative), so an interior
     positive bump cannot hide between nodes.  Values are accepted while
-    ``W(x) <= tol.sign_tol * scale(x)`` with the usual coefficient-mass
-    scale.
+    ``W(x) <= tol.sign_tol * scale(x)`` with the coefficient-mass scale
+    ``sum_j |w_j| max(1, |x|)^j``: the band scales with W, with no floor.
     """
     if not f.is_real(tol) or not g.is_real(tol):
         raise ValueError("Wronskian sign test expects real polynomials")
@@ -572,12 +566,10 @@ def wronskian_sign_leq0(
     if not w:
         return True
     lead = w.lead.real
-    if w.degree % 2 == 1:
-        return False
-    if lead > 0:
+    if w.degree % 2 == 1 or lead > 0:
         return False
     if w.degree == 0:
-        return w.coeffs[0].real <= tol.sign_tol
+        return True
 
     bound = 1.0 + max(abs(c) for c in w.coeffs[:-1]) / abs(lead)
     nodes = np.cos(np.pi * (np.arange(n_grid) + 0.5) / n_grid) * bound
@@ -589,4 +581,4 @@ def wronskian_sign_leq0(
     ax = np.maximum(1.0, np.abs(xs))
     for j, c in enumerate(w.coeffs):
         scale += abs(c) * ax**j
-    return bool(np.all(vals <= tol.sign_tol * np.maximum(scale, 1.0)))
+    return bool(np.all(vals <= tol.sign_tol * scale))

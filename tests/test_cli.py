@@ -54,6 +54,16 @@ class TestDescriptors:
         path.write_text(json.dumps({"type": "orthant", "n": 2}))
         assert isinstance(parse_cone(f"poly:@{path}"), Orthant)
 
+    def test_unreadable_cone_file(self, tmp_path):
+        from conicstab.cli import CliError
+
+        with pytest.raises(CliError, match="cannot read"):
+            parse_cone(f"poly:@{tmp_path / 'missing.json'}")
+        path = tmp_path / "cone.json"
+        path.write_text("[[1, 0], [1,")
+        with pytest.raises(CliError, match="is not valid JSON"):
+            parse_cone(f"poly:@{path}")
+
     def test_bad_descriptor(self):
         from conicstab.cli import CliError
 
@@ -158,6 +168,11 @@ class TestStab:
         assert code == 1
         assert data["status"] == "certified_unstable"
 
+    def test_missing_expression_file_exits_two(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "stab", "-f", str(tmp_path / "missing.txt"), "--cone", "orthant:1")
+        assert code == 2
+        assert "cannot read" in err
+
     def test_seed_echoed(self, capsys):
         code, data = run_json(
             capsys, "stab", "-e", "z1 - z2", "--cone", "orthant:2",
@@ -246,6 +261,16 @@ class TestDetstab:
         assert data["outcome"] == "certified_stable"
         assert abs(data["lambda_min"] - 0.5) <= 1e-9
         assert "z11" in data["polynomial"] and "z12" in data["polynomial"]
+
+    def test_printed_polynomial_text(self, capsys, tmp_path):
+        path = tmp_path / "A.json"
+        for blocks, text in (
+            (COUPLING, "(1)*z22^2 + (-1)*z12^2 + (2)*z11*z22 + (1)*z11^2"),
+            (INDEFINITE, "(5)*z22^2 + (-16)*z12^2 + (26)*z11*z22 + (5)*z11^2"),
+        ):
+            path.write_text(json.dumps(blocks))
+            _, data = run_json(capsys, "detstab", "-f", str(path), "--samples", "300")
+            assert data["polynomial"] == text
 
     def test_not_certified_runs_falsifier(self, capsys, tmp_path):
         path = tmp_path / "A.json"
@@ -350,6 +375,19 @@ class TestGlobalFlags:
         ],
     )
     def test_bad_values_exit_two(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hko", "-e", "z1", "-e", "z1", "--cone", "orthant:1", "--verify"],
+            ["detstab", "-f", "A.json", "--verify"],
+            ["improj", "-e", "z1", "--verify"],
+        ],
+    )
+    def test_verify_is_a_stab_option_only(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -291,6 +291,11 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble_coefficient(np.eye(3), coupling_example())
 
+    def test_rejects_asymmetric_weights_at_any_scale(self):
+        for scale in (1e-12, 1.0, 1e12):
+            with pytest.raises(ValueError, match="symmetric"):
+                assemble_coefficient(scale * np.array([[1.0, 2.0], [0.0, 1.0]]), coupling_example())
+
 
 # ---------------------------------------------------------------------------
 # Symbolic expansion
@@ -584,3 +589,46 @@ class TestDiagonalReduction:
     def test_rejects_non_diagonal_blocks(self):
         with pytest.raises(ValueError):
             prop56_diagonal_criterion(coupling_example())
+
+    def test_diagonal_gate_is_relative_to_the_grid(self):
+        # off-diagonal entries count as zero only up to hermitian_tol * max|A|
+        blocks = np.zeros((2, 2, 2, 2))
+        blocks[0, 0] = blocks[1, 1] = [[1.0, 0.9], [0.9, 1.0]]
+        for scale in (1.0, 1e-12):
+            with pytest.raises(ValueError, match="diagonal"):
+                prop56_diagonal_criterion(BlockMatrix(scale * blocks))
+        rep = prop56_diagonal_criterion(BlockMatrix(np.zeros((2, 2, 2, 2))))
+        assert rep.overall_class == POSITIVE_SEMIDEFINITE
+
+
+# ---------------------------------------------------------------------------
+# The one Hermitian rule, at every scale
+# ---------------------------------------------------------------------------
+
+
+class TestHermitianScale:
+    def test_non_hermitian_grid_rejected_at_any_scale(self):
+        # A_01 != A_10^H at every scale; below unit scale it used to certify
+        for scale in (1.0, 1e-12):
+            A = BlockMatrix(np.arange(16.0).reshape(2, 2, 2, 2) * scale)
+            assert not A.is_hermitian()
+            with pytest.raises(ValueError, match="Hermitian"):
+                thm54_certify(A, np.zeros((2, 2)))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        d=st.integers(1, 3),
+        log_c=st.floats(-12.0, 12.0),
+    )
+    def test_planted_relative_asymmetry_fails_at_every_scale(self, seed, n, d, log_c):
+        rng = np.random.default_rng(seed)
+        shape = (n * d, n * d)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = x + x.conj().T
+        k = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # an anti-Hermitian defect with ||e||_F = 1e-6 * ||h||_F
+        e = 1e-6 * np.linalg.norm(h) * (k - k.conj().T) / np.linalg.norm(k - k.conj().T)
+        c = 10.0**log_c
+        assert BlockMatrix.from_flat(c * h, n, n).is_hermitian()
+        assert not BlockMatrix.from_flat(c * (h + e), n, n).is_hermitian()

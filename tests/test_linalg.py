@@ -135,3 +135,17 @@ class TestPsdClassify:
             m = random_hermitian(rng, rng.integers(1, 7))
             assert linalg.psd_class_of(np.linalg.eigvalsh(m)[0], m) == linalg.psd_classify(m)
 
+
+class TestIsHermitian:
+    def test_zero_matrix_passes(self):
+        assert linalg.is_hermitian(np.zeros((3, 3)))
+
+    def test_asymmetry_is_measured_against_the_matrix(self):
+        # ||m - m^H||_F <= hermitian_tol * ||m||_F, with no absolute floor
+        for scale in (1e-12, 1.0, 1e12):
+            assert linalg.is_hermitian(scale * np.array([[2.0, 1j], [-1j, 2.0]]))
+            assert not linalg.is_hermitian(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_tiny_non_hermitian_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            linalg.psd_classify([[0.0, 1e-12], [0.0, 0.0]])

@@ -325,3 +325,16 @@ class TestJson:
             (1, 0): (1.0, 0.0),
             (0, 1): (0.0, -1.0),
         }
+
+
+class TestText:
+    def test_str_is_a_parseable_expression(self):
+        p = parse("(1+2i)*z1^2*z2 - z2^3 + 0.5")
+        assert str(p) == "(0.5) + (-1)*z2^3 + (1+2*i)*z1^2*z2"
+        assert parse(str(p), var_names=p.var_names) == p
+        assert repr(p) == f"MultiPoly({p})"
+
+    def test_zero_polynomial(self):
+        z = MultiPoly.zero(("z1",))
+        assert str(z) == "0"
+        assert repr(z) == "MultiPoly(0)"

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -235,6 +236,20 @@ def interleaved_pair(rng, deg_f, same_degree, gap=0.5):
     return f, g
 
 
+def _grid_poly(data, degree):
+    """A polynomial with ``degree`` roots on the 1/8 grid in [-4, 4], lead +-1."""
+    rts = data.draw(st.lists(st.integers(-32, 32), min_size=degree, max_size=degree))
+    return UniPoly.from_roots(np.array(rts) / 8.0, lead=data.draw(st.sampled_from([-1.0, 1.0])))
+
+
+def _alternate(a, b, slack):
+    """Reference: a_1 <= b_1 <= a_2 <= ... within slack, len(a) - len(b) in (0, 1)."""
+    if len(a) - len(b) not in (0, 1):
+        return False
+    merged = [x for pair in itertools.zip_longest(a, b) for x in pair if x is not None]
+    return all(y >= x - slack for x, y in zip(merged, merged[1:]))
+
+
 class TestInterlacing:
     @pytest.mark.parametrize(
         "first, second, slack, expected",
@@ -327,6 +342,21 @@ class TestInterlacing:
         assert failures
 
 
+    @given(st.data())
+    def test_kind_is_proper_exactly_when_the_roots_alternate(self, data):
+        f = _grid_poly(data, data.draw(st.integers(0, 6)))
+        g = _grid_poly(data, data.draw(st.integers(0, 6)))
+        rep = unistab.interlacing(f, g)
+        assert rep.kind in ("none", "identical_roots", "proper", "proper_reversed")
+        rf, rg = rep.roots_f, rep.roots_g
+        if (rf.size, rg.size) != (f.degree, g.degree):
+            assert rep.kind == "none"  # a multiple root left the axis in rounding
+            return
+        slack = DEFAULT_TOL.root_merge_tol
+        alternate = _alternate(rf, rg, slack) or _alternate(rg, rf, slack)
+        assert (rep.kind != "none") == alternate
+
+
 class TestWronskian:
     def test_hand_values(self):
         t = poly(0.0, 1.0)
@@ -358,3 +388,21 @@ class TestWronskian:
     def test_rejects_complex_input(self):
         with pytest.raises(ValueError):
             unistab.wronskian_sign_leq0(poly(1j, 1.0), poly(0.0, 1.0))
+
+    def test_scaled_down_pair_keeps_its_verdict(self):
+        # roots 3/4, 7/8 against 9/8: not interlaced, max W = 3/32 > 0, and
+        # g + i f is unstable at every scale (Hermite-Biehler)
+        f, g = UniPoly.from_roots([0.75, 0.875]), UniPoly.from_roots([1.125], lead=-1.0)
+        for c in (1.0, 1e-4):
+            assert not unistab.is_stable_univariate((g + f.scale(1j)).scale(c))
+            assert not unistab.wronskian_sign_leq0(f.scale(c), g.scale(c))
+
+    @given(st.data())
+    def test_verdict_is_scale_free(self, data):
+        deg_f = data.draw(st.integers(0, 6))
+        f = _grid_poly(data, deg_f)
+        g = _grid_poly(data, data.draw(st.integers(max(0, deg_f - 1), min(6, deg_f + 1))))
+        verdict = unistab.wronskian_sign_leq0(f, g)
+        for k in range(-5, 6):
+            c = 10.0**k
+            assert unistab.wronskian_sign_leq0(f.scale(c), g.scale(c)) == verdict, k
