@@ -34,11 +34,12 @@ Each restriction is expanded once per block: the line rows come from
 coefficients in the solved variable evaluated at the base points.
 Batch screening only selects candidates and can never flip a verdict on
 its own.  It runs in three stages: a root-free Bezoutian test clears rows
-of degree >= 3 that provably hold no root the probe keeps (stability-mode
+of degree >= 4 that provably hold no root the probe keeps (stability-mode
 lines and fibers read as (Re p, Im p): no root above the axis;
 hyperbolicity-mode real lines read as (p, p'): real, simple roots); the
-remaining rows are solved by the batched root engine; vectorized cone
-margins then filter the fiber roots.  Every witness passes
+remaining rows, and every row of degree <= 3, are solved by the batched
+root engine (closed forms, and a polished closed-form start for cubics);
+vectorized cone margins then filter the fiber roots.  Every witness passes
 one acceptance check: the coefficient row that screened it is re-solved
 at scalar precision, its root polished by a single damped Newton step
 along its line or fiber (never in the full variable space), and accepted
@@ -260,9 +261,10 @@ def _screened_roots(coeffs: np.ndarray, pairs) -> np.ndarray:
 
     ``pairs`` maps the rows to the complex rows P + iQ that
     ``_clears_lower`` tests (None: no screen, or rows it cannot screen).
-    Rows of degree <= 2 are always solved: their closed forms cost less.
+    Rows of degree <= 3 are always solved: their closed forms (the
+    polished Cardano start at degree 3) cost less than the screen.
     """
-    rows = None if pairs is None or coeffs.shape[1] < 4 else pairs(coeffs)
+    rows = None if pairs is None or coeffs.shape[1] < 5 else pairs(coeffs)
     if rows is None:
         return _roots_batch(coeffs)
     keep = ~_clears_lower(rows)

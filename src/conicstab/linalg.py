@@ -102,8 +102,10 @@ def psd_classify(m, tol: ToleranceProfile = DEFAULT_TOL) -> str:
     Returns ``"positive_definite"`` when ``lambda_min > band``,
     ``"indefinite"`` when ``lambda_min < -band`` and
     ``"positive_semidefinite"`` inside the band, where
-    ``band = tol.eig_tol * max(1, ||m||_F)``.  The zero matrix therefore
-    classifies as positive semidefinite.
+    ``band = tol.eig_tol * ||m||_F``.  The band is relative with no
+    absolute floor, so the label does not depend on the scale of ``m``;
+    the zero matrix (band 0, lambda_min 0) classifies as positive
+    semidefinite.
     """
     a = _as_square(m)
     return psd_class_of(float(hermitian_eigenvalues(a, tol=tol)[0]), a, tol)
@@ -111,7 +113,7 @@ def psd_classify(m, tol: ToleranceProfile = DEFAULT_TOL) -> str:
 
 def psd_class_of(lam_min: float, m, tol: ToleranceProfile = DEFAULT_TOL) -> str:
     """The :func:`psd_classify` label of ``m``, given its smallest eigenvalue."""
-    band = tol.eig_tol * max(1.0, float(np.linalg.norm(m)))
+    band = tol.eig_tol * float(np.linalg.norm(m))
     if lam_min > band:
         return POSITIVE_DEFINITE
     if lam_min < -band:

@@ -13,18 +13,21 @@ The root engine has one path per shape of input.  A single polynomial
 (:func:`roots`) is solved in closed form up to degree 2 and from
 companion-matrix eigenvalues (LAPACK, via ``np.roots``) above that.  A
 batch of same-degree polynomials (the samplers' line restrictions and
-fibers) is solved by Aberth–Ehrlich simultaneous iteration started on the
-Cauchy-bound circle, vectorized across the batch.  Both fall back to one
-helper, companion eigenvalues polished by Aberth–Ehrlich iteration, for a
-polynomial the first attempt does not solve to tolerance.
+fibers) is solved in closed form up to degree 2 and by Aberth–Ehrlich
+simultaneous iteration above that, vectorized across the batch: started
+from the closed-form (Cardano) roots at degree 3, so that it only polishes
+them, and on the Cauchy-bound circle from degree 4.  Both paths fall back
+to one helper, companion eigenvalues polished by Aberth–Ehrlich iteration,
+for a polynomial the first attempt does not solve to tolerance.
 
-Ahead of the batch solve, the samplers ask a root-free question of each
-row: does every root lie strictly below the real axis?  By Hermite's
-theorem (the Hermite–Biehler base of the conic theory) the inertia of the
-Bezoutian of P and Q counts the roots of P + iQ in each half-plane, so a
-clearly positive definite Bezoutian answers yes without solving.  The
-batch test (``_clears_lower``) errs only towards "not cleared": a row it
-cannot clear goes to the batch solve as before.
+Ahead of the batch solve of a row of degree 4 or more, the samplers ask
+a root-free question: does every root lie strictly below the real axis?
+By Hermite's theorem (the Hermite–Biehler base of the conic theory) the
+inertia of the Bezoutian of P and Q counts the roots of P + iQ in each
+half-plane, so a clearly positive definite Bezoutian answers yes without
+solving.  The batch test (``_clears_lower``) errs only towards "not
+cleared": a row it cannot clear goes to the batch solve as before.  Up to
+degree 3 the closed forms cost less than the test, so no row is screened.
 
 A :class:`UniPoly` stores coefficients in ascending degree order and is
 canonicalized on construction: trailing coefficients with modulus at or
@@ -178,6 +181,51 @@ def _batch_quadratic(c: np.ndarray) -> np.ndarray:
     return np.stack([r1, r2], axis=1)
 
 
+def _batch_cubic(c: np.ndarray) -> np.ndarray:
+    """Cardano roots of c0 + c1 t + c2 t^2 + c3 t^3 rows, shape (B, 3).
+
+    With t = s - a/3 the monic row is s^3 + p s + q, whose roots are
+    ``u w^k - p / (3 u w^k)`` for the cube roots of unity w^k and u^3 =
+    -q/2 + sqrt(q^2/4 + p^3/27).  The sign of the square root is the one
+    that enlarges |u^3|, so u is not lost to cancellation; u = 0 only for
+    the triple root s = 0.
+    """
+    a, b, c0 = (c[:, j] / c[:, 3] for j in (2, 1, 0))
+    p = b - a * a / 3.0
+    q = c0 - a * b / 3.0 + 2.0 * a * a * a / 27.0
+    sq = np.sqrt(0.25 * q * q + p * p * p / 27.0)
+    sq = np.where(np.real(np.conj(q) * sq) > 0.0, -sq, sq)
+    u = (sq - 0.5 * q) ** (1.0 / 3.0)
+    v = np.divide(-p, 3.0 * u, out=np.zeros_like(u), where=u != 0)
+    w = np.exp(2j * np.pi * np.arange(3) / 3)
+    return u[:, np.newaxis] * w + v[:, np.newaxis] * w.conj() - a[:, np.newaxis] / 3.0
+
+
+# Aberth starts within rounding of each other (eps times the row's largest
+# start) are moved _START_GAP times that apart before the iteration, since
+# 1 / (z_j - z_k) is infinite for coincident starts.  Cardano starts of an
+# exact multiple root coincide; sqrt(eps) is as far as a double root is
+# resolved anyway.  The row's scale is floored at eps, where the iteration's
+# step and residual tests stop being relative, so the starts of t^d move to
+# points those tests already accept.
+_START_GAP = 2.0**-26
+
+
+def _separated(z: np.ndarray) -> np.ndarray:
+    """``z`` with coincident starts of a row moved apart (see _START_GAP)."""
+    d = z.shape[1]
+    if d < 2:
+        return z
+    eps = np.finfo(float).eps
+    scale = np.maximum(np.max(np.abs(z), axis=1), eps)
+    i, j = np.triu_indices(d, 1)
+    close = np.min(np.abs(z[:, i] - z[:, j]), axis=1) <= eps * scale
+    if close.any():
+        spread = np.exp(1j * (2.0 * np.pi * (np.arange(d) + 0.5) / d + 0.43))
+        z[close] += _START_GAP * scale[close, np.newaxis] * spread
+    return z
+
+
 def _aberth_batch(
     coeffs: np.ndarray,
     max_iter: int = 80,
@@ -190,8 +238,11 @@ def _aberth_batch(
     coeffs : ndarray, shape (B, d+1)
         Ascending coefficients, last column nonzero.
     start : ndarray, optional
-        Initial root guesses, shape (B, d); defaults to points on the
-        per-row Cauchy-bound circle with an angular offset.
+        Initial root guesses, shape (B, d): the closed-form cubic roots
+        (degree 3) or companion eigenvalues (the retry).  Coincident
+        guesses of a row are moved apart first (``_separated``).  Defaults
+        to points on the per-row Cauchy-bound circle with an angular
+        offset.
 
     Returns
     -------
@@ -209,7 +260,7 @@ def _aberth_batch(
         angles = 2.0 * np.pi * (np.arange(d) + 0.5) / d + 0.43
         z = radius[:, np.newaxis] * np.exp(1j * angles)[np.newaxis, :]
     else:
-        z = start.astype(complex).copy()
+        z = _separated(start.astype(complex))
 
     eps = np.finfo(float).eps
     active = np.ones(b, dtype=bool)
@@ -231,13 +282,11 @@ def _aberth_batch(
         small = np.abs(denom) < 1e-290
         denom = np.where(small, 1.0, denom)
         step = w / denom
-        z_new = za - step
-        done_rows = np.all(
-            (np.abs(pv) <= 16.0 * eps * np.maximum(sv, eps))
-            | (np.abs(step) <= 4.0 * eps * (1.0 + np.abs(za))),
-            axis=1,
-        )
-        z[active] = z_new
+        # A root whose residual is rounding noise stays put: near a
+        # multiple root a step built from that noise can throw it far off.
+        settled = np.abs(pv) <= 16.0 * eps * np.maximum(sv, eps)
+        done_rows = np.all(settled | (np.abs(step) <= 4.0 * eps * (1.0 + np.abs(za))), axis=1)
+        z[active] = np.where(settled, za, za - step)
         still = np.flatnonzero(active)
         active[still[done_rows]] = False
         if not active.any():
@@ -273,12 +322,13 @@ def _companion_polished(c: np.ndarray) -> np.ndarray:
 def _roots_batch(coeffs: np.ndarray) -> np.ndarray:
     """All roots for a batch of same-degree polynomials, shape (B, d).
 
-    Degrees 1 and 2 use closed forms; higher degrees use Aberth–Ehrlich
-    iteration started on the Cauchy-bound circle, and rows that resist it
-    are retried by :func:`_companion_polished`.  A row whose leading
-    coefficient is exactly zero gets the roots of the row with that
-    coefficient dropped, padded with NaN.  No ordering guarantee inside a
-    row.
+    Degrees 1 and 2 use closed forms.  Higher degrees use Aberth–Ehrlich
+    iteration, started from the closed-form (Cardano) roots at degree 3,
+    which it only polishes, and on the Cauchy-bound circle from degree 4;
+    rows that resist it are retried by :func:`_companion_polished`.  A row
+    whose leading coefficient is exactly zero gets the roots of the row
+    with that coefficient dropped, padded with NaN.  No ordering guarantee
+    inside a row.
     """
     b, d1 = coeffs.shape
     d = d1 - 1
@@ -293,7 +343,8 @@ def _roots_batch(coeffs: np.ndarray) -> np.ndarray:
         return z
     if d <= 2:
         return _closed_form(coeffs.astype(complex))
-    z, converged = _aberth_batch(coeffs.astype(complex))
+    c = coeffs.astype(complex)
+    z, converged = _aberth_batch(c, start=_batch_cubic(c) if d == 3 else None)
     for row in np.flatnonzero(~converged):
         z[row] = _companion_polished(coeffs[row])
     return z

@@ -847,12 +847,17 @@ class TestBezoutScreen:
             assert not np.any(_non_real(_scalar_roots(row), DEFAULT_TOL))
 
     def test_cleared_rows_hold_nan_and_the_rest_are_solved(self):
-        rows = np.array([np.poly(r)[::-1] for r in ([-1j, 2 - 1j, -3 - 2j], [1j, 2 - 1j, -3 - 2j])])
+        planted = ([-1j, 2 - 1j, -3 - 2j, 1 - 0.5j], [1j, 2 - 1j, -3 - 2j, 1 - 0.5j])
+        rows = np.array([np.poly(r)[::-1] for r in planted])
         z = constab._screened_roots(rows, np.asarray)
         assert np.all(np.isnan(z[0]))
         assert np.array_equal(z[1], _roots_batch(rows[1:])[0])
-        # Degree <= 2 rows, and probes without a screen, are always solved.
-        assert not np.any(np.isnan(constab._screened_roots(rows[:, 1:], np.asarray)))
+        # Degree <= 3 rows, and probes without a screen, are always solved:
+        # the cubic below has every root under the axis, as row 0 does.
+        cubic = np.poly(planted[0][:3])[::-1][np.newaxis, :]
+        assert _clears_lower(cubic)[0]
+        assert np.array_equal(constab._screened_roots(cubic, np.asarray), _roots_batch(cubic))
+        assert not np.any(np.isnan(constab._screened_roots(rows[:, 2:], np.asarray)))
         assert np.array_equal(constab._screened_roots(rows, None), _roots_batch(rows))
 
     def test_complex_rows_skip_the_real_rooted_screen(self):
@@ -862,11 +867,13 @@ class TestBezoutScreen:
 
     def test_screen_spares_batched_roots_on_a_stable_product(self, monkeypatch):
         # Unscreened, each draw solves one line row and one fiber row of
-        # degree 3: 8,192 rows for 4,096 draws.
+        # degree 4: 8,192 rows for 4,096 draws.
         rows = []
         solve = constab._roots_batch
         monkeypatch.setattr(constab, "_roots_batch", lambda c: rows.append(c.shape[0]) or solve(c))
-        f = parse("(z1 + 2*z2 + i)*(3*z1 + z2 + 0.5 + 2*i)*(z1 + z2 - 1 + 0.5*i)")
+        f = parse(
+            "(z1 + 2*z2 + i)*(3*z1 + z2 + 0.5 + 2*i)*(z1 + z2 - 1 + 0.5*i)*(2*z1 + z2 + 1 + i)"
+        )
         v = falsify_k_stability(f, Orthant(2), n_samples=4_096, rng=3)
         assert (v.status, v.samples) == (NOT_FALSIFIED, 4_096)
         assert sum(rows) < 8_192 // 2

@@ -367,6 +367,14 @@ class TestCertify:
         assert cert.outcome == NOT_CERTIFIED
         assert abs(cert.lambda_min - (-1.0)) <= 1e-9
 
+    def test_scaled_indefinite_example_not_certified(self):
+        # The PSD band is relative: at 1e-11 scale lambda_min = -1e-11 lies
+        # below it, as -1 does at unit scale (an absolute band of 1e-10 used
+        # to call it semidefinite and the determinant identically zero).
+        A = BlockMatrix.from_flat(1e-11 * indefinite_example().flatten(), 2, 2)
+        cert = thm54_certify(A, np.zeros((2, 2)))
+        assert (cert.outcome, cert.flat_class) == (NOT_CERTIFIED, INDEFINITE)
+
     def test_zero_blocks_constant_determinant(self):
         A = BlockMatrix(np.zeros((2, 2, 2, 2)))
         cert = thm54_certify(A, np.eye(2))

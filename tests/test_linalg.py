@@ -125,8 +125,13 @@ class TestPsdClassify:
             m = random_gram(rng, rng.integers(1, 7))
             assert linalg.psd_classify(m) != "indefinite"
 
+    def test_band_is_relative_at_small_scale(self):
+        # band = eig_tol * ||m||_F with no absolute floor
+        assert linalg.psd_classify(1e-12 * np.diag([1.0, -1.0])) == "indefinite"
+        assert linalg.psd_classify(1e-12 * np.eye(2)) == "positive_definite"
+
     def test_class_of_lambda_min_uses_the_relative_band(self):
-        # band = eig_tol * max(1, ||m||_F): 1e-10 for I, 1e-6 for 1e4 * I.
+        # band = eig_tol * ||m||_F: 1e-10 for I, 1e-6 for 1e4 * I.
         assert linalg.psd_class_of(2e-10, np.eye(1)) == "positive_definite"
         assert linalg.psd_class_of(-2e-10, np.eye(1)) == "indefinite"
         assert linalg.psd_class_of(-2e-10, 1e4 * np.eye(1)) == "positive_semidefinite"

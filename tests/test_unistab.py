@@ -160,6 +160,94 @@ class TestRoots:
         )
 
 
+@st.composite
+def _planted_cubic(draw):
+    """Three planted roots and a leading coefficient.
+
+    Real coefficients (three real roots, or one and a conjugate pair) or
+    complex ones; distinct, double, triple or clustered (10^[-13, -2]
+    apart) roots; scaled by 10^[-6, 6] about a centre within 300.  t^3 and
+    (t - 1)^3 are drawn on their own.
+    """
+    special = draw(st.sampled_from([None, None, None, None, 0.0, 1.0]))
+    if special is not None:
+        return np.full(3, special, dtype=complex), 1.0 + 0j
+    real = draw(st.booleans())
+    pattern = draw(st.sampled_from(["distinct", "double", "triple", "cluster"]))
+    finite = dict(allow_nan=False, allow_infinity=False)
+    # draws below 1e-3 in modulus are 0: a root is on an axis or well off it
+    part = st.floats(-1.0, 1.0).map(lambda x: x if abs(x) >= 1e-3 else 0.0)
+    re = np.array(draw(st.lists(part, min_size=3, max_size=3)))
+    im = np.array(draw(st.lists(part, min_size=3, max_size=3)))
+    if real:
+        im[:] = 0.0
+        if draw(st.booleans()):  # a conjugate pair
+            re[2], im[1], im[2] = re[1], abs(im[1]) + 0.1, -abs(im[1]) - 0.1
+    if pattern == "triple":
+        re[:], im[:] = re[0], im[0]
+    elif pattern == "double" and not (real and im[1] != 0):
+        re[1], im[1] = re[0], im[0]
+    elif pattern == "cluster" and not (real and im[1] != 0):
+        re[1], im[1] = re[0] + 10.0 ** draw(st.floats(-13.0, -2.0)), im[0]
+    centre = draw(st.floats(-300.0, 300.0).map(lambda x: x if abs(x) >= 1e-3 else 0.0))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    if real:
+        lead = complex(draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0)))
+    else:
+        lead = draw(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, **finite))
+    return scale * (centre + re + 1j * im), lead
+
+
+class TestCubicStart:
+    """Degree-3 batches: Aberth polishes the closed-form (Cardano) roots."""
+
+    @given(_planted_cubic())
+    def test_batch_matches_companion_oracle(self, planted):
+        r, lead = planted
+        row = lead * np.poly(r)[::-1]
+        if np.all(np.imag(np.poly(r)) == 0):
+            row = lead * np.poly(r).real[::-1].astype(complex)
+        row = row[np.newaxis, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mine = unistab._roots_batch(row)[0]
+            z, converged = unistab._aberth_batch(row, start=unistab._batch_cubic(row))
+        oracle = np.roots(row[0, ::-1])
+        # Up to permutation: the multisets agree when their elementary
+        # symmetric functions do.  Comparing roots one by one would measure
+        # the conditioning of a multiple root, not the solver.
+        unit = np.max(np.abs(r)) or 1.0
+        npt.assert_allclose(np.poly(mine / unit), np.poly(oracle / unit), atol=1e-6)
+        # A converged row passes the residual test of the iteration.
+        eps = np.finfo(float).eps
+        monic = row[0] / row[0, -1]
+        resid = np.abs(np.polyval(monic[::-1], z[0]))
+        mass = np.polyval(np.abs(monic[::-1]), np.abs(z[0]))
+        assert not converged[0] or np.all(resid <= 1e6 * eps * np.maximum(mass, eps))
+
+    def test_random_batch_converges_in_four_sweeps(self, monkeypatch):
+        # Each sweep evaluates three Horner rows; the verdict adds two.
+        calls = []
+        horner = unistab._horner_batch
+        monkeypatch.setattr(
+            unistab, "_horner_batch", lambda c, z: calls.append(z.shape[0]) or horner(c, z)
+        )
+        rng = np.random.default_rng(9)
+        c = rng.standard_normal((600, 4)) + 1j * rng.standard_normal((600, 4))
+        unistab._roots_batch(c)
+        assert (len(calls) - 2) // 3 <= 4
+
+    def test_coincident_starts_are_separated(self):
+        # Cardano gives t^3 and (t - 1)^3 three equal starts.
+        rows = np.array([[0.0, 0.0, 0.0, 1.0], [-1.0, 3.0, -3.0, 1.0]], dtype=complex)
+        assert np.ptp(unistab._batch_cubic(rows), axis=1).max() == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, converged = unistab._aberth_batch(rows, start=unistab._batch_cubic(rows))
+        assert converged.all()
+        npt.assert_allclose(z, [[0.0] * 3, [1.0] * 3], atol=1e-6)
+
+
 class TestBezoutScreen:
     """``_clears_lower``: Bez(Re p, Im p) clearly positive definite."""
 
