@@ -174,7 +174,6 @@ def _planted_cubic(draw):
         return np.full(3, special, dtype=complex), 1.0 + 0j
     real = draw(st.booleans())
     pattern = draw(st.sampled_from(["distinct", "double", "triple", "cluster"]))
-    finite = dict(allow_nan=False, allow_infinity=False)
     # draws below 1e-3 in modulus are 0: a root is on an axis or well off it
     part = st.floats(-1.0, 1.0).map(lambda x: x if abs(x) >= 1e-3 else 0.0)
     re = np.array(draw(st.lists(part, min_size=3, max_size=3)))
@@ -194,7 +193,7 @@ def _planted_cubic(draw):
     if real:
         lead = complex(draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0)))
     else:
-        lead = draw(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, **finite))
+        lead = draw(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_infinity=False))
     return scale * (centre + re + 1j * im), lead
 
 
@@ -204,10 +203,8 @@ class TestCubicStart:
     @given(_planted_cubic())
     def test_batch_matches_companion_oracle(self, planted):
         r, lead = planted
-        row = lead * np.poly(r)[::-1]
-        if np.all(np.imag(np.poly(r)) == 0):
-            row = lead * np.poly(r).real[::-1].astype(complex)
-        row = row[np.newaxis, :]
+        # np.poly is real for conjugate-paired roots, so a real lead gives a real row
+        row = (lead * np.poly(r)[::-1]).astype(complex)[np.newaxis, :]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mine = unistab._roots_batch(row)[0]
@@ -230,7 +227,7 @@ class TestCubicStart:
         calls = []
         horner = unistab._horner_batch
         monkeypatch.setattr(
-            unistab, "_horner_batch", lambda c, z: calls.append(z.shape[0]) or horner(c, z)
+            unistab, "_horner_batch", lambda c, z: calls.append(1) or horner(c, z)
         )
         rng = np.random.default_rng(9)
         c = rng.standard_normal((600, 4)) + 1j * rng.standard_normal((600, 4))
