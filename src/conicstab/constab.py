@@ -29,9 +29,11 @@ real base point e, giving i e' for a real interior zero e'.
 `imaginary_projection_sample` solves the same fibers at uniform complex
 base points.
 
-Each restriction is expanded once per block: the line rows come from
-`MultiPoly.restrict_line` on the whole block, the fiber rows from f's
-coefficients in the solved variable evaluated at the base points.
+Each block is drawn and expanded once per family of polynomials searched
+together (the pencil's members; a falsifier's one f): the line rows come
+from `MultiPoly.restrict_line` on the whole block, the fiber rows from the
+coefficients in the solved variable evaluated at the base points, both of
+a basis (f itself, or the members' monomials) each member contracts.
 Batch screening only selects candidates and can never flip a verdict on
 its own.  It runs in three stages: a root-free Bezoutian test clears rows
 of degree >= 4 that provably hold no root the probe keeps (stability-mode
@@ -274,17 +276,15 @@ def _screened_roots(coeffs: np.ndarray, pairs) -> np.ndarray:
     return z
 
 
-def _fiber_roots(fibers: dict, lo: int, V: np.ndarray, pairs=None):
-    """Batch-solve the coordinate fibers at one block of base points ``V``.
+def _fiber_rows(fibers: dict, active, lo: int, V: np.ndarray):
+    """Coefficient rows of the coordinate fibers at one block of base points ``V``.
 
-    ``fibers`` maps each active coordinate k to f's coefficients in z_k;
-    draw ``lo + row`` solves coordinate ``active[(lo + row) mod #active]``.
-    Yields ``(k, rows, coeffs, roots)``: ``coeffs[i]`` are the ascending
-    coefficients of the fiber at ``V[rows[i]]`` and ``roots[i]`` its roots
-    (NaN where ``pairs`` lets the screen clear the row, see
-    ``_screened_roots``).
+    ``fibers`` maps each coordinate k to the basis polynomials'
+    coefficients in z_k; draw ``lo + row`` solves coordinate
+    ``active[(lo + row) mod #active]``.  Yields ``(k, rows, F)``: ``F[j, i]``
+    are the ascending coefficients of basis polynomial j's fiber at
+    ``V[rows[i]]``.
     """
-    active = list(fibers)
     ks_local = (lo + np.arange(V.shape[0])) % len(active)
     for ki, k in enumerate(active):
         rows = np.nonzero(ks_local == ki)[0]
@@ -292,9 +292,31 @@ def _fiber_roots(fibers: dict, lo: int, V: np.ndarray, pairs=None):
             continue
         keep = [j for j in range(V.shape[1]) if j != k]
         W = V[rows][:, keep]
-        cols = [np.broadcast_to(c(W), (rows.size,)) for c in fibers[k]]
-        coeffs = np.column_stack(cols).astype(complex)
-        yield k, rows, coeffs, _screened_roots(coeffs, pairs)
+        F = np.zeros((len(fibers[k]), rows.size, max(map(len, fibers[k]))), dtype=complex)
+        for j, cs in enumerate(fibers[k]):
+            for col, c in enumerate(cs):
+                if c:
+                    F[j, :, col] = c(W)
+        yield k, rows, F
+
+
+def _family_basis(family):
+    """Basis polynomials and each member's weights on them.
+
+    One member is its own basis (weight None: its rows are its own
+    expansion).  Several share the monomials of their support, weighted by
+    each member's trimmed coefficients, so a cancelled term adds exact zeros.
+    """
+    if len(family) == 1:
+        return list(family), [None]
+    support = sorted({e for f in family for e in f.terms})
+    basis = [MultiPoly(family[0].var_names, {e: 1.0}) for e in support]
+    return basis, list(np.array([[f.coefficient(e) for e in support] for f in family]))
+
+
+def _member_rows(rows: np.ndarray, w, width: int) -> np.ndarray:
+    """A member's rows from basis rows (nb, B, d): contracted with ``w``, ``width`` columns."""
+    return (rows[0] if w is None else np.tensordot(w, rows, 1))[:, :width]
 
 
 def _confirm(f, K, p: UniPoly, ok, zero, tol, floor, start):
@@ -556,47 +578,70 @@ _HYPERBOLICITY = _Probe(
 )
 
 
-def _search(f, K, n_samples, rng, tol, probe: _Probe) -> Verdict:
-    """Run both probes over the draws of seed ``rng``; first witness wins."""
-    if not f:
-        return Verdict(CERTIFIED_UNSTABLE, certificate="zero polynomial", seed=rng)
-    if f.degree == 0:
-        return Verdict(NOT_FALSIFIED, certificate="nonvanishing constant", seed=rng)
+def _search(family, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
+    """Run both probes for each member of ``family`` over the draws of seed ``rng``.
 
-    fibers = {k: f.as_univariate_in(k) for k in range(f.nvars) if f.degree_in(k) >= 1}
+    Each block is drawn, and the line and fiber rows of the family's basis
+    (``_family_basis``) expanded, once; every live member screens, solves
+    and confirms its own rows and leaves the family at its first witness.
+    """
+    out = [Verdict(CERTIFIED_UNSTABLE, certificate="zero polynomial", seed=rng) if not f
+           else Verdict(NOT_FALSIFIED, certificate="nonvanishing constant", seed=rng)
+           if f.degree == 0 else None for f in family]
+    live = [m for m, v in enumerate(out) if v is None]
+    if not live:
+        return out
+    basis, weights = _family_basis([family[m] for m in live])
+    weights = dict(zip(live, weights))
+    active = {m: tuple(k for k in range(K.dim) if family[m].degree_in(k) >= 1) for m in live}
+    fibers = {k: [b.as_univariate_in(k) for b in basis] for k in set().union(*active.values())}
+    width = max(b.degree for b in basis) + 1
     floor = tol.sample_margin / 2
 
-    for lo, x, y in _blocks(rng, f.nvars, K, tol.sample_sigma, n_samples, tol.sample_margin):
+    for lo, x, y in _blocks(rng, K.dim, K, tol.sample_sigma, n_samples, tol.sample_margin):
         V = probe.base(x, y)
-        # Candidates map (row, k) to the coefficient row that screened
-        # them: k = -1 is the line probe, so sorting gives draw order with
-        # the line before the fiber.
-        hits = {}
-        line = f.restrict_line(x, y)
-        r = _screened_roots(line, probe.line_pairs)
-        for row in np.nonzero(np.any(probe.line_ok(r, tol), axis=1))[0]:
-            hits[int(row), -1] = line[row]
-        for k, rows, coeffs, r in _fiber_roots(fibers, lo, V, probe.fiber_pairs):
-            i, j = np.nonzero(probe.fiber_screen(r, tol))
-            comp = probe.fiber_zero(V[rows[i]], k, r[i, j]).imag
-            for idx in i[_screen_margins(K, comp, floor)]:
-                hits[int(rows[idx]), k] = coeffs[idx]
+        lines = np.stack([np.pad(r, ((0, 0), (0, width - r.shape[1])))
+                          for r in (b.restrict_line(x, y) for b in basis)])
+        fiber_rows = {a: list(_fiber_rows(fibers, a, lo, V)) for a in {active[m] for m in live}}
+        for m in live:
+            f = family[m]
+            # Candidates map (row, k) to the coefficient row that screened
+            # them: k = -1 is the line probe, so sorting gives draw order
+            # with the line before the fiber.
+            hits = {}
+            line = _member_rows(lines, weights[m], f.degree + 1)
+            r = _screened_roots(line, probe.line_pairs)
+            for row in np.nonzero(np.any(probe.line_ok(r, tol), axis=1))[0]:
+                hits[int(row), -1] = line[row]
+            for k, rows, F in fiber_rows[active[m]]:
+                coeffs = _member_rows(F, weights[m], f.degree_in(k) + 1)
+                r = _screened_roots(coeffs, probe.fiber_pairs)
+                i, j = np.nonzero(probe.fiber_screen(r, tol))
+                comp = probe.fiber_zero(V[rows[i]], k, r[i, j]).imag
+                for idx in i[_screen_margins(K, comp, floor)]:
+                    hits[int(rows[idx]), k] = coeffs[idx]
 
-        for row, k in sorted(hits):
-            p = UniPoly(hits[row, k], tol=tol)
-            if k < 0:
-                ok, start = probe.line_ok, complex
-                zero, cert = partial(probe.line_zero, x[row], y[row]), probe.line_cert
-            else:
-                ok, start = probe.fiber_ok, probe.fiber_start
-                zero = partial(probe.fiber_zero, V[row], k)
-                cert = probe.fiber_cert.format(var=f.var_names[k])
-            got = _confirm(f, K, p, ok, zero, tol, floor, start)
-            if got is not None:
-                z, res = got
-                return Verdict(FALSIFIED, witness=z, certificate=cert, samples=lo + row + 1,
-                               seed=rng, residual=res)
-    return Verdict(NOT_FALSIFIED, samples=n_samples, seed=rng)
+            for row, k in sorted(hits):
+                p = UniPoly(hits[row, k], tol=tol)
+                if k < 0:
+                    ok, start = probe.line_ok, complex
+                    zero, cert = partial(probe.line_zero, x[row], y[row]), probe.line_cert
+                else:
+                    ok, start = probe.fiber_ok, probe.fiber_start
+                    zero = partial(probe.fiber_zero, V[row], k)
+                    cert = probe.fiber_cert.format(var=f.var_names[k])
+                got = _confirm(f, K, p, ok, zero, tol, floor, start)
+                if got is not None:
+                    z, res = got
+                    out[m] = Verdict(FALSIFIED, witness=z, certificate=cert,
+                                     samples=lo + row + 1, seed=rng, residual=res)
+                    break
+        live = [m for m in live if out[m] is None]
+        if not live:
+            break
+    for m in live:
+        out[m] = Verdict(NOT_FALSIFIED, samples=n_samples, seed=rng)
+    return out
 
 
 def falsify_k_stability(
@@ -616,7 +661,7 @@ def falsify_k_stability(
     """
     seed = _as_seed(rng)
     _check_fit(f, K)
-    return _search(f, K, n_samples, seed, tol, _STABILITY)
+    return _search((f,), K, n_samples, seed, tol, _STABILITY)[0]
 
 
 def hyperbolicity_check(
@@ -638,7 +683,7 @@ def hyperbolicity_check(
     _check_fit(f, K)
     if not f.is_homogeneous():
         raise ValueError("hyperbolicity_check requires a homogeneous polynomial")
-    return _search(f, K, n_samples, seed, tol, _HYPERBOLICITY)
+    return _search((f,), K, n_samples, seed, tol, _HYPERBOLICITY)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -703,24 +748,20 @@ def pencil_hko_check(
 
     Side one: every lam*f + mu*g on the grid is stable or identically
     zero.  Side two: f + i g or g + i f is stable.  Both sides are probed
-    by falsification at the same budget; the report records each verdict
-    and the two aggregate flags.
+    by falsification at the same budget and seed; the nonzero members are
+    one family of the sampling engine, so each block is drawn and expanded
+    once for all of them.  The report records each verdict and the flags.
     """
     _require_real_pair(f, g, tol)
     _check_fit(f, K)
     if not f and not g:
         raise ValueError("pencil of two zero polynomials")
     pts = _default_pencil_grid() if grid is None else list(grid)
-    entries = []
-    any_falsified = False
-    for lam, mu in pts:
-        member = f.scale(lam) + g.scale(mu)
-        if not member:
-            entries.append(PencilEntry(lam=lam, mu=mu, zero=True, verdict=None))
-            continue
-        v = falsify_k_stability(member, K, n_samples, rng, tol)
-        any_falsified = any_falsified or v.falsified
-        entries.append(PencilEntry(lam=lam, mu=mu, zero=False, verdict=v))
+    members = [f.scale(lam) + g.scale(mu) for lam, mu in pts]
+    found = iter(_search([p for p in members if p], K, n_samples, _as_seed(rng), tol, _STABILITY))
+    entries = [PencilEntry(lam=lam, mu=mu, zero=not p, verdict=next(found) if p else None)
+               for (lam, mu), p in zip(pts, members)]
+    any_falsified = any(e.verdict.falsified for e in entries if e.verdict is not None)
     v_fg = falsify_k_stability(f + g.scale(1j), K, n_samples, rng, tol)
     v_gf = falsify_k_stability(g + f.scale(1j), K, n_samples, rng, tol)
     pencil_clean = not any_falsified
@@ -852,7 +893,7 @@ def imaginary_projection_sample(
     if not lo < hi:
         raise ValueError("box must be an increasing interval")
     n = f.nvars
-    fibers = {k: f.as_univariate_in(k) for k in range(n) if f.degree_in(k) >= 1}
+    fibers = {k: [f.as_univariate_in(k)] for k in range(n) if f.degree_in(k) >= 1}
     out: list[np.ndarray] = []
     total = 0
     bi = 0
@@ -862,12 +903,15 @@ def imaginary_projection_sample(
         re = gen.uniform(lo, hi, (_BLOCK, n))
         im = gen.uniform(lo, hi, (_BLOCK, n))
         V = re + 1j * im
-        for k, rows, _, r in _fiber_roots(fibers, bi * _BLOCK, V):
+        for k, rows, F in _fiber_rows(fibers, list(fibers), bi * _BLOCK, V):
+            r = _roots_batch(F[0])
             i, j = np.nonzero(np.isfinite(r))
             Z = _replace_coord(V[rows[i]], k, r[i, j])
             ok = np.abs(f(Z)) <= tol.residual_tol * _coeff_scale(f, Z)
             out.append(Z[ok].imag)
             total += out[-1].shape[0]
+            if total >= n_points:  # the rest of the block would be cut off
+                break
         bi += 1
     if not out:
         return np.zeros((0, n))

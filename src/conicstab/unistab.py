@@ -327,17 +327,22 @@ def _roots_batch(coeffs: np.ndarray) -> np.ndarray:
     which it only polishes, and on the Cauchy-bound circle from degree 4;
     rows that resist it are retried by :func:`_companion_polished`.  A row
     whose leading coefficient is exactly zero gets the roots of the row
-    with that coefficient dropped, padded with NaN.  No ordering guarantee
-    inside a row.
+    with that coefficient dropped, padded with NaN; from degree 3 a row
+    whose constant coefficient is exactly zero gets the exact root 0 and
+    the roots of the row with it dropped (Aberth crawls toward a multiple
+    root at 0).  No ordering guarantee inside a row.
     """
     b, d1 = coeffs.shape
     d = d1 - 1
-    if d <= 0:
-        return np.zeros((b, 0), dtype=complex)
+    if d <= 0 or b == 0:
+        return np.zeros((b, max(d, 0)), dtype=complex)
     lead = coeffs[:, -1] != 0
-    if not lead.all():
+    low = lead & (coeffs[:, 0] == 0) & (d >= 3)
+    if not lead.all() or low.any():
         z = np.full((b, d), np.nan, dtype=complex)
-        z[lead] = _roots_batch(coeffs[lead])
+        z[lead & ~low] = _roots_batch(coeffs[lead & ~low])
+        z[low, 0] = 0.0
+        z[low, 1:] = _roots_batch(coeffs[low, 1:])
         for row in np.flatnonzero(~lead):
             z[row, :-1] = _roots_batch(coeffs[row : row + 1, :-1])[0]
         return z

@@ -479,6 +479,97 @@ class TestPencil:
         assert (1.0, 0.0) in pts and (0.0, 1.0) in pts
         assert len(rep.entries) == 32
 
+    def test_members_share_each_block(self, monkeypatch):
+        # One draw and no falsifier call for the 32 members; one draw and
+        # one falsifier call each for f + ig and g + if.
+        draws, calls = [], []
+        orig_draw, orig_falsify = Orthant.interior_from_normals, constab.falsify_k_stability
+        monkeypatch.setattr(Orthant, "interior_from_normals",
+                            lambda *a, **k: draws.append(1) or orig_draw(*a, **k))
+        monkeypatch.setattr(constab, "falsify_k_stability",
+                            lambda *a, **k: calls.append(1) or orig_falsify(*a, **k))
+        pencil_hko_check(parse("z1^2 + z2"), parse("z1*z2 - 1"), Orthant(2), n_samples=600)
+        assert (len(draws), len(calls)) == (3, 2)
+
+    def test_lone_member_is_its_own_basis(self):
+        # A family of one expands the member itself: the same rows, roots
+        # and witness bits as falsify_k_stability.
+        f, g = parse("z1^2 - z2^2 + z1"), parse("z1*z2 + 1")
+        rep = pencil_hko_check(f, g, Orthant(2), grid=[(0.6, 0.8)], n_samples=600, rng=2)
+        v = falsify_k_stability(f.scale(0.6) + g.scale(0.8), Orthant(2), n_samples=600, rng=2)
+        assert v.status == FALSIFIED
+        assert np.array_equal(rep.entries[0].verdict.witness, v.witness)
+
+
+@st.composite
+def _real_pencil_pairs(draw):
+    """A real pair of degree <= 3 on orthant(2), orthant(3) or PSD(2)."""
+    K, names = draw(st.sampled_from([
+        (Orthant(2), ("z1", "z2")), (Orthant(3), ("z1", "z2", "z3")), (PSD(2), MATRIX_VARS),
+    ]))
+    exps = [e for e in np.ndindex(*[4] * len(names)) if sum(e) <= 3]
+
+    def poly():
+        support = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=5, unique=True))
+        coeffs = draw(st.lists(st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 0.05),
+                               min_size=len(support), max_size=len(support)))
+        return MultiPoly(names, dict(zip(support, coeffs)))
+
+    return poly(), poly(), K
+
+
+# Every fourth direction of the default grid: 0, 45, 90 and 135 degrees among them.
+_GRID8 = [(float(np.cos(np.pi * k / 8)), float(np.sin(np.pi * k / 8))) for k in range(8)]
+
+
+class TestPencilFamily:
+    """Each member of the shared pencil search gets the verdict it gets alone.
+
+    Budgets 2,047, 2,049 and 4,500 end inside the first, second and third
+    block.  The explicit pairs cancel a variable at 45 degrees (lam - mu =
+    1.1e-16), drop f's degree at 90 degrees (lam = 6e-17), and make thin
+    slivers (``_sliver``) whose members are falsified at draws 38, 160 and
+    2,217 of the 4,500 budget, so members leave the family in different
+    blocks while others stay to the end.
+    """
+
+    @settings(max_examples=8)
+    @given(_real_pencil_pairs(), st.sampled_from([2_047, 2_049, 4_500]))
+    def test_members_match_independent_falsifiers(self, pair, budget):
+        self._check(*pair, budget)
+
+    @pytest.mark.parametrize("budget", [2_047, 2_049, 4_500])
+    @pytest.mark.parametrize("f,g,names,K", [
+        ("z1 + z2", "z1 - z2", ("z1", "z2"), Orthant(2)),
+        ("z1^2 - 3*z1*z2 + 1", "z1 + 2*z2 - 1", ("z1", "z2"), Orthant(2)),
+        ("z11*z22 - z12^2", "-0.0007*z12^2", ("z11", "z12", "z22"), PSD(2)),
+    ])
+    def test_explicit_pairs(self, f, g, names, K, budget):
+        self._check(parse(f, var_names=names), parse(g, var_names=names), K, budget)
+
+    def test_explicit_members_lose_a_variable_and_a_degree(self):
+        (lam, mu), (lam2, mu2) = _GRID8[2], _GRID8[4]
+        assert (parse("z1 + z2").scale(lam) + parse("z1 - z2").scale(mu)).degree_in(1) == 0
+        f, g = parse("z1^2 - 3*z1*z2 + 1"), parse("z1 + 2*z2 - 1")
+        assert (f.scale(lam2) + g.scale(mu2)).degree == 1
+
+    @staticmethod
+    def _check(f, g, K, budget):
+        if not f and not g:
+            return
+        rep = pencil_hko_check(f, g, K, grid=_GRID8, n_samples=budget, rng=budget)
+        for e in rep.entries:
+            member = f.scale(e.lam) + g.scale(e.mu)
+            if e.zero:
+                assert not member
+                continue
+            v = falsify_k_stability(member, K, n_samples=budget, rng=budget)
+            got = e.verdict
+            assert (got.status, got.samples, got.certificate) == (v.status, v.samples, v.certificate)
+            if v.witness is not None:
+                np.testing.assert_allclose(got.witness, v.witness, rtol=1e-9,
+                                           atol=1e-9 * np.max(np.abs(v.witness)))
+
 
 # ---------------------------------------------------------------------------
 # wronskian_certificate
@@ -593,6 +684,22 @@ class TestImaginaryProjection:
     def test_requested_count_is_honored_when_available(self):
         cloud = imaginary_projection_sample(parse("z1 + z2 + 1"), n_points=150, rng=0)
         assert cloud.shape[0] == 150
+
+    def test_stops_once_the_cloud_is_full(self, monkeypatch):
+        # Each 2,048-draw block solves two fiber groups of 1,024 rows; the
+        # first one already holds 10 points.
+        rows = []
+        solve = constab._roots_batch
+        monkeypatch.setattr(constab, "_roots_batch", lambda c: rows.append(c.shape[0]) or solve(c))
+        cloud = imaginary_projection_sample(parse("z1 + z2 + 1"), n_points=10, rng=0)
+        assert cloud.shape == (10, 2)
+        assert sum(rows) <= 1_024
+
+    def test_small_cloud_is_a_prefix_of_a_large_one(self):
+        f = parse("z1 + z2 + 1")
+        small = imaginary_projection_sample(f, n_points=150, rng=3)
+        large = imaginary_projection_sample(f, n_points=2_000, rng=3)
+        assert np.array_equal(small, large[:150])
 
     def test_rejects_constants(self):
         with pytest.raises(ValueError):

@@ -159,6 +159,19 @@ class TestRoots:
             np.sort_complex(z[4, :-1]), np.sort_complex(np.roots(mixed[4, -2::-1])), atol=1e-8
         )
 
+    @pytest.mark.parametrize("row", [[0, 0, -5, 1], [0, 0, 0, -5, 1]])
+    def test_batch_splits_off_exact_zero_roots(self, row, monkeypatch):
+        # t^2 (t - 5) and t^3 (t - 5): Aberth would crawl toward the
+        # multiple root at 0 and stop short of it.
+        calls = []
+        horner = unistab._horner_batch
+        monkeypatch.setattr(
+            unistab, "_horner_batch", lambda c, z: calls.append(1) or horner(c, z)
+        )
+        z = np.sort_complex(unistab._roots_batch(np.array([row], dtype=complex))[0])
+        assert np.array_equal(z, [0.0] * (len(row) - 2) + [5.0])
+        assert len(calls) <= 5
+
 
 @st.composite
 def _planted_cubic(draw):
