@@ -290,8 +290,7 @@ def _fiber_rows(fibers: dict, active, lo: int, V: np.ndarray):
         rows = np.nonzero(ks_local == ki)[0]
         if rows.size == 0:
             continue
-        keep = [j for j in range(V.shape[1]) if j != k]
-        W = V[rows][:, keep]
+        W = np.delete(V[rows], k, axis=1)
         F = np.zeros((len(fibers[k]), rows.size, max(map(len, fibers[k]))), dtype=complex)
         for j, cs in enumerate(fibers[k]):
             for col, c in enumerate(cs):
@@ -581,9 +580,10 @@ _HYPERBOLICITY = _Probe(
 def _search(family, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
     """Run both probes for each member of ``family`` over the draws of seed ``rng``.
 
-    Each block is drawn, and the line and fiber rows of the family's basis
-    (``_family_basis``) expanded, once; every live member screens, solves
-    and confirms its own rows and leaves the family at its first witness.
+    The members share one variable tuple.  Each block is drawn, and the
+    line and fiber rows of the family's basis (``_family_basis``)
+    expanded, once; every live member screens, solves and confirms its own
+    rows and leaves the family at its first witness.
     """
     out = [Verdict(CERTIFIED_UNSTABLE, certificate="zero polynomial", seed=rng) if not f
            else Verdict(NOT_FALSIFIED, certificate="nonvanishing constant", seed=rng)
