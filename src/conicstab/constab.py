@@ -227,6 +227,15 @@ def _coeff_scale(f: MultiPoly, z: np.ndarray):
     return f.coeff_norm1() * grow ** max(f.degree, 0)
 
 
+def _block_stream(seed: int, n_blocks: int):
+    """Yield (start_index, generator) for blocks 0..n_blocks-1.
+
+    Block bi draws from ``default_rng((seed, bi))`` alone.
+    """
+    for bi in range(n_blocks):
+        yield bi * _BLOCK, np.random.default_rng((seed, bi))
+
+
 def _blocks(seed: int, n: int, K: Cone, sigma: float, n_samples: int, margin: float):
     """Yield (start_index, x, y) blocks; content depends only on (seed, block).
 
@@ -234,14 +243,11 @@ def _blocks(seed: int, n: int, K: Cone, sigma: float, n_samples: int, margin: fl
     the same stream position; they are drawn, and mapped into K, only for
     the rows the budget takes (the leading rows of a full block's draw).
     """
-    bi = 0
-    while bi * _BLOCK < n_samples:
-        gen = np.random.default_rng((seed, bi))
-        take = min(n_samples - bi * _BLOCK, _BLOCK)
+    for lo, gen in _block_stream(seed, -(-n_samples // _BLOCK)):
+        take = min(n_samples - lo, _BLOCK)
         x = gen.normal(0.0, sigma, (_BLOCK, n))[:take]
         u = gen.standard_normal((take, K.draw_dim))
-        yield bi * _BLOCK, x, K.interior_from_normals(u, margin)
-        bi += 1
+        yield lo, x, K.interior_from_normals(u, margin)
 
 
 def _newton_once(p: UniPoly, t: complex) -> complex:
@@ -894,16 +900,15 @@ def imaginary_projection_sample(
         raise ValueError("box must be an increasing interval")
     n = f.nvars
     fibers = {k: [f.as_univariate_in(k)] for k in range(n) if f.degree_in(k) >= 1}
-    out: list[np.ndarray] = []
+    out = [np.zeros((0, n))]
     total = 0
-    bi = 0
-    max_blocks = 2 + 20 * (n_points // _BLOCK + 1)
-    while total < n_points and bi < max_blocks:
-        gen = np.random.default_rng((seed, bi))
+    for start, gen in _block_stream(seed, 2 + 20 * (n_points // _BLOCK + 1)):
+        if total >= n_points:
+            break
         re = gen.uniform(lo, hi, (_BLOCK, n))
         im = gen.uniform(lo, hi, (_BLOCK, n))
         V = re + 1j * im
-        for k, rows, F in _fiber_rows(fibers, list(fibers), bi * _BLOCK, V):
+        for k, rows, F in _fiber_rows(fibers, list(fibers), start, V):
             r = _roots_batch(F[0])
             i, j = np.nonzero(np.isfinite(r))
             Z = _replace_coord(V[rows[i]], k, r[i, j])
@@ -912,9 +917,6 @@ def imaginary_projection_sample(
             total += out[-1].shape[0]
             if total >= n_points:  # the rest of the block would be cut off
                 break
-        bi += 1
-    if not out:
-        return np.zeros((0, n))
     return np.concatenate(out, axis=0)[:n_points]
 
 

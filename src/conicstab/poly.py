@@ -5,7 +5,8 @@ fixed, named variable tuple.  The module provides the exact operations the
 stability pipeline needs — line restriction ``t -> f(x + t y)``, partial
 substitution, directional derivatives and Wronskians, splitting into real
 and imaginary coefficient parts — plus a small expression parser and a
-JSON wire format.
+JSON wire format.  Evaluation and line restriction are one grouped Horner
+recursion (``_horner``) over the variable order, on scalars or on rows.
 
 :class:`MatrixVarIndex` fixes the flat ordering of the upper triangle of a
 symmetric matrix variable (row-major: z11, z12, ..., z1n, z22, ...), which
@@ -207,9 +208,8 @@ class MultiPoly:
     def __call__(self, point):
         """Evaluate at a point (length-n sequence) or batch (shape (B, n)).
 
-        Horner over the fixed variable order: terms are grouped by the
-        exponent of the first variable, each group evaluated recursively,
-        and the groups combined with ascending-gap powers.
+        The grouped Horner recursion (``_horner``) with scalar
+        coefficient-sum leaves and the step ``v * z_k**a``.
         """
         pt = np.asarray(point, dtype=complex)
         batch = pt.ndim == 2
@@ -217,10 +217,8 @@ class MultiPoly:
             not batch and pt.shape != (self.nvars,)
         ):
             raise ValueError(f"point shape {pt.shape} does not fit {self.nvars} variables")
-        if not self.terms:
-            return np.zeros(pt.shape[0], dtype=complex) if batch else 0j
-        items = list(self.terms.items())
-        val = _horner_rec(items, 0, self.nvars, pt.T if batch else pt)
+        cols = pt.T if batch else pt
+        val = _horner(list(self.terms.items()), 0, lambda c: c, lambda v, k, a: v * cols[k] ** a)
         if batch:
             return np.broadcast_to(val, (pt.shape[0],)).astype(complex)
         return complex(val)
@@ -231,8 +229,9 @@ class MultiPoly:
         ``x`` and ``y`` are real vectors (shape (n,)), giving a
         :class:`UniPoly` trimmed at ``tol``, or batches (shape (B, n)),
         giving the untrimmed ascending coefficient rows, shape
-        (B, deg+1).  Each monomial multiplies in its factors
-        ``(x_k + t y_k)`` one at a time by shift-and-add.
+        (B, deg+1).  The grouped Horner recursion (``_horner``) runs on
+        rows: leaves c t^0, and steps multiplying by ``x_k + t y_k`` by
+        shift-and-add, whose top column is exactly zero until the last factor.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -240,21 +239,17 @@ class MultiPoly:
         if x.shape != y.shape or x.shape[-1:] != (self.nvars,) or x.ndim != 1 + batch:
             raise ValueError("offset/direction shapes must match (n,) or (B, n)")
         xs, ys = (x, y) if batch else (x[np.newaxis], y[np.newaxis])
-        B = xs.shape[0]
-        out = np.zeros((B, max(self.degree, 0) + 1), dtype=complex)
-        for e, c in self.terms.items():
-            fac = np.full((B, 1), c, dtype=complex)
-            for k, a in enumerate(e):
-                if a == 0:
-                    continue
-                xk = xs[:, k : k + 1]
-                yk = ys[:, k : k + 1]
-                for _ in range(a):
-                    nxt = np.zeros((B, fac.shape[1] + 1), dtype=complex)
-                    nxt[:, :-1] = fac * xk
-                    nxt[:, 1:] += fac * yk
-                    fac = nxt
-            out[:, : fac.shape[1]] += fac
+        e0 = np.eye(1, max(self.degree, 0) + 1, dtype=complex)
+
+        def step(v, k, a):
+            for _ in range(a):
+                w = v * xs[:, k : k + 1]
+                w[:, 1:] += v[:, :-1] * ys[:, k : k + 1]
+                v = w
+            return v
+
+        out = np.zeros((xs.shape[0], e0.shape[1]), dtype=complex)
+        out += _horner(list(self.terms.items()), 0, lambda c: c * e0, step)
         return out if batch else UniPoly(out[0], tol=tol)
 
     def substitute_partial(self, assignments: dict[int, complex]) -> "MultiPoly":
@@ -335,22 +330,25 @@ class MultiPoly:
         return MultiPoly(tuple(data["vars"]), terms)
 
 
-def _horner_rec(items, k, nvars, pt):
-    """Recursive grouped Horner; ``pt`` is (n,) or (n, B)."""
-    if k == nvars:
-        return sum(c for _, c in items)
+def _horner(items, k, leaf, step):
+    """Grouped Horner sum of the (exponent, coefficient) ``items`` over z_k, z_k+1, ...
+
+    Groups by the exponent of z_k, highest first, sums each group over the
+    later variables, and combines the groups as ``step(v, k, gap) + next``.
+    ``leaf`` maps a coefficient sum (0 for no items) to a value, and
+    ``step(v, k, a)`` multiplies a value by ``z_k**a``.
+    """
+    if not items or k == len(items[0][0]):
+        return leaf(sum(c for _, c in items))
     groups: dict[int, list] = {}
     for e, c in items:
         groups.setdefault(e[k], []).append((e, c))
     exps = sorted(groups, reverse=True)
-    x = pt[k]
-    val = _horner_rec(groups[exps[0]], k + 1, nvars, pt)
-    prev = exps[0]
-    for e in exps[1:]:
-        val = val * x ** (prev - e) + _horner_rec(groups[e], k + 1, nvars, pt)
-        prev = e
-    if prev:
-        val = val * x**prev
+    val = _horner(groups[exps[0]], k + 1, leaf, step)
+    for hi, lo in zip(exps, exps[1:]):
+        val = step(val, k, hi - lo) + _horner(groups[lo], k + 1, leaf, step)
+    if exps[-1]:
+        val = step(val, k, exps[-1])
     return val
 
 

@@ -203,6 +203,44 @@ class TestRestrictLine:
             assert abs(np.polyval(row[::-1], t) - want) <= 100 * np.finfo(float).eps * scale
             assert p.restrict_line(x, y).coeffs == UniPoly(row).coeffs
 
+    @given(_sparse_poly(), st.integers(1, 5), st.data())
+    def test_variable_order_moves_only_rounding(self, p, B, data):
+        # The Horner grouping follows the variable order.  Permuting the
+        # variables together with the columns of x and y may move the rows
+        # and the batch values only within the bound above.
+        n = p.nvars
+        perm = data.draw(st.permutations(range(n)))
+        q = MultiPoly(
+            tuple(p.var_names[k] for k in perm),
+            {tuple(e[k] for k in perm): c for e, c in p.terms.items()},
+        )
+        reals = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+        block = st.lists(st.lists(reals, min_size=n, max_size=n), min_size=B, max_size=B)
+        X, Y = np.array(data.draw(block)), np.array(data.draw(block))
+        t = data.draw(st.complex_numbers(max_magnitude=3.0))
+        mass = MultiPoly(p.var_names, {e: abs(c) for e, c in p.terms.items()})
+        eps = np.finfo(float).eps
+        rows, q_rows = p.restrict_line(X, Y), q.restrict_line(X[:, perm], Y[:, perm])
+        for x, y, row, q_row in zip(X, Y, rows, q_rows):
+            scale = mass(np.abs(x) + abs(t) * np.abs(y)).real
+            assert abs(np.polyval(row[::-1], t) - np.polyval(q_row[::-1], t)) <= 100 * eps * scale
+        Z = X + t * Y.astype(complex)
+        assert np.all(np.abs(p(Z) - q(Z[:, perm])) <= 100 * eps * mass(np.abs(Z)).real)
+
+    @pytest.mark.parametrize("c", [0.0, 2.5 - 1j])
+    def test_zero_and_constant_rows(self, c):
+        # No variable to step over: the rows are (B, 1), hold exactly c and
+        # are writable arrays of their own, since the samplers pad and slice them.
+        p = MultiPoly.constant(("z1", "z2"), c)
+        rng = np.random.default_rng(24)
+        X, Y = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+        rows = p.restrict_line(X, Y)
+        assert rows.shape == (5, 1) and rows.dtype == complex
+        assert np.all(rows == c)
+        rows[0, 0] = 7.0
+        assert np.all(rows[1:] == c)
+        assert p.restrict_line(X[0], Y[0]).degree == (0 if c else -1)
+
     @pytest.mark.parametrize(
         "x_shape, y_shape",
         [((3,), (2, 3)), ((2, 3), (3,)), ((2, 3), (4, 3)), ((2,), (2,)), ((1, 2, 3), (1, 2, 3))],
