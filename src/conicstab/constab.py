@@ -70,7 +70,7 @@ import numpy as np
 from .cones import Cone, Orthant, Polyhedral, product
 from .poly import MultiPoly, wronskian_v
 from .tolerances import DEFAULT_TOL, ToleranceProfile
-from .unistab import UniPoly, _clears_lower, _roots_batch, roots
+from .unistab import UniPoly, _clears_lower, _roots_batch, _with_derivative, roots
 
 __all__ = [
     "CERTIFIED_STABLE",
@@ -486,20 +486,6 @@ def _non_real(t, tol):
 def _near_real(t, slack):
     """Root is within ``slack * max(1, |t|)`` of the real axis."""
     return np.isfinite(t) & (np.abs(t.imag) <= slack * np.maximum(1.0, np.abs(t)))
-
-
-def _with_derivative(c):
-    """Rows p + i p' of real rows p (None unless every row is real).
-
-    Clear exactly when p has only real, simple roots (Hermite–Kakeya–
-    Obreschkoff: p and p' then interlace properly).
-    """
-    if np.any(c.imag):
-        return None
-    d = c.shape[1] - 1
-    dp = np.zeros_like(c)
-    dp[:, :-1] = c[:, 1:] * np.arange(1, d + 1)
-    return c + 1j * dp
 
 
 def _replace_coord(w, k, r):

@@ -22,21 +22,18 @@ class ToleranceProfile:
         Relative slack when validating Hermitian symmetry of a matrix.
     eig_tol : float
         Acceptable eigendecomposition residual relative to the Frobenius
-        norm of the input; also the half-width of the semidefinite
-        classification band around zero.
+        norm of the input; also the half-width of the semidefinite band
+        around zero (for univariate Bezoutians relative to their scale).
     coeff_zero_tol : float
         Polynomial coefficients with modulus at or below this are dropped
         during canonicalization.
     root_tol : float
         Univariate root acceptance: |p(r)| <= root_tol * ||p||_1 * max(1,|r|)^deg.
-    root_merge_tol : float
-        Distance below which two real roots are treated as one cluster when
-        classifying interlacing patterns.
     stability_im_tol : float
-        One-sided slack on imaginary parts when testing root locations:
-        a root with Im(r) <= stability_im_tol does not disprove stability.
+        One-sided slack on imaginary parts of computed roots: a root
+        with Im(r) <= stability_im_tol does not disprove stability.
     real_root_im_tol : float
-        Two-sided |Im| slack when testing real-rootedness.
+        Two-sided |Im| slack when a computed root is read as real.
     sign_tol : float
         Relative slack when testing nonpositivity of a sampled function.
     residual_tol : float
@@ -54,7 +51,6 @@ class ToleranceProfile:
     eig_tol: float = 1e-10
     coeff_zero_tol: float = 1e-12
     root_tol: float = 1e-8
-    root_merge_tol: float = 1e-7
     stability_im_tol: float = 1e-9
     real_root_im_tol: float = 1e-9
     sign_tol: float = 1e-9

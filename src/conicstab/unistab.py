@@ -20,14 +20,14 @@ them, and on the Cauchy-bound circle from degree 4.  Both paths fall back
 to one helper, companion eigenvalues polished by Aberth–Ehrlich iteration,
 for a polynomial the first attempt does not solve to tolerance.
 
-Ahead of the batch solve of a row of degree 4 or more, the samplers ask
-a root-free question: does every root lie strictly below the real axis?
-By Hermite's theorem (the Hermite–Biehler base of the conic theory) the
-inertia of the Bezoutian of P and Q counts the roots of P + iQ in each
-half-plane, so a clearly positive definite Bezoutian answers yes without
-solving.  The batch test (``_clears_lower``) errs only towards "not
-cleared": a row it cannot clear goes to the batch solve as before.  Up to
-degree 3 the closed forms cost less than the test, so no row is screened.
+Stability, real-rootedness and interlacing are decided without roots.  By
+Hermite's theorem (the Hermite–Biehler base of the conic theory) the
+inertia of the Bezoutian Bez(P, Q) counts the roots of P + iQ in the two
+open half-planes, and Bez(P, P') >= 0 iff the real P is real-rooted.  One
+kernel (``_bezout_eigs``) serves the predicates, which test
+semidefiniteness within ``tol.eig_tol`` of its scale (multiple roots need
+no slack), and the samplers' screen (``_clears_lower``), which skips the
+batch solve of a row of degree >= 4 whose Bez(P, Q) is clearly definite.
 
 A :class:`UniPoly` stores coefficients in ascending degree order and is
 canonicalized on construction: trailing coefficients with modulus at or
@@ -37,8 +37,9 @@ coefficient tuple and degree -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -144,14 +145,12 @@ class InterlaceReport:
     """Outcome of :func:`interlacing`.
 
     ``kind`` is one of ``proper``, ``proper_reversed``,
-    ``identical_roots`` or ``none``; the root arrays are the (real parts
-    of the) computed roots, sorted ascending.  Plain alternation has no
-    kind of its own: it always holds in one of the two proper orientations.
+    ``identical_roots`` or ``none``, read from the inertia of a Bezoutian
+    without computing roots.  Plain alternation has no kind of its own: it
+    always holds in one of the two proper orientations.
     """
 
     kind: str
-    roots_f: np.ndarray = field(repr=False)
-    roots_g: np.ndarray = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -356,71 +355,104 @@ def _roots_batch(coeffs: np.ndarray) -> np.ndarray:
 
 
 # The Bezoutian screen clears a row only when its smallest eigenvalue
-# exceeds this multiple of the product of the row's two coefficient masses
-# (see :func:`_clears_lower`); forming Bez errs by about 1e-16 of it.
+# exceeds this multiple of the row's scale (see :func:`_bezout_eigs`);
+# forming Bez errs by about 1e-16 of it.
 _BEZOUT_BAND = 1e-8
 
 
 @lru_cache(maxsize=None)
-def _bezout_pattern(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs a > b and the 0/1 map from p_a q_b - p_b q_a to Bez entries.
+def _bezout_tables(d: int) -> tuple[np.ndarray, ...]:
+    """Per-degree tables of :func:`_bezout_eigs`, read-only.
 
-    ``(P(s)Q(t) - P(t)Q(s)) / (s - t)`` collects ``s^b t^b (s^(a-b) -
-    t^(a-b)) / (s - t)`` for each pair, whose monomials are
-    ``s^(b+k) t^(a-1-k)``, k < a - b.
+    Index pairs a > b and the 0/1 map from p_a q_b - p_b q_a to Bez entries
+    (``(P(s)Q(t) - P(t)Q(s)) / (s - t)`` collects ``s^b t^b (s^(a-b) -
+    t^(a-b)) / (s - t)`` per pair: monomials ``s^(b+k) t^(a-1-k)``, k < a - b);
+    the shift's binomials C(j, k), powers max(j - k, 0) and j; and 1 / (d - j).
     """
     hi, lo = np.tril_indices(d + 1, -1)
     T = np.zeros((hi.size, d, d))
     for n, (a, b) in enumerate(zip(hi, lo)):
         k = np.arange(a - b)
         T[n, b + k, a - 1 - k] = 1.0
-    for arr in (hi, lo, T):
+    j = np.arange(d + 1)
+    C = np.array([[comb(a, b) for b in j] for a in j], dtype=float)
+    tables = (hi, lo, T.reshape(hi.size, d * d), C, np.maximum(j[:, np.newaxis] - j, 0), j, 1.0 / (d - j[:-1]))
+    for arr in tables:
         arr.flags.writeable = False  # cached: every caller gets these arrays
-    return hi, lo, T.reshape(hi.size, d * d)
+    return tables
+
+
+def _bezout_eigs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of each row's normalized Bezoutian, and their scale.
+
+    Row p = P + iQ of ``coeffs`` (B, d+1), ascending, d >= 1.  Bez(P, Q) has
+    one positive (negative) eigenvalue per root of p / gcd(P, Q) in the
+    open lower (upper) half-plane (Hermite).  Each row is made monic,
+    shifted by its real root centroid h and scaled by its root radius rho,
+    which keeps the inertia.  The scale is ``m * max(m, M)``, with ``m`` the
+    coefficient mass of the transformed row and ``M = sum_j |c_j| (|h| +
+    rho)^j / rho^d`` that of the monic row at the shifted radius, which
+    bounds the shift's rounding; by Weyl, a relative perturbation e in ``M``
+    moves each eigenvalue by about e times the scale.  Rows with a zero
+    leading coefficient or a non-finite entry get NaN eigenvalues.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    b, d1 = c.shape
+    d = d1 - 1
+    hi, lo, T, C, gap, j, inv = _bezout_tables(d)
+    ok = np.isfinite(c).all(axis=1) & (c[:, -1] != 0)
+    if not ok.all():
+        c = np.where(ok[:, np.newaxis], c, 1.0)
+    c = c / c[:, -1:]
+    moduli = np.abs(c)
+    h = -c[:, d - 1].real / d
+    if b <= 8:  # Taylor shift c(t) -> c(t + h) as one binomial product
+        c = (c[:, :, np.newaxis] * (C * (h[:, np.newaxis] ** j)[:, gap])).sum(axis=1)
+    else:  # a batch: the O(d^2) column loop costs less than (B, d+1, d+1)
+        for i in range(d):
+            for k in range(d - 1, i - 1, -1):
+                c[:, k] += h * c[:, k + 1]
+    # max_j |c_j|^(1/(d-j)) lies between half and d times the largest |root|
+    rho = (np.abs(c[:, :-1]) ** inv).max(axis=1)
+    # below the shift's rounding, or where rho^-d overflows, a radius is noise
+    ah = np.abs(h)
+    rho = np.maximum(np.maximum(rho, np.finfo(float).eps * ah), np.finfo(float).tiny ** (1 / d))
+    c *= rho[:, np.newaxis] ** (j - d)
+    M = (moduli * (ah + rho)[:, np.newaxis] ** j).sum(axis=1) / rho**d
+    P, Q = c.real, c.imag
+    pairs = P[:, hi] * Q[:, lo] - P[:, lo] * Q[:, hi]
+    # a batch takes einsum, not matmul: a threaded BLAS call costs more than it saves
+    bez = pairs @ T if b <= 8 else np.einsum("bn,nk->bk", pairs, T)
+    eigs = np.linalg.eigvalsh(bez.reshape(b, d, d))
+    if not ok.all():
+        eigs[~ok] = np.nan
+    m = np.abs(c).sum(axis=1)
+    # M < m only by rounding, or by underflow when rho^d leaves the float range
+    return eigs, m * np.maximum(m, M)
 
 
 def _clears_lower(coeffs: np.ndarray) -> np.ndarray:
     """Root-free test that every root of a row lies strictly below the real axis.
 
-    ``coeffs`` has shape (B, d+1), ascending, d >= 1; row p = P + iQ with
-    P, Q real.  By Hermite's theorem the inertia of the Bezoutian Bez(P, Q)
-    counts the roots of p in the two half-planes, so Bez(P, Q) positive
-    definite means every root lies in the open lower half-plane.  Each row
-    is made monic, shifted by its real root centroid h and scaled by its
-    root radius rho (neither moves a root across the axis), and cleared iff
-    ``lambda_min(Bez) > _BEZOUT_BAND * m * max(m, M)``.  Here ``m`` is the
-    coefficient mass of the transformed row and ``M = sum_j |c_j| (|h| +
-    rho)^j / rho^d`` the mass of the monic row at the shifted radius,
-    which bounds ``m`` and the rounding the shift makes (M = m when h = 0).
-    Bez is bilinear in the row, so by Weyl's inequality a cleared row stays
-    positive definite under any perturbation of relative size well below
-    the band measured in ``M``.  Rows with a zero leading coefficient or a
-    non-finite entry are never cleared.  Returns a boolean mask of shape (B,).
+    A row is cleared iff ``lambda_min(Bez) > _BEZOUT_BAND * scale``
+    (:func:`_bezout_eigs`): Bez(P, Q) is definite, also under perturbations
+    well below the band.  A row of NaN eigenvalues is never cleared.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    b, d1 = c.shape
-    d = d1 - 1
-    ok = np.all(np.isfinite(c), axis=1) & (c[:, -1] != 0)
-    c = np.where(ok[:, np.newaxis], c, 1.0)
-    c = c / c[:, -1:]
-    moduli = np.abs(c)
-    h = -c[:, d - 1].real / d
-    for i in range(d):  # Taylor shift: c(t) -> c(t + h)
-        for j in range(d - 1, i - 1, -1):
-            c[:, j] += h * c[:, j + 1]
-    # max_j |c_j|^(1/(d-j)) lies between half and d times the largest |root|
-    rho = np.max(np.abs(c[:, :-1]) ** (1.0 / np.arange(d, 0, -1)), axis=1)
-    rho = np.where(rho > 0, rho, 1.0)  # rho = 0: (t - h)^d, whose Bez is 0
-    c *= rho[:, np.newaxis] ** np.arange(-d, 1)
-    M = _horner_batch(moduli, (np.abs(h) + rho)[:, np.newaxis])[:, 0] / rho**d
-    hi, lo, T = _bezout_pattern(d)
-    P, Q = c.real, c.imag
-    pairs = P[:, hi] * Q[:, lo] - P[:, lo] * Q[:, hi]
-    # einsum, not matmul: a threaded BLAS call costs more than it saves here
-    bez = np.einsum("bn,nk->bk", pairs, T).reshape(b, d, d)
-    m = np.sum(np.abs(c), axis=1)
-    # M < m only by rounding, or by underflow when rho^d leaves the float range
-    return ok & (np.linalg.eigvalsh(bez)[:, 0] > _BEZOUT_BAND * m * np.maximum(m, M))
+    eigs, scale = _bezout_eigs(coeffs)
+    return eigs[:, 0] > _BEZOUT_BAND * scale
+
+
+def _with_derivative(c):
+    """Rows p + i p' of real rows p (None unless every row is real).
+
+    Bez(p, p') is positive semidefinite exactly when p is real-rooted, and
+    definite when the roots are also simple (Hermite–Kakeya–Obreschkoff).
+    """
+    if np.iscomplexobj(c) and c.imag.any():
+        return None
+    rows = c.astype(complex)
+    rows.imag[:, :-1] = c.real[:, 1:] * np.arange(1, c.shape[1])
+    return rows
 
 
 def _within_bound(p: UniPoly, z: np.ndarray, tol: ToleranceProfile) -> bool:
@@ -471,77 +503,62 @@ def roots(p: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def is_stable_univariate(
-    p: UniPoly,
-    tol: ToleranceProfile = DEFAULT_TOL,
-    im_tol: float | None = None,
-) -> bool:
+def _semidefinite(rows: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, whether Bez >= 0 and whether Bez <= 0, within ``tol.eig_tol * scale``."""
+    eigs, scale = _bezout_eigs(rows)
+    band = tol.eig_tol * scale
+    return eigs[:, 0] >= -band, eigs[:, -1] <= band
+
+
+def _monic(p: UniPoly) -> np.ndarray:
+    """p / lead(p) as a (1, d+1) row; ArithmeticError for a non-finite coefficient."""
+    c = np.array(p.coeffs, dtype=complex)
+    if not np.isfinite(c).all():
+        raise ArithmeticError("polynomial has a non-finite coefficient")
+    return (c / c[-1])[np.newaxis, :]
+
+
+def is_stable_univariate(p: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """True iff ``p`` is nonzero and no root lies above the real axis.
 
-    A root ``r`` disproves stability only when ``Im(r) > im_tol`` (default
-    ``tol.stability_im_tol``); the slack is one-sided so real roots
-    computed with rounding noise never flip the verdict.  The zero
-    polynomial is *not* stable, by convention.
+    With p / lead = P + iQ: Bez(P, Q) >= 0 (no root off gcd(P, Q) lies
+    above the axis) and Bez(P, P') >= 0 (P, hence gcd(P, Q), is
+    real-rooted), both within :func:`_semidefinite`'s band, so real and
+    multiple roots need no slack.  The zero polynomial is *not* stable, by
+    convention.  Raises ``ArithmeticError`` for a non-finite coefficient.
     """
     if not p:
         return False
     if p.degree == 0:
         return True
-    cut = tol.stability_im_tol if im_tol is None else im_tol
-    return bool(np.all(roots(p, tol=tol).imag <= cut))
+    c = _monic(p)
+    rows = _with_derivative(c.real)
+    if c.imag.any():
+        rows = np.concatenate([c, rows])
+    return bool(_semidefinite(rows, tol)[0].all())
 
 
-def is_real_rooted(
-    p: UniPoly,
-    tol: ToleranceProfile = DEFAULT_TOL,
-    im_tol: float | None = None,
-) -> bool:
-    """True iff every root of ``p`` satisfies ``|Im(r)| <= im_tol``.
+def is_real_rooted(p: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
+    """True iff every root of ``p`` is real.
 
-    Nonzero constants are vacuously real-rooted; the zero polynomial is
-    not (it has no root list).
+    With p / lead = P + iQ: Q is at most ``tol.eig_tol`` of the coefficient
+    mass and Bez(P, P') >= 0 within :func:`_semidefinite`'s band.  Nonzero
+    constants are vacuously real-rooted; the zero polynomial is not.
+    Raises ``ArithmeticError`` for a non-finite coefficient.
     """
     if not p:
         return False
     if p.degree == 0:
         return True
-    cut = tol.real_root_im_tol if im_tol is None else im_tol
-    return bool(np.all(np.abs(roots(p, tol=tol).imag) <= cut))
+    c = _monic(p)
+    if np.abs(c.imag).sum() > tol.eig_tol * np.abs(c).sum():
+        return False
+    return bool(_semidefinite(_with_derivative(c.real), tol)[0][0])
 
 
 # ---------------------------------------------------------------------------
 # Interlacing
 # ---------------------------------------------------------------------------
-
-
-def _chain(first: np.ndarray, second: np.ndarray, slack: float) -> bool:
-    """Weak alternation first_1 <= second_1 <= first_2 <= ... within ``slack``.
-
-    Sorted inputs only; ``first`` must hold as many roots as ``second`` or
-    one more.
-    """
-    if len(first) - len(second) not in (0, 1):
-        return False
-    merged = np.empty(len(first) + len(second))
-    merged[0::2] = first
-    merged[1::2] = second
-    return bool(np.all(np.diff(merged) >= -slack))
-
-
-def _proper_pair(
-    rf: np.ndarray, rg: np.ndarray, lead_f: float, lead_g: float, slack: float
-) -> bool:
-    """Sign-aware alternation making ``g + i f`` a stable combination.
-
-    With agreeing leading signs the top root must belong to g and the
-    descending chain alternates g-root, f-root, ...; with opposing signs
-    the chain starts from f.  Both comparisons are within ``slack``.
-    """
-    # Negated and reversed, the descending chain is an ascending one.
-    nf, ng = -rf[::-1], -rg[::-1]
-    if lead_f * lead_g > 0:
-        return _chain(ng, nf, slack)
-    return _chain(nf, ng, slack)
 
 
 def interlacing(
@@ -551,42 +568,37 @@ def interlacing(
 ) -> InterlaceReport:
     """Classify the root pattern of two real, real-rooted polynomials.
 
-    Returns an :class:`InterlaceReport` whose ``kind`` is ``none`` when
-    either input is zero, not real, not real-rooted within tolerance, or
-    the degrees differ by more than one; ``identical_roots`` when the
-    sorted root lists agree within ``tol.root_merge_tol``; ``proper`` /
-    ``proper_reversed`` for the sign-aware orientations (f into g,
-    respectively g into f); otherwise ``none``.  The two orientations
-    read the descending root chain from either start, so any alternation
-    is proper one way or the other: no strict or non-strict kind is left
-    over.  Roots closer than ``tol.root_merge_tol`` are treated as
-    coincident throughout.
+    ``kind`` is ``none`` when either input is zero or not real, the degrees
+    differ by more than one, or the pair is not real-rooted.  Otherwise the
+    sign of Bez(g, f) decides (Hermite–Biehler): ``identical_roots`` when
+    it vanishes at equal degree, ``proper`` when it is >= 0 (g + i f is
+    stable), ``proper_reversed`` when it is <= 0 (f + i g is), else
+    ``none``; coincident roots need no slack.  Only the input of higher
+    degree (g at equal degree) is tested for real-rootedness: the common
+    roots are then real, so a stable combination makes the other one
+    real-rooted too.
     """
-    empty = np.zeros(0)
     if not f or not g or not f.is_real(tol) or not g.is_real(tol):
-        return InterlaceReport(KIND_NONE, empty, empty)
-    real_parts = []
-    for p in (f, g):
-        z = roots(p, tol)
-        if not np.all(np.abs(z.imag) <= tol.real_root_im_tol):
-            return InterlaceReport(KIND_NONE, empty, empty)
-        real_parts.append(np.sort(z.real))
-    rf, rg = real_parts
+        return InterlaceReport(KIND_NONE)
     if abs(f.degree - g.degree) > 1:
-        return InterlaceReport(KIND_NONE, rf, rg)
-
-    slack = tol.root_merge_tol
-    if f.degree == g.degree and (
-        f.degree == 0 or bool(np.all(np.abs(rf - rg) <= slack))
-    ):
-        return InterlaceReport(KIND_IDENTICAL, rf, rg)
-
-    lead_f, lead_g = float(f.lead.real), float(g.lead.real)
-    if _proper_pair(rf, rg, lead_f, lead_g, slack):
-        return InterlaceReport(KIND_PROPER, rf, rg)
-    if _proper_pair(rg, rf, lead_g, lead_f, slack):
-        return InterlaceReport(KIND_PROPER_REVERSED, rf, rg)
-    return InterlaceReport(KIND_NONE, rf, rg)
+        return InterlaceReport(KIND_NONE)
+    d = max(f.degree, g.degree)
+    if d == 0:
+        return InterlaceReport(KIND_IDENTICAL)
+    pair = np.zeros((2, d + 1))
+    pair[0, : g.degree + 1] = np.real(g.coeffs)
+    pair[1, : f.degree + 1] = np.real(f.coeffs)
+    if not np.isfinite(pair).all():
+        raise ArithmeticError("polynomial has a non-finite coefficient")
+    top = pair[:1] if g.degree == d else pair[1:]
+    psd, nsd = _semidefinite(np.concatenate([_with_derivative(top), pair[:1] + 1j * pair[1:]]), tol)
+    if not psd[0]:
+        return InterlaceReport(KIND_NONE)
+    if psd[1] and nsd[1] and f.degree == g.degree:
+        return InterlaceReport(KIND_IDENTICAL)
+    if psd[1] or nsd[1]:
+        return InterlaceReport(KIND_PROPER if psd[1] else KIND_PROPER_REVERSED)
+    return InterlaceReport(KIND_NONE)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,13 @@ class TestDescriptors:
         with pytest.raises(CliError):
             parse_tol("residual_tol")
 
+    def test_removed_tolerance_name_exits_two(self, capsys):
+        code, _, err = run_cli(
+            capsys, "stab", "-e", "z1 + 1", "--cone", "orthant:1", "--tol", "root_merge_tol=1e-7"
+        )
+        assert code == 2
+        assert "unknown tolerance name" in err
+
 
 # ---------------------------------------------------------------------------
 # stab

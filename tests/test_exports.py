@@ -1,9 +1,11 @@
 """Every name a conicstab module exports, or the benchmark tracer binds, must exist."""
 
+import dataclasses
 import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -27,6 +29,16 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [sym for sym in getattr(module, "__all__", ()) if not hasattr(module, sym)]
     assert missing == []
+
+
+def test_every_tolerance_is_read():
+    # A ToleranceProfile field that no module reads can be set and does nothing.
+    from conicstab.tolerances import ToleranceProfile
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "conicstab"
+    text = "\n".join(p.read_text() for p in src.glob("*.py") if p.name != "tolerances.py")
+    names = [f.name for f in dataclasses.fields(ToleranceProfile)]
+    assert [n for n in names if not re.search(rf"\.{n}\b", text)] == []
 
 
 def test_bench_tracer_binds_every_layer():
