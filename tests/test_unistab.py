@@ -321,6 +321,41 @@ class TestStability:
         assert not unistab.is_real_rooted(poly(0.0))
 
 
+def interleaved_pair(rng, deg_f, same_degree, gap=0.5):
+    """Build (f, g) with strictly alternating roots, g on the outside."""
+    total = 2 * deg_f + (0 if same_degree else 1)
+    pts = np.cumsum(gap + rng.random(total))
+    if same_degree:
+        rf, rg = pts[0::2], pts[1::2]  # f first: f_1 < g_1 < f_2 < ...
+    else:
+        rg, rf = pts[0::2], pts[1::2]  # g takes both extremes
+    f = UniPoly.from_roots(rf)
+    g = UniPoly.from_roots(rg)
+    return f, g
+
+
+def _grid_draw(data, degree):
+    """``degree`` sorted roots on the 1/8 grid in [-4, 4] and their polynomial, lead +-1.
+
+    The coefficients are exact: each is a multiple of 8^-6 below 2^13 in
+    modulus.
+    """
+    rts = np.sort(data.draw(st.lists(st.integers(-32, 32), min_size=degree, max_size=degree))) / 8.0
+    return rts, UniPoly.from_roots(rts, lead=data.draw(st.sampled_from([-1.0, 1.0])))
+
+
+def _grid_poly(data, degree):
+    """A polynomial with ``degree`` roots on the 1/8 grid in [-4, 4], lead +-1."""
+    return _grid_draw(data, degree)[1]
+
+
+def _alternate(a, b):
+    """Reference: sorted a_1 <= b_1 <= a_2 <= ..., len(a) - len(b) in (0, 1)."""
+    if len(a) - len(b) not in (0, 1):
+        return False
+    merged = [x for pair in itertools.zip_longest(a, b) for x in pair if x is not None]
+    return all(y >= x for x, y in zip(merged, merged[1:]))
+
 
 def _multiset(data, values, max_distinct):
     """Distinct draws from ``values``, each repeated 1-3 times."""
@@ -390,42 +425,6 @@ class TestBezoutPredicates:
         rf, rg = f.scale(r), g.scale(r)
         assert (rf.degree, rg.degree) == (f.degree, g.degree)  # nothing trimmed
         assert unistab.interlacing(rf, rg).kind == unistab.interlacing(f, g).kind
-
-
-def interleaved_pair(rng, deg_f, same_degree, gap=0.5):
-    """Build (f, g) with strictly alternating roots, g on the outside."""
-    total = 2 * deg_f + (0 if same_degree else 1)
-    pts = np.cumsum(gap + rng.random(total))
-    if same_degree:
-        rf, rg = pts[0::2], pts[1::2]  # f first: f_1 < g_1 < f_2 < ...
-    else:
-        rg, rf = pts[0::2], pts[1::2]  # g takes both extremes
-    f = UniPoly.from_roots(rf)
-    g = UniPoly.from_roots(rg)
-    return f, g
-
-
-def _grid_draw(data, degree):
-    """``degree`` sorted roots on the 1/8 grid in [-4, 4] and their polynomial, lead +-1.
-
-    The coefficients are exact: every product of up to six such roots is a
-    multiple of 8^-6 below 2^12 in modulus.
-    """
-    rts = np.sort(data.draw(st.lists(st.integers(-32, 32), min_size=degree, max_size=degree))) / 8.0
-    return rts, UniPoly.from_roots(rts, lead=data.draw(st.sampled_from([-1.0, 1.0])))
-
-
-def _grid_poly(data, degree):
-    """A polynomial with ``degree`` roots on the 1/8 grid in [-4, 4], lead +-1."""
-    return _grid_draw(data, degree)[1]
-
-
-def _alternate(a, b):
-    """Reference: sorted a_1 <= b_1 <= a_2 <= ..., len(a) - len(b) in (0, 1)."""
-    if len(a) - len(b) not in (0, 1):
-        return False
-    merged = [x for pair in itertools.zip_longest(a, b) for x in pair if x is not None]
-    return all(y >= x for x, y in zip(merged, merged[1:]))
 
 
 class TestInterlacing:
