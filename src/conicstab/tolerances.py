@@ -23,7 +23,8 @@ class ToleranceProfile:
     eig_tol : float
         Acceptable eigendecomposition residual relative to the Frobenius
         norm of the input; also the half-width of the semidefinite band
-        around zero (for univariate Bezoutians relative to their scale).
+        around zero (for a univariate Bezoutian relative to the squared
+        coefficient mass of its normalized row, on top of its rounding).
     coeff_zero_tol : float
         Polynomial coefficients with modulus at or below this are dropped
         during canonicalization.

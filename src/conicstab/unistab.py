@@ -24,10 +24,10 @@ Stability, real-rootedness and interlacing are decided without roots.  By
 Hermite's theorem (the Hermite–Biehler base of the conic theory) the
 inertia of the Bezoutian Bez(P, Q) counts the roots of P + iQ in the two
 open half-planes, and Bez(P, P') >= 0 iff the real P is real-rooted.  One
-kernel (``_bezout_eigs``) serves the predicates, which test
-semidefiniteness within ``tol.eig_tol`` of its scale (multiple roots need
-no slack), and the samplers' screen (``_clears_lower``), which skips the
-batch solve of a row of degree >= 4 whose Bez(P, Q) is clearly definite.
+kernel (``_bezout_eigs``) serves the predicates, which test semidefiniteness
+within rounding and ``tol.eig_tol`` (multiple roots need no slack), and the
+samplers' screen (``_clears_lower``), which skips the batch solve of a row
+of degree >= 4 whose Bez(P, Q) is clearly definite.
 
 A :class:`UniPoly` stores coefficients in ascending degree order and is
 canonicalized on construction: trailing coefficients with modulus at or
@@ -355,9 +355,12 @@ def _roots_batch(coeffs: np.ndarray) -> np.ndarray:
 
 
 # The Bezoutian screen clears a row only when its smallest eigenvalue
-# exceeds this multiple of the row's scale (see :func:`_bezout_eigs`);
+# exceeds this multiple of m * max(m, M) (see :func:`_bezout_eigs`);
 # forming Bez errs by about 1e-16 of it.
 _BEZOUT_BAND = 1e-8
+
+# A few eps: the relative rounding of an input coefficient or of the shift
+_ROUNDING = 4 * np.finfo(float).eps
 
 
 @lru_cache(maxsize=None)
@@ -382,19 +385,20 @@ def _bezout_tables(d: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _bezout_eigs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of each row's normalized Bezoutian, and their scale.
+def _bezout_eigs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of each row's normalized Bezoutian, and two masses.
 
     Row p = P + iQ of ``coeffs`` (B, d+1), ascending, d >= 1.  Bez(P, Q) has
     one positive (negative) eigenvalue per root of p / gcd(P, Q) in the
     open lower (upper) half-plane (Hermite).  Each row is made monic,
     shifted by its real root centroid h and scaled by its root radius rho,
-    which keeps the inertia.  The scale is ``m * max(m, M)``, with ``m`` the
-    coefficient mass of the transformed row and ``M = sum_j |c_j| (|h| +
-    rho)^j / rho^d`` that of the monic row at the shifted radius, which
-    bounds the shift's rounding; by Weyl, a relative perturbation e in ``M``
-    moves each eigenvalue by about e times the scale.  Rows with a zero
-    leading coefficient or a non-finite entry get NaN eigenvalues.
+    which keeps the inertia.  Returns the eigenvalues (B, d), the
+    coefficient mass ``m`` of the transformed row and ``M = sum_j |c_j| (|h|
+    + rho)^j / rho^d``, that of the monic row at the shifted radius, which
+    bounds the shift's rounding.  Bez is bilinear in the row, so by Weyl a
+    relative perturbation e of the monic row's coefficients moves each
+    eigenvalue by about e * m * max(m, M).  Rows with a zero leading
+    coefficient or a non-finite entry get NaN eigenvalues.
     """
     c = np.asarray(coeffs, dtype=complex)
     b, d1 = c.shape
@@ -421,25 +425,22 @@ def _bezout_eigs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     M = (moduli * (ah + rho)[:, np.newaxis] ** j).sum(axis=1) / rho**d
     P, Q = c.real, c.imag
     pairs = P[:, hi] * Q[:, lo] - P[:, lo] * Q[:, hi]
-    # a batch takes einsum, not matmul: a threaded BLAS call costs more than it saves
-    bez = pairs @ T if b <= 8 else np.einsum("bn,nk->bk", pairs, T)
-    eigs = np.linalg.eigvalsh(bez.reshape(b, d, d))
+    eigs = np.linalg.eigvalsh((pairs @ T).reshape(b, d, d))
     if not ok.all():
         eigs[~ok] = np.nan
-    m = np.abs(c).sum(axis=1)
-    # M < m only by rounding, or by underflow when rho^d leaves the float range
-    return eigs, m * np.maximum(m, M)
+    # callers take max(m, M): M < m only by rounding, or by underflow of rho^d
+    return eigs, np.abs(c).sum(axis=1), M
 
 
 def _clears_lower(coeffs: np.ndarray) -> np.ndarray:
     """Root-free test that every root of a row lies strictly below the real axis.
 
-    A row is cleared iff ``lambda_min(Bez) > _BEZOUT_BAND * scale``
+    A row is cleared iff ``lambda_min(Bez) > _BEZOUT_BAND * m * max(m, M)``
     (:func:`_bezout_eigs`): Bez(P, Q) is definite, also under perturbations
     well below the band.  A row of NaN eigenvalues is never cleared.
     """
-    eigs, scale = _bezout_eigs(coeffs)
-    return eigs[:, 0] > _BEZOUT_BAND * scale
+    eigs, m, M = _bezout_eigs(coeffs)
+    return eigs[:, 0] > _BEZOUT_BAND * m * np.maximum(m, M)
 
 
 def _with_derivative(c):
@@ -504,18 +505,25 @@ def roots(p: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 
 
 def _semidefinite(rows: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, whether Bez >= 0 and whether Bez <= 0, within ``tol.eig_tol * scale``."""
-    eigs, scale = _bezout_eigs(rows)
-    band = tol.eig_tol * scale
+    """Per row, whether Bez >= 0 and whether Bez <= 0 (see :func:`_bezout_eigs`).
+
+    The band is ``m * (tol.eig_tol * m + _ROUNDING * max(m, M))``: eig_tol
+    of the transformed row's own scale, plus what rounding each coefficient
+    moves an eigenvalue by.  Only the rounding term grows with M, so roots
+    clustered far from 0 widen the band by their rounding, not by eig_tol.
+    """
+    eigs, m, M = _bezout_eigs(rows)
+    band = m * (tol.eig_tol * m + _ROUNDING * np.maximum(m, M))
     return eigs[:, 0] >= -band, eigs[:, -1] <= band
 
 
-def _monic(p: UniPoly) -> np.ndarray:
-    """p / lead(p) as a (1, d+1) row; ArithmeticError for a non-finite coefficient."""
-    c = np.array(p.coeffs, dtype=complex)
+def _row(p: UniPoly, width: int) -> np.ndarray:
+    """p's coefficients as a zero-padded (1, width) row; ArithmeticError if one is not finite."""
+    c = np.zeros((1, width), dtype=complex)
+    c[0, : len(p.coeffs)] = p.coeffs
     if not np.isfinite(c).all():
         raise ArithmeticError("polynomial has a non-finite coefficient")
-    return (c / c[-1])[np.newaxis, :]
+    return c
 
 
 def is_stable_univariate(p: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
@@ -531,7 +539,7 @@ def is_stable_univariate(p: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> boo
         return False
     if p.degree == 0:
         return True
-    c = _monic(p)
+    c = _row(p, p.degree + 1) / p.lead
     rows = _with_derivative(c.real)
     if c.imag.any():
         rows = np.concatenate([c, rows])
@@ -550,7 +558,7 @@ def is_real_rooted(p: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
         return False
     if p.degree == 0:
         return True
-    c = _monic(p)
+    c = _row(p, p.degree + 1) / p.lead
     if np.abs(c.imag).sum() > tol.eig_tol * np.abs(c).sum():
         return False
     return bool(_semidefinite(_with_derivative(c.real), tol)[0][0])
@@ -585,11 +593,7 @@ def interlacing(
     d = max(f.degree, g.degree)
     if d == 0:
         return InterlaceReport(KIND_IDENTICAL)
-    pair = np.zeros((2, d + 1))
-    pair[0, : g.degree + 1] = np.real(g.coeffs)
-    pair[1, : f.degree + 1] = np.real(f.coeffs)
-    if not np.isfinite(pair).all():
-        raise ArithmeticError("polynomial has a non-finite coefficient")
+    pair = np.concatenate([_row(g, d + 1), _row(f, d + 1)]).real
     top = pair[:1] if g.degree == d else pair[1:]
     psd, nsd = _semidefinite(np.concatenate([_with_derivative(top), pair[:1] + 1j * pair[1:]]), tol)
     if not psd[0]:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conicstab import unistab
@@ -334,14 +334,24 @@ def interleaved_pair(rng, deg_f, same_degree, gap=0.5):
     return f, g
 
 
-def _grid_draw(data, degree):
+def _grid_draw(data, degree, grid=st.integers(-32, 32)):
     """``degree`` sorted roots on the 1/8 grid in [-4, 4] and their polynomial, lead +-1.
 
-    The coefficients are exact: each is a multiple of 8^-6 below 2^13 in
-    modulus.
+    ``grid`` draws the roots' multiples of 1/8.  The coefficients are
+    exact: each is a multiple of 8^-6 below 2^13 in modulus.
     """
-    rts = np.sort(data.draw(st.lists(st.integers(-32, 32), min_size=degree, max_size=degree))) / 8.0
+    rts = np.sort(data.draw(st.lists(grid, min_size=degree, max_size=degree))) / 8.0
     return rts, UniPoly.from_roots(rts, lead=data.draw(st.sampled_from([-1.0, 1.0])))
+
+
+def _window(data):
+    """Multiples of 1/8 in [-32, 32] within 1-32 steps of a drawn center.
+
+    Narrow windows cluster the roots far from 0, where the monomial
+    coefficients resolve them worst.
+    """
+    center, half = data.draw(st.integers(-32, 32)), data.draw(st.integers(1, 32))
+    return st.integers(max(-32, center - half), min(32, center + half))
 
 
 def _grid_poly(data, degree):
@@ -381,29 +391,54 @@ class TestBezoutPredicates:
         g = UniPoly.from_roots([0.5, 1.0])
         assert unistab.interlacing(f, g).kind == "proper_reversed"
 
+    @pytest.mark.parametrize(
+        "planted",
+        [[-3.0, -3.0, -3.0 + 0.0015j], [k / 8.0 for k in range(-32, -25)] + [-3.625 + 0.00266j]],
+    )
+    def test_upper_root_beside_a_cluster(self, planted):
+        # roots clustered far from 0 make M (see _bezout_eigs) 1e8 or more,
+        # and a band that grows like eig_tol * M accepts both
+        p = UniPoly.from_roots(planted)
+        assert not unistab.is_stable_univariate(p)
+        assert not unistab.is_real_rooted(p)
+
+    def test_clustered_pair_that_does_not_alternate(self):
+        # roots 3.75 (double) of g against 3.625 (double) and 3.5 of f
+        f = UniPoly.from_roots([-4.0, -4.0, -3.875, -3.625, -3.625, -3.5])
+        g = UniPoly.from_roots([-4.0, -4.0, -3.875, -3.75, -3.75, -3.625])
+        assert unistab.interlacing(f, g).kind == "none"
+        assert unistab.interlacing(g, f).kind == "none"
+
     @given(st.data())
     def test_real_grid_roots_with_multiplicity(self, data):
-        p = UniPoly.from_roots(_multiset(data, _GRID, 4), lead=data.draw(_LEADS))
+        grid = _window(data).map(lambda k: k / 8.0)
+        p = UniPoly.from_roots(_multiset(data, grid, 4), lead=data.draw(_LEADS))
         assert unistab.is_real_rooted(p)
         assert unistab.is_stable_univariate(p)
 
     @given(st.data())
     def test_closed_lower_half_plane_roots_are_stable(self, data):
-        below = st.builds(lambda x, y: complex(x, -y / 8.0), _GRID, st.integers(0, 32))
+        below = st.builds(lambda k, y: complex(k, -y) / 8.0, _window(data), st.integers(0, 32))
         p = UniPoly.from_roots(_multiset(data, below, 4), lead=data.draw(_LEADS))
         assert unistab.is_stable_univariate(p)
 
     @given(st.data())
     def test_planted_upper_root(self, data):
-        # The other roots are distinct and at most three.  A cluster of k
-        # roots at radius R moves by about R (eig_tol M / m)^(1/k) under a
-        # relative coefficient change of eig_tol (see _bezout_eigs), so a
-        # planted root inside a denser cluster is not resolved by the band.
-        others = np.array(data.draw(st.lists(_GRID, max_size=3, unique=True)))
+        grid = _window(data).map(lambda k: k / 8.0)
+        others = np.array(_multiset(data, grid, 3) if data.draw(st.booleans()) else [])
         spread = np.ptp(others) if others.size else 0.0
         delta = data.draw(st.floats(1e-3, 1.0))
-        planted = complex(data.draw(_GRID), delta * (1.0 + spread))
-        p = UniPoly.from_roots(np.append(others, planted), lead=data.draw(_LEADS))
+        rts = np.append(others, complex(data.draw(grid), delta * (1.0 + spread)))
+        # Only clusters that double precision resolves.  Seen from its real
+        # centroid h and scaled by its root radius rho, the monic polynomial
+        # changes by up to kappa = eps ((|h| + rho) / rho)^d of its size
+        # when each coefficient is rounded.  As kappa nears 1, rounding alone
+        # can move the planted root across the axis, and the band's rounding
+        # term (see unistab._ROUNDING) may hide it.
+        h = rts.real.mean()
+        rho = np.abs(rts - h).max()
+        assume(np.finfo(float).eps * ((abs(h) + rho) / rho) ** rts.size <= 1e-6)
+        p = UniPoly.from_roots(rts, lead=data.draw(_LEADS))
         assert not unistab.is_stable_univariate(p)
         assert not unistab.is_real_rooted(p)
 
@@ -506,8 +541,9 @@ class TestInterlacing:
 
     @given(st.data())
     def test_kind_is_proper_exactly_when_the_roots_alternate(self, data):
-        rf, f = _grid_draw(data, data.draw(st.integers(0, 6)))
-        rg, g = _grid_draw(data, data.draw(st.integers(0, 6)))
+        grid = _window(data)
+        rf, f = _grid_draw(data, data.draw(st.integers(0, 6)), grid)
+        rg, g = _grid_draw(data, data.draw(st.integers(0, 6)), grid)
         kind = unistab.interlacing(f, g).kind
         assert kind in ("none", "identical_roots", "proper", "proper_reversed")
         assert (kind != "none") == (_alternate(rf, rg) or _alternate(rg, rf))
