@@ -34,19 +34,23 @@ together (the pencil's members; a falsifier's one f): the line rows come
 from `MultiPoly.restrict_line` on the whole block, the fiber rows from the
 coefficients in the solved variable evaluated at the base points, both of
 a basis (f itself, or the members' monomials) each member contracts.
-Batch screening only selects candidates and can never flip a verdict on
-its own.  It runs in three stages: a root-free Bezoutian test clears rows
-of degree >= 4 that provably hold no root the probe keeps (stability-mode
-lines and fibers read as (Re p, Im p): no root above the axis;
-hyperbolicity-mode real lines read as (p, p'): real, simple roots); the
-remaining rows, and every row of degree <= 3, are solved by the batched
-root engine (closed forms, and a polished closed-form start for cubics);
-vectorized cone margins then filter the fiber roots.  Every witness passes
-one acceptance check: the coefficient row that screened it is re-solved
-at scalar precision, its root polished by a single damped Newton step
-along its line or fiber (never in the full variable space), and accepted
-only if |f(z)| <= residual_tol * sum|coeff| * max(1,|z|)^deg and Im(z)
-clears an interior margin of half the sampling margin.
+Members whose rows share a probe and a degree are contracted and solved
+together, in stacked solves of at most one block of rows; each member
+then confirms its own candidates.  Batch screening only selects
+candidates and can never flip a verdict on its own.  It runs in three
+stages: a root-free Bezoutian test clears rows of degree >= 4 that
+provably hold no root the probe keeps (stability-mode lines and fibers
+read as (Re p, Im p): no root above the axis; hyperbolicity-mode real
+lines read as (p, p'): real, simple roots); the remaining rows, and every
+row of degree <= 3, are solved by the batched root engine (closed forms,
+and a polished closed-form start for cubics); vectorized cone margins
+then filter the fiber roots.  Every witness passes one acceptance check:
+the candidate's coefficient row, contracted again for a member of
+several, is re-solved at scalar precision, its root polished by a single
+damped Newton step along its line or fiber (never in the full variable
+space), and accepted only if |f(z)| <= residual_tol * sum|coeff| *
+max(1,|z|)^deg and Im(z) clears an interior margin of half the sampling
+margin.
 
 Determinism: sampling operations take an integer seed (the ``rng``
 argument).  Draw j is a pure function of (seed, j) — blocks of fixed size
@@ -320,8 +324,30 @@ def _family_basis(family):
 
 
 def _member_rows(rows: np.ndarray, w, width: int) -> np.ndarray:
-    """A member's rows from basis rows (nb, B, d): contracted with ``w``, ``width`` columns."""
-    return (rows[0] if w is None else np.tensordot(w, rows, 1))[:, :width]
+    """Rows from basis rows (nb, B, d): ``rows[0]`` for w None, else contracted with w, ``width`` columns.
+
+    w (nb,) gives one member's rows (B, width); w (c, nb) gives c members'
+    rows (c, B, width).
+    """
+    return (rows[0] if w is None else np.tensordot(w, rows, 1))[..., :width]
+
+
+def _stacked(rows: np.ndarray, members: list, weights: dict, width: int):
+    """Yield (chunk, coefficient rows) for the ``members`` sharing basis rows ``rows``.
+
+    ``rows`` (nb, n, d) are the basis rows of one probe.  A chunk of
+    members stacks each member's n rows of ``width`` columns in turn, at
+    most ``_BLOCK`` rows (``_BLOCK // n`` members), so a stacked solve is
+    no larger than a lone member's full block.  A lone member (weight
+    None) is its own expansion ``rows[0]``.
+    """
+    if weights[members[0]] is None:
+        yield members, _member_rows(rows, None, width)
+        return
+    per = max(1, _BLOCK // rows.shape[1])
+    for c in range(0, len(members), per):
+        chunk = members[c : c + per]
+        yield chunk, _member_rows(rows, np.array([weights[m] for m in chunk]), width).reshape(-1, width)
 
 
 def _confirm(f, K, p: UniPoly, ok, zero, tol, floor, start):
@@ -574,8 +600,14 @@ def _search(family, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
 
     The members share one variable tuple.  Each block is drawn, and the
     line and fiber rows of the family's basis (``_family_basis``)
-    expanded, once; every live member screens, solves and confirms its own
-    rows and leaves the family at its first witness.
+    expanded, once.  The live members are grouped by probe (the line, or
+    the fiber of coordinate k over their active coordinates) and row
+    degree; each group's rows are contracted and solved in stacked chunks
+    (``_stacked``).  A member books its candidates as (draw row, k), k =
+    -1 for the line probe (a row's fiber solves one coordinate), and
+    confirms them in draw order, the line before the fiber, each row
+    contracted again from its basis row, until its first witness, where it
+    leaves the family.
     """
     out = [Verdict(CERTIFIED_UNSTABLE, certificate="zero polynomial", seed=rng) if not f
            else Verdict(NOT_FALSIFIED, certificate="nonvanishing constant", seed=rng)
@@ -594,39 +626,54 @@ def _search(family, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
         V = probe.base(x, y)
         lines = np.stack([np.pad(r, ((0, 0), (0, width - r.shape[1])))
                           for r in (b.restrict_line(x, y) for b in basis)])
-        fiber_rows = {a: list(_fiber_rows(fibers, a, lo, V)) for a in {active[m] for m in live}}
+        expanded = {(-1, ()): (np.arange(x.shape[0]), lines)}
+        for a in {active[m] for m in live}:
+            expanded.update({(k, a): (rows, F) for k, rows, F in _fiber_rows(fibers, a, lo, V)})
+        groups = {}
         for m in live:
             f = family[m]
-            # Candidates map (row, k) to the coefficient row that screened
-            # them: k = -1 is the line probe, so sorting gives draw order
-            # with the line before the fiber.
-            hits = {}
-            line = _member_rows(lines, weights[m], f.degree + 1)
-            r = _screened_roots(line, probe.line_pairs)
-            for row in np.nonzero(np.any(probe.line_ok(r, tol), axis=1))[0]:
-                hits[int(row), -1] = line[row]
-            for k, rows, F in fiber_rows[active[m]]:
-                coeffs = _member_rows(F, weights[m], f.degree_in(k) + 1)
-                r = _screened_roots(coeffs, probe.fiber_pairs)
-                i, j = np.nonzero(probe.fiber_screen(r, tol))
-                comp = probe.fiber_zero(V[rows[i]], k, r[i, j]).imag
-                for idx in i[_screen_margins(K, comp, floor)]:
-                    hits[int(rows[idx]), k] = coeffs[idx]
-
-            for row, k in sorted(hits):
-                p = UniPoly(hits[row, k], tol=tol)
+            groups.setdefault((-1, (), f.degree), []).append(m)
+            for k in active[m]:
+                groups.setdefault((k, active[m], f.degree_in(k)), []).append(m)
+        # hits[m][row] holds the k of the row's line (-1) and fiber candidates, -2 for none
+        hits = {m: np.full((x.shape[0], 2), -2) for m in live}
+        for (k, a, deg), members in groups.items():
+            if (k, a) not in expanded:
+                continue
+            rows, basis_rows = expanded[k, a]
+            n = rows.size
+            for chunk, coeffs in _stacked(basis_rows, members, weights, deg + 1):
+                r = _screened_roots(coeffs, probe.line_pairs if k < 0 else probe.fiber_pairs)
                 if k < 0:
-                    ok, start = probe.line_ok, complex
+                    hit = np.nonzero(np.any(probe.line_ok(r, tol), axis=1))[0]
+                else:
+                    i, j = np.nonzero(probe.fiber_screen(r, tol))
+                    comp = probe.fiber_zero(V[rows[i % n]], k, r[i, j]).imag
+                    hit = i[_screen_margins(K, comp, floor)]
+                ends = np.searchsorted(hit, n * np.arange(len(chunk) + 1))
+                for s, m in enumerate(chunk):
+                    hits[m][rows[hit[ends[s] : ends[s + 1]] - s * n], int(k >= 0)] = k
+
+        for m in live:
+            f = family[m]
+            # Row-major: draw order, the line before the fiber.
+            for row, col in zip(*np.nonzero(hits[m] > -2)):
+                k = int(hits[m][row, col])
+                rows, basis_rows = expanded[k, active[m] if k >= 0 else ()]
+                at = np.searchsorted(rows, row)
+                if k < 0:
+                    cols, ok, start = f.degree + 1, probe.line_ok, complex
                     zero, cert = partial(probe.line_zero, x[row], y[row]), probe.line_cert
                 else:
-                    ok, start = probe.fiber_ok, probe.fiber_start
+                    cols, ok, start = f.degree_in(k) + 1, probe.fiber_ok, probe.fiber_start
                     zero = partial(probe.fiber_zero, V[row], k)
                     cert = probe.fiber_cert.format(var=f.var_names[k])
+                p = UniPoly(_member_rows(basis_rows[:, at : at + 1], weights[m], cols)[0], tol=tol)
                 got = _confirm(f, K, p, ok, zero, tol, floor, start)
                 if got is not None:
                     z, res = got
                     out[m] = Verdict(FALSIFIED, witness=z, certificate=cert,
-                                     samples=lo + row + 1, seed=rng, residual=res)
+                                     samples=lo + int(row) + 1, seed=rng, residual=res)
                     break
         live = [m for m in live if out[m] is None]
         if not live:
@@ -742,7 +789,8 @@ def pencil_hko_check(
     zero.  Side two: f + i g or g + i f is stable.  Both sides are probed
     by falsification at the same budget and seed; the nonzero members are
     one family of the sampling engine, so each block is drawn and expanded
-    once for all of them.  The report records each verdict and the flags.
+    once for all of them, and members of one row degree share stacked,
+    block-sized root solves.  The report records each verdict and the flags.
     """
     _require_real_pair(f, g, tol)
     _check_fit(f, K)

@@ -398,7 +398,9 @@ def _bezout_eigs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     bounds the shift's rounding.  Bez is bilinear in the row, so by Weyl a
     relative perturbation e of the monic row's coefficients moves each
     eigenvalue by about e * m * max(m, M).  Rows with a zero leading
-    coefficient or a non-finite entry get NaN eigenvalues.
+    coefficient or a non-finite entry get NaN eigenvalues.  The bits of a
+    row's eigenvalues depend on the batch size (the shift takes another
+    path up to 8 rows), far inside that bound, so a row's decision does not.
     """
     c = np.asarray(coeffs, dtype=complex)
     b, d1 = c.shape
@@ -504,8 +506,8 @@ def roots(p: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _semidefinite(rows: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, whether Bez >= 0 and whether Bez <= 0 (see :func:`_bezout_eigs`).
+def _banded_eigs(rows: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's Bezoutian eigenvalues (:func:`_bezout_eigs`) and semidefinite band.
 
     The band is ``m * (tol.eig_tol * m + _ROUNDING * max(m, M))``: eig_tol
     of the transformed row's own scale, plus what rounding each coefficient
@@ -513,7 +515,12 @@ def _semidefinite(rows: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, 
     clustered far from 0 widen the band by their rounding, not by eig_tol.
     """
     eigs, m, M = _bezout_eigs(rows)
-    band = m * (tol.eig_tol * m + _ROUNDING * np.maximum(m, M))
+    return eigs, m * (tol.eig_tol * m + _ROUNDING * np.maximum(m, M))
+
+
+def _semidefinite(rows: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, whether Bez >= 0 and whether Bez <= 0 within :func:`_banded_eigs`'s band."""
+    eigs, band = _banded_eigs(rows, tol)
     return eigs[:, 0] >= -band, eigs[:, -1] <= band
 
 
@@ -532,18 +539,22 @@ def is_stable_univariate(p: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> boo
     With p / lead = P + iQ: Bez(P, Q) >= 0 (no root off gcd(P, Q) lies
     above the axis) and Bez(P, P') >= 0 (P, hence gcd(P, Q), is
     real-rooted), both within :func:`_semidefinite`'s band, so real and
-    multiple roots need no slack.  The zero polynomial is *not* stable, by
-    convention.  Raises ``ArithmeticError`` for a non-finite coefficient.
+    multiple roots need no slack.  Bez(P, P') is formed only when Bez(P, Q)
+    lies in the band: beyond it, a definite Bez(P, Q) already has every
+    root below the axis (gcd(P, Q) = 1) and an indefinite one a root above
+    it.  The zero polynomial is *not* stable, by convention.  Raises
+    ``ArithmeticError`` for a non-finite coefficient.
     """
     if not p:
         return False
     if p.degree == 0:
         return True
     c = _row(p, p.degree + 1) / p.lead
-    rows = _with_derivative(c.real)
     if c.imag.any():
-        rows = np.concatenate([c, rows])
-    return bool(_semidefinite(rows, tol)[0].all())
+        eigs, band = _banded_eigs(c, tol)
+        if abs(eigs[0, 0]) > band[0]:
+            return bool(eigs[0, 0] > 0)
+    return bool(_semidefinite(_with_derivative(c.real), tol)[0][0])
 
 
 def is_real_rooted(p: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> bool:

@@ -16,7 +16,7 @@ Expected values come from hand analysis of small instances:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conicstab import constab
@@ -502,20 +502,48 @@ class TestPencil:
 
 
 @st.composite
-def _real_pencil_pairs(draw):
-    """A real pair of degree <= 3 on orthant(2), orthant(3) or PSD(2)."""
+def _real_pencil_pairs(draw, top=3, low=0):
+    """A real pair of degree <= ``top`` on orthant(2), orthant(3) or PSD(2).
+
+    With ``low`` > 0, f has a term of degree ``low`` or more.
+    """
     K, names = draw(st.sampled_from([
         (Orthant(2), ("z1", "z2")), (Orthant(3), ("z1", "z2", "z3")), (PSD(2), MATRIX_VARS),
     ]))
-    exps = [e for e in np.ndindex(*[4] * len(names)) if sum(e) <= 3]
+    exps = [e for e in np.ndindex(*[top + 1] * len(names)) if sum(e) <= top]
 
-    def poly():
+    def poly(lead=()):
         support = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=5, unique=True))
+        support = list(dict.fromkeys(list(lead) + support))
         coeffs = draw(st.lists(st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 0.05),
                                min_size=len(support), max_size=len(support)))
         return MultiPoly(names, dict(zip(support, coeffs)))
 
-    return poly(), poly(), K
+    lead = [draw(st.sampled_from([e for e in exps if sum(e) >= low]))] if low else []
+    return poly(lead), poly(), K
+
+
+@pytest.mark.xfail(strict=True, reason="real roots of multiplicity >= 4 in all, split off "
+                   "the axis by rounding, pass the witness test")
+@pytest.mark.parametrize("f,K", [("z3^4", Orthant(3)), ("z1^2*z2^3", Orthant(2))])
+def test_monomial_of_degree_four_or_more_is_not_falsified(f, K):
+    # A monomial vanishes only where a coordinate does, so it is stable on
+    # the orthant.  z3^4's accepted witness has Im z3 ~ 9e-4 and |f| ~ 6e-13.
+    names = ("z1", "z2", "z3")[: K.dim]
+    v = falsify_k_stability(parse(f, var_names=names), K, n_samples=2_049, rng=2_049)
+    assert v.status == NOT_FALSIFIED
+
+
+def _monomial_quartic_member(f, g, grid):
+    """A monomial of degree >= 4 divides a nonzero member lam*f + mu*g of the grid.
+
+    Such a member's verdict hangs on rounding: its line rows have real
+    roots of multiplicity >= 4 in all, which cluster where they meet; a
+    solve splits them about 1e-3 off the axis, and the witness test
+    accepts a split root (``test_monomial_of_degree_four_or_more_is_not_falsified``).
+    """
+    members = [p for p in (f.scale(lam) + g.scale(mu) for lam, mu in grid) if p]
+    return any(sum(min(e[k] for e in p.terms) for k in range(p.nvars)) >= 4 for p in members)
 
 
 # Every fourth direction of the default grid: 0, 45, 90 and 135 degrees among them.
@@ -530,7 +558,9 @@ class TestPencilFamily:
     1.1e-16), drop f's degree at 90 degrees (lam = 6e-17), and make thin
     slivers (``_sliver``) whose members are falsified at draws 38, 160 and
     2,217 of the 4,500 budget, so members leave the family in different
-    blocks while others stay to the end.
+    blocks while others stay to the end.  Pairs of degree 4-5 send their
+    stacked rows through the Bezoutian screen, and the default grid at 600
+    draws stacks several members into each solve.
     """
 
     @settings(max_examples=8)
@@ -547,6 +577,44 @@ class TestPencilFamily:
     def test_explicit_pairs(self, f, g, names, K, budget):
         self._check(parse(f, var_names=names), parse(g, var_names=names), K, budget)
 
+    # A member's witness moves with the rounding of its rows, far more at a
+    # multiple root (3e-9 relative for z1^4 - z1^2*z2^3 before rows were
+    # stacked), so these compare (status, samples, certificate).
+    @settings(max_examples=4)
+    @given(_real_pencil_pairs(top=5, low=4), st.sampled_from([600, 2_049]))
+    def test_degree_four_and_five_members_match(self, pair, budget):
+        assume(not _monomial_quartic_member(*pair[:2], _GRID8))
+        self._check(*pair, budget, witness=False)
+
+    @settings(max_examples=4)
+    @given(_real_pencil_pairs())
+    def test_default_grid_members_match(self, pair):
+        self._check(*pair, 600, grid=None, witness=False)
+
+    @pytest.mark.parametrize("budget", [600, 4_500])
+    def test_stacked_solves_stay_block_sized(self, budget, monkeypatch):
+        # Every root solve, stacked or not, is at most one block of rows;
+        # at 600 draws three line or six fiber blocks fit in one, so the
+        # pencil makes fewer solves than one per member and probe.
+        sizes, inside = [], []
+        solve, falsify = constab._roots_batch, constab.falsify_k_stability
+
+        def lone(*a, **k):
+            inside.append(1)
+            try:
+                return falsify(*a, **k)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(constab, "_roots_batch",
+                            lambda c: sizes.append((len(c), bool(inside))) or solve(c))
+        monkeypatch.setattr(constab, "falsify_k_stability", lone)
+        rep = pencil_hko_check(parse("z1^2 + z2"), parse("z1*z2 - 1"), Orthant(2), n_samples=budget)
+        assert max(n for n, _ in sizes) <= constab._BLOCK
+        if budget == 600:
+            members = sum(e.verdict is not None for e in rep.entries)
+            assert sum(not lone_call for _, lone_call in sizes) < members * 3
+
     def test_explicit_members_lose_a_variable_and_a_degree(self):
         (lam, mu), (lam2, mu2) = _GRID8[2], _GRID8[4]
         assert (parse("z1 + z2").scale(lam) + parse("z1 - z2").scale(mu)).degree_in(1) == 0
@@ -554,10 +622,10 @@ class TestPencilFamily:
         assert (f.scale(lam2) + g.scale(mu2)).degree == 1
 
     @staticmethod
-    def _check(f, g, K, budget):
+    def _check(f, g, K, budget, grid=_GRID8, witness=True):
         if not f and not g:
             return
-        rep = pencil_hko_check(f, g, K, grid=_GRID8, n_samples=budget, rng=budget)
+        rep = pencil_hko_check(f, g, K, grid=grid, n_samples=budget, rng=budget)
         for e in rep.entries:
             member = f.scale(e.lam) + g.scale(e.mu)
             if e.zero:
@@ -566,7 +634,7 @@ class TestPencilFamily:
             v = falsify_k_stability(member, K, n_samples=budget, rng=budget)
             got = e.verdict
             assert (got.status, got.samples, got.certificate) == (v.status, v.samples, v.certificate)
-            if v.witness is not None:
+            if witness and v.witness is not None:
                 np.testing.assert_allclose(got.witness, v.witness, rtol=1e-9,
                                            atol=1e-9 * np.max(np.abs(v.witness)))
 

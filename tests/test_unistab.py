@@ -295,6 +295,60 @@ class TestBezoutScreen:
                 assert not unistab._clears_lower(broken[np.newaxis, :])[0]
 
 
+# Rows that Aberth leaves unconverged, so _roots_batch retries them from
+# companion eigenvalues; from degree 5 the wide random rows below do too.
+_RETRY_ROWS = {
+    3: [7.44e-05, -1.36e-05, -1.88, -1.36e-07],
+    4: [0.044 - 0.011j, 7.0e9 - 3.2e11j, -5.2e10 - 2.5e10j, -2.1e-06 + 9.5e-07j, 2.6e-12 + 4.6e-13j],
+}
+
+
+class TestBatchRowIndependence:
+    """A row's roots and screen decision do not depend on its batch-mates.
+
+    The samplers stack the rows of many pencil members into one call, so a
+    member must get what it would get alone.
+    """
+
+    @staticmethod
+    def _rows(deg):
+        gen = np.random.default_rng(40 + deg)
+        c = gen.standard_normal((60, deg + 1)) + 1j * gen.standard_normal((60, deg + 1))
+        c[20:40] *= 10.0 ** gen.uniform(-12, 12, (20, deg + 1))  # wide ranges
+        c[40:50, 0] = 0.0  # exact-zero constants: the split-off root 0 from degree 3
+        c[50, -1] = 0.0  # a zero leading coefficient
+        return np.concatenate([c, [_RETRY_ROWS.get(deg, c[0])]])
+
+    @pytest.mark.parametrize("deg", range(1, 9))
+    def test_roots_are_bit_identical_alone_in_chunks_and_in_the_batch(self, deg, monkeypatch):
+        retries = []
+        polish = unistab._companion_polished
+        monkeypatch.setattr(unistab, "_companion_polished", lambda c: retries.append(1) or polish(c))
+        c = self._rows(deg)
+        full = unistab._roots_batch(c)
+        assert (len(retries) > 0) == (deg >= 3)
+        for chunk in (1, 7, 25):
+            parts = [unistab._roots_batch(c[i : i + chunk]) for i in range(0, len(c), chunk)]
+            assert np.array_equal(np.concatenate(parts), full, equal_nan=True)
+
+    @pytest.mark.parametrize("deg", range(1, 7))
+    def test_screen_decides_each_row_alone(self, deg):
+        # Roots below the axis, one of them within 1e-3 to 1 of it, and a
+        # quarter of the rows with a root above.  Batches of up to 8 rows
+        # shift by another path, which moves eigenvalue bits but no
+        # decision.  (From degree 7 the screen clears almost no row.)
+        gen = np.random.default_rng(80 + deg)
+        r = gen.uniform(-1, 1, (200, deg)) - 1j * gen.uniform(0.5, 1.5, (200, deg))
+        r[:, 0] = r[:, 0].real - 1j * 10.0 ** gen.uniform(-3, 0, 200)
+        r[150:, -1] = r[150:, -1].conj()
+        c = np.array([np.poly(row)[::-1] for row in r])
+        full = unistab._clears_lower(c)
+        assert full.any() and not full.all()
+        for chunk in (1, 5, 8, 9, 64):
+            parts = [unistab._clears_lower(c[i : i + chunk]) for i in range(0, len(c), chunk)]
+            assert np.array_equal(np.concatenate(parts), full)
+
+
 class TestStability:
     def test_lower_root_is_stable(self):
         assert unistab.is_stable_univariate(poly(1j, 1.0))  # t + i, root -i
@@ -313,6 +367,19 @@ class TestStability:
 
     def test_t_squared_plus_one_unstable(self):
         assert not unistab.is_stable_univariate(poly(1.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("roots,rows,stable", [
+        ([-1j, 1 - 2j, -0.5 - 0.3j], [1], True),  # Bez(P, Q) definite
+        ([1j, 1 - 2j, -0.5 - 0.3j], [1], False),  # Bez(P, Q) indefinite
+        ([-1j, 1.0, -0.5 - 0.3j], [1, 1], True),  # a real root: Bez(P, Q) singular
+        ([1.0, 2.0, 2.0], [1], True),  # real p: only Bez(P, P')
+    ])
+    def test_derivative_row_only_inside_the_band(self, roots, rows, stable, monkeypatch):
+        calls = []
+        eigs = unistab._bezout_eigs
+        monkeypatch.setattr(unistab, "_bezout_eigs", lambda c: calls.append(len(c)) or eigs(c))
+        assert unistab.is_stable_univariate(UniPoly.from_roots(roots, lead=2 - 1j)) == stable
+        assert calls == rows
 
     def test_real_rooted(self):
         assert unistab.is_real_rooted(poly(-1.0, 0.0, 1.0))
