@@ -324,10 +324,10 @@ def _family_basis(family):
 
 
 def _member_rows(rows: np.ndarray, w, width: int) -> np.ndarray:
-    """Rows from basis rows (nb, B, d): ``rows[0]`` for w None, else contracted with w, ``width`` columns.
+    """Rows of ``width`` columns from basis rows (nb, B, d).
 
-    w (nb,) gives one member's rows (B, width); w (c, nb) gives c members'
-    rows (c, B, width).
+    ``rows[0]`` for w None; else contracted with w: w (nb,) gives one
+    member's rows (B, width), w (c, nb) those of c members (c, B, width).
     """
     return (rows[0] if w is None else np.tensordot(w, rows, 1))[..., :width]
 
@@ -347,7 +347,8 @@ def _stacked(rows: np.ndarray, members: list, weights: dict, width: int):
     per = max(1, _BLOCK // rows.shape[1])
     for c in range(0, len(members), per):
         chunk = members[c : c + per]
-        yield chunk, _member_rows(rows, np.array([weights[m] for m in chunk]), width).reshape(-1, width)
+        W = np.array([weights[m] for m in chunk])
+        yield chunk, _member_rows(rows, W, width).reshape(-1, width)
 
 
 def _confirm(f, K, p: UniPoly, ok, zero, tol, floor, start):

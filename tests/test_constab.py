@@ -609,7 +609,8 @@ class TestPencilFamily:
         monkeypatch.setattr(constab, "_roots_batch",
                             lambda c: sizes.append((len(c), bool(inside))) or solve(c))
         monkeypatch.setattr(constab, "falsify_k_stability", lone)
-        rep = pencil_hko_check(parse("z1^2 + z2"), parse("z1*z2 - 1"), Orthant(2), n_samples=budget)
+        f, g = parse("z1^2 + z2"), parse("z1*z2 - 1")
+        rep = pencil_hko_check(f, g, Orthant(2), n_samples=budget)
         assert max(n for n, _ in sizes) <= constab._BLOCK
         if budget == 600:
             members = sum(e.verdict is not None for e in rep.entries)

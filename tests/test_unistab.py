@@ -299,7 +299,8 @@ class TestBezoutScreen:
 # companion eigenvalues; from degree 5 the wide random rows below do too.
 _RETRY_ROWS = {
     3: [7.44e-05, -1.36e-05, -1.88, -1.36e-07],
-    4: [0.044 - 0.011j, 7.0e9 - 3.2e11j, -5.2e10 - 2.5e10j, -2.1e-06 + 9.5e-07j, 2.6e-12 + 4.6e-13j],
+    4: [0.044 - 0.011j, 7.0e9 - 3.2e11j, -5.2e10 - 2.5e10j, -2.1e-06 + 9.5e-07j,
+        2.6e-12 + 4.6e-13j],
 }
 
 
@@ -323,7 +324,8 @@ class TestBatchRowIndependence:
     def test_roots_are_bit_identical_alone_in_chunks_and_in_the_batch(self, deg, monkeypatch):
         retries = []
         polish = unistab._companion_polished
-        monkeypatch.setattr(unistab, "_companion_polished", lambda c: retries.append(1) or polish(c))
+        monkeypatch.setattr(unistab, "_companion_polished",
+                            lambda c: retries.append(1) or polish(c))
         c = self._rows(deg)
         full = unistab._roots_batch(c)
         assert (len(retries) > 0) == (deg >= 3)
