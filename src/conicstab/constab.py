@@ -293,14 +293,16 @@ def _fiber_rows(fibers: dict, active, lo: int, V: np.ndarray):
     coefficients in z_k; draw ``lo + row`` solves coordinate
     ``active[(lo + row) mod #active]``.  Yields ``(k, rows, F)``: ``F[j, i]``
     are the ascending coefficients of basis polynomial j's fiber at
-    ``V[rows[i]]``.
+    ``V[rows[i]]``.  The coefficients are evaluated on the base points'
+    contiguous columns (draws-last), shared by every coefficient of k.
     """
     ks_local = (lo + np.arange(V.shape[0])) % len(active)
+    Vt = np.ascontiguousarray(V.T)
     for ki, k in enumerate(active):
         rows = np.nonzero(ks_local == ki)[0]
         if rows.size == 0:
             continue
-        W = np.delete(V[rows], k, axis=1)
+        W = np.ascontiguousarray(np.delete(Vt, k, axis=0)[:, rows]).T
         F = np.zeros((len(fibers[k]), rows.size, max(map(len, fibers[k]))), dtype=complex)
         for j, cs in enumerate(fibers[k]):
             for col, c in enumerate(cs):

@@ -5,8 +5,9 @@ fixed, named variable tuple.  The module provides the exact operations the
 stability pipeline needs — line restriction ``t -> f(x + t y)``, partial
 substitution, directional derivatives and Wronskians, splitting into real
 and imaginary coefficient parts — plus a small expression parser and a
-JSON wire format.  Evaluation and line restriction are one grouped Horner
-recursion (``_horner``) over the variable order, on scalars or on rows.
+JSON wire format.  Evaluation and line restriction run one grouped Horner
+program (``_horner``) over the variable order, on scalars or on rows; each
+polynomial compiles its program once (``_horner_plan``) and keeps it.
 
 :class:`MatrixVarIndex` fixes the flat ordering of the upper triangle of a
 symmetric matrix variable (row-major: z11, z12, ..., z1n, z22, ...), which
@@ -55,10 +56,12 @@ class MultiPoly:
     tol.coeff_zero_tol`` are dropped, so the zero polynomial has an empty
     term map and ``bool(p)`` is its nonzeroness test.  All binary
     operations require identical variable tuples — aligning different
-    variable universes is the caller's job, not a silent guess.
+    variable universes is the caller's job, not a silent guess.  The first
+    evaluation or restriction compiles the grouped Horner program of the
+    terms and keeps it, so the term map is not changed after construction.
     """
 
-    __slots__ = ("var_names", "terms")
+    __slots__ = ("var_names", "terms", "_plan")
 
     def __init__(self, var_names, terms, tol: ToleranceProfile = DEFAULT_TOL):
         names = tuple(str(v) for v in var_names)
@@ -74,6 +77,13 @@ class MultiPoly:
             clean[e] = c
         self.var_names = names
         self.terms = {e: c for e, c in clean.items() if abs(c) > tol.coeff_zero_tol}
+        self._plan = None
+
+    def _horner_program(self) -> tuple:
+        """The grouped Horner program of the terms, compiled on first use."""
+        if self._plan is None:
+            self._plan = _horner_plan(list(self.terms.items()), self.nvars)
+        return self._plan
 
     # -- queries ---------------------------------------------------------
 
@@ -208,8 +218,10 @@ class MultiPoly:
     def __call__(self, point):
         """Evaluate at a point (length-n sequence) or batch (shape (B, n)).
 
-        The grouped Horner recursion (``_horner``) with scalar
-        coefficient-sum leaves and the step ``v * z_k**a``.
+        The grouped Horner program (``_horner``) with scalar
+        coefficient-sum leaves and the step ``v * z_k**a``, each power
+        formed once per call; a batch runs on contiguous columns z_k of
+        length B.
         """
         pt = np.asarray(point, dtype=complex)
         batch = pt.ndim == 2
@@ -217,10 +229,19 @@ class MultiPoly:
             not batch and pt.shape != (self.nvars,)
         ):
             raise ValueError(f"point shape {pt.shape} does not fit {self.nvars} variables")
-        cols = pt.T if batch else pt
-        val = _horner(list(self.terms.items()), 0, lambda c: c, lambda v, k, a: v * cols[k] ** a)
+        cols = np.ascontiguousarray(pt.T) if batch else pt
+        powers = {}
+
+        def step(v, k, a):
+            if (k, a) not in powers:
+                powers[k, a] = cols[k] ** a
+            return v * powers[k, a]
+
+        val = _horner(self._horner_program(), lambda c: c, step)
         if batch:
-            return np.broadcast_to(val, (pt.shape[0],)).astype(complex)
+            out = np.empty(pt.shape[0], dtype=complex)
+            out[:] = val
+            return out
         return complex(val)
 
     def restrict_line(self, x, y, tol: ToleranceProfile = DEFAULT_TOL) -> UniPoly | np.ndarray:
@@ -228,10 +249,11 @@ class MultiPoly:
 
         ``x`` and ``y`` are real vectors (shape (n,)), giving a
         :class:`UniPoly` trimmed at ``tol``, or batches (shape (B, n)),
-        giving the untrimmed ascending coefficient rows, shape
-        (B, deg+1).  The grouped Horner recursion (``_horner``) runs on
-        rows: leaves c t^0, and steps multiplying by ``x_k + t y_k`` by
-        shift-and-add, whose top column is exactly zero until the last factor.
+        giving the untrimmed ascending coefficient rows, a new (B, deg+1)
+        array.  The grouped Horner program (``_horner``) runs draws-last,
+        on (deg+1, B) coefficient columns: leaves c t^0, and steps
+        multiplying by ``x_k + t y_k`` by shift-and-add over whole rows of
+        B draws, whose top row is exactly zero until the last factor.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -239,17 +261,20 @@ class MultiPoly:
         if x.shape != y.shape or x.shape[-1:] != (self.nvars,) or x.ndim != 1 + batch:
             raise ValueError("offset/direction shapes must match (n,) or (B, n)")
         xs, ys = (x, y) if batch else (x[np.newaxis], y[np.newaxis])
-        e0 = np.eye(1, max(self.degree, 0) + 1, dtype=complex)
+        # complex, as the products below would cast them on every call
+        xt, yt = (np.ascontiguousarray(a.T, dtype=complex) for a in (xs, ys))
+        e0 = np.eye(max(self.degree, 0) + 1, 1, dtype=complex)
 
         def step(v, k, a):
             for _ in range(a):
-                w = v * xs[:, k : k + 1]
-                w[:, 1:] += v[:, :-1] * ys[:, k : k + 1]
+                w = v * xt[k]
+                w[1:] += v[:-1] * yt[k]
                 v = w
             return v
 
-        out = np.zeros((xs.shape[0], e0.shape[1]), dtype=complex)
-        out += _horner(list(self.terms.items()), 0, lambda c: c * e0, step)
+        out = np.zeros((xt.shape[1], e0.shape[0]), dtype=complex)
+        rows = out.T  # the (B, deg+1) result, filled through its draws-last view
+        rows += _horner(self._horner_program(), lambda c: c * e0, step)
         return out if batch else UniPoly(out[0], tol=tol)
 
     def substitute_partial(self, assignments: dict[int, complex]) -> "MultiPoly":
@@ -330,26 +355,65 @@ class MultiPoly:
         return MultiPoly(tuple(data["vars"]), terms)
 
 
-def _horner(items, k, leaf, step):
-    """Grouped Horner sum of the (exponent, coefficient) ``items`` over z_k, z_k+1, ...
+# Instructions of a Horner program: push leaf(c); multiply the top value by
+# z_k**a; add the top value to the one below it.
+_LEAF, _STEP, _ADD = range(3)
+
+
+def _horner_plan(items, n: int) -> tuple:
+    """Compile the grouped Horner sum of (exponent, coefficient) ``items`` over z_0..z_n-1.
 
     Groups by the exponent of z_k, highest first, sums each group over the
-    later variables, and combines the groups as ``step(v, k, gap) + next``.
-    ``leaf`` maps a coefficient sum (0 for no items) to a value, and
-    ``step(v, k, a)`` multiplies a value by ``z_k**a``.
+    later variables, and combines the groups as ``step(v, k, gap) + next``,
+    stepping the last group by its own exponent.  Returns the postfix
+    program of (op, k or coefficient sum, a) that ``_horner`` runs: the
+    operations of that recursion, in its order.  A level where every
+    exponent is 0 has one group and no step, so it gives no instruction
+    and is skipped when compiling too.
     """
-    if not items or k == len(items[0][0]):
-        return leaf(sum(c for _, c in items))
+    program: list = []
+    _emit(items, 0, n, program)
+    return tuple(program)
+
+
+def _emit(items, k: int, n: int, program: list) -> None:
+    while k < n and not any(e[k] for e, _ in items):
+        k += 1
+    if k == n:
+        program.append((_LEAF, sum(c for _, c in items), 0))
+        return
     groups: dict[int, list] = {}
     for e, c in items:
         groups.setdefault(e[k], []).append((e, c))
     exps = sorted(groups, reverse=True)
-    val = _horner(groups[exps[0]], k + 1, leaf, step)
+    _emit(groups[exps[0]], k + 1, n, program)
     for hi, lo in zip(exps, exps[1:]):
-        val = step(val, k, hi - lo) + _horner(groups[lo], k + 1, leaf, step)
+        program.append((_STEP, k, hi - lo))
+        _emit(groups[lo], k + 1, n, program)
+        program.append((_ADD, 0, 0))
     if exps[-1]:
-        val = step(val, k, exps[-1])
-    return val
+        program.append((_STEP, k, exps[-1]))
+
+
+def _horner(program, leaf, step):
+    """The grouped Horner sum of a polynomial, from its compiled ``program``.
+
+    Runs the postfix program of ``_horner_plan`` on a stack: ``leaf`` maps
+    a coefficient sum (0 for the zero polynomial) to a value, ``step(v, k,
+    a)`` multiplies a value by ``z_k**a``, and an add adds the top value to
+    the one below it.  Each instruction is one operation on whole values
+    (scalars, or the rows of a batch); no variable level is walked.
+    """
+    stack = []
+    for op, arg, a in program:
+        if op == _LEAF:
+            stack.append(leaf(arg))
+        elif op == _STEP:
+            stack[-1] = step(stack[-1], arg, a)
+        else:
+            v = stack.pop()
+            stack[-1] = stack[-1] + v
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------

@@ -159,15 +159,20 @@ class InterlaceReport:
 
 
 def _horner_batch(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Values at ``z`` (m, B) of the ascending coefficient columns ``coeffs`` (d+1, B).
+
+    Draws-last: column i of ``z`` holds the points of polynomial i, and each
+    Horner step is one operation on whole rows of B draws.
+    """
     val = np.zeros_like(z)
-    for j in range(coeffs.shape[1] - 1, -1, -1):
-        val = val * z + coeffs[:, j : j + 1]
+    for c in coeffs[::-1]:
+        val = val * z + c
     return val
 
 
 def _batch_quadratic(c: np.ndarray) -> np.ndarray:
     """Roots of c0 + c1 t + c2 t^2 rows, cancellation-safe."""
-    c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
+    c0, c1, c2 = np.ascontiguousarray(c.T)
     disc = c1 * c1 - 4.0 * c2 * c0
     sq = np.sqrt(disc.astype(complex))
     # pick the sign that enlarges |c1 + sq| to avoid cancellation
@@ -177,7 +182,7 @@ def _batch_quadratic(c: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         r1 = np.where(q != 0, q / c2, 0.0)
         r2 = np.where(q != 0, c0 / q, 0.0)
-    return np.stack([r1, r2], axis=1)
+    return np.stack([r1, r2]).T
 
 
 def _batch_cubic(c: np.ndarray) -> np.ndarray:
@@ -187,17 +192,19 @@ def _batch_cubic(c: np.ndarray) -> np.ndarray:
     ``u w^k - p / (3 u w^k)`` for the cube roots of unity w^k and u^3 =
     -q/2 + sqrt(q^2/4 + p^3/27).  The sign of the square root is the one
     that enlarges |u^3|, so u is not lost to cancellation; u = 0 only for
-    the triple root s = 0.
+    the triple root s = 0.  Computed draws-last; the (B, 3) result is a
+    view of a (3, B) array.
     """
-    a, b, c0 = (c[:, j] / c[:, 3] for j in (2, 1, 0))
+    ct = np.ascontiguousarray(c.T)
+    a, b, c0 = (ct[j] / ct[3] for j in (2, 1, 0))
     p = b - a * a / 3.0
     q = c0 - a * b / 3.0 + 2.0 * a * a * a / 27.0
     sq = np.sqrt(0.25 * q * q + p * p * p / 27.0)
     sq = np.where(np.real(np.conj(q) * sq) > 0.0, -sq, sq)
     u = (sq - 0.5 * q) ** (1.0 / 3.0)
     v = np.divide(-p, 3.0 * u, out=np.zeros_like(u), where=u != 0)
-    w = np.exp(2j * np.pi * np.arange(3) / 3)
-    return u[:, np.newaxis] * w + v[:, np.newaxis] * w.conj() - a[:, np.newaxis] / 3.0
+    w = np.exp(2j * np.pi * np.arange(3) / 3)[:, np.newaxis]
+    return (u * w + v * w.conj() - a / 3.0).T
 
 
 # Aberth starts within rounding of each other (eps times the row's largest
@@ -211,17 +218,21 @@ _START_GAP = 2.0**-26
 
 
 def _separated(z: np.ndarray) -> np.ndarray:
-    """``z`` with coincident starts of a row moved apart (see _START_GAP)."""
-    d = z.shape[1]
+    """Starts ``z`` (d, B), draws-last, with coincident starts of a row
+    moved apart (see _START_GAP)."""
+    d = z.shape[0]
     if d < 2:
         return z
     eps = np.finfo(float).eps
-    scale = np.maximum(np.max(np.abs(z), axis=1), eps)
-    i, j = np.triu_indices(d, 1)
-    close = np.min(np.abs(z[:, i] - z[:, j]), axis=1) <= eps * scale
+    scale = np.maximum(np.max(np.abs(z), axis=0), eps)
+    gap = np.full(z.shape[1], np.inf)
+    for j in range(d):
+        for k in range(j + 1, d):
+            np.minimum(gap, np.abs(z[j] - z[k]), out=gap)
+    close = gap <= eps * scale
     if close.any():
         spread = np.exp(1j * (2.0 * np.pi * (np.arange(d) + 0.5) / d + 0.43))
-        z[close] += _START_GAP * scale[close, np.newaxis] * spread
+        z[:, close] += _START_GAP * scale[close] * spread[:, np.newaxis]
     return z
 
 
@@ -248,35 +259,46 @@ def _aberth_batch(
     (z, converged) : tuple
         Root estimates, shape (B, d), and a per-row convergence flag based
         on a backward-stable residual test.
+
+    The iteration runs draws-last, on (d, B) arrays, so each operation
+    spans the whole batch.  The Aberth sum over the other starts is
+    accumulated start by start in a fixed order, so a row's roots do not
+    depend on its batch-mates.
     """
     b, d1 = coeffs.shape
     d = d1 - 1
-    monic = coeffs / coeffs[:, -1:]
-    dcoeffs = monic[:, 1:] * np.arange(1, d + 1)[np.newaxis, :]
+    ct = np.ascontiguousarray(coeffs.T)
+    monic = ct / ct[-1]
+    dcoeffs = monic[1:] * np.arange(1, d + 1)[:, np.newaxis]
 
     if start is None:
-        radius = 1.0 + np.max(np.abs(monic[:, :-1]), axis=1)
+        radius = 1.0 + np.max(np.abs(monic[:-1]), axis=0)
         angles = 2.0 * np.pi * (np.arange(d) + 0.5) / d + 0.43
-        z = radius[:, np.newaxis] * np.exp(1j * angles)[np.newaxis, :]
+        z = radius * np.exp(1j * angles)[:, np.newaxis]
     else:
-        z = _separated(start.astype(complex))
+        z = _separated(np.array(start.T, dtype=complex, order="C"))
 
     eps = np.finfo(float).eps
+    moduli = np.abs(monic)
     active = np.ones(b, dtype=bool)
     for _ in range(max_iter):
-        za = z[active]
-        ca = monic[active]
-        pv = _horner_batch(ca, za)
-        dv = _horner_batch(dcoeffs[active], za)
+        cols = slice(None) if active.all() else active
+        za = z[:, cols]
+        pv = _horner_batch(monic[:, cols], za)
+        dv = _horner_batch(dcoeffs[:, cols], za)
         # residual scale: sum |c_j| |z|^j, evaluated by Horner on moduli
-        sv = _horner_batch(np.abs(ca), np.abs(za).astype(complex)).real
+        sv = _horner_batch(moduli[:, cols], np.abs(za))
         tiny = dv == 0
         if np.any(tiny):
             dv = np.where(tiny, eps, dv)
         w = pv / dv
-        diff = za[:, :, np.newaxis] - za[:, np.newaxis, :]
-        np.einsum("kii->ki", diff)[...] = 1.0
-        s = np.sum(1.0 / diff, axis=2) - 1.0  # subtract the diagonal 1/1 terms
+        # s_j = sum over k != j of 1 / (z_j - z_k), in increasing k
+        s = np.zeros_like(za)
+        for j in range(d):
+            for k in range(j + 1, d):
+                r = 1.0 / (za[j] - za[k])
+                s[j] += r
+                s[k] -= r
         denom = 1.0 - w * s
         small = np.abs(denom) < 1e-290
         denom = np.where(small, 1.0, denom)
@@ -284,8 +306,8 @@ def _aberth_batch(
         # A root whose residual is rounding noise stays put: near a
         # multiple root a step built from that noise can throw it far off.
         settled = np.abs(pv) <= 16.0 * eps * np.maximum(sv, eps)
-        done_rows = np.all(settled | (np.abs(step) <= 4.0 * eps * (1.0 + np.abs(za))), axis=1)
-        z[active] = np.where(settled, za, za - step)
+        done_rows = np.all(settled | (np.abs(step) <= 4.0 * eps * (1.0 + np.abs(za))), axis=0)
+        z[:, cols] = np.where(settled, za, za - step)
         still = np.flatnonzero(active)
         active[still[done_rows]] = False
         if not active.any():
@@ -293,9 +315,9 @@ def _aberth_batch(
 
     # final residual verdict per row
     pv = _horner_batch(monic, z)
-    sv = _horner_batch(np.abs(monic), np.abs(z).astype(complex)).real
-    converged = np.all(np.abs(pv) <= 1e6 * eps * np.maximum(sv, eps), axis=1)
-    return z, converged
+    sv = _horner_batch(moduli, np.abs(z))
+    converged = np.all(np.abs(pv) <= 1e6 * eps * np.maximum(sv, eps), axis=0)
+    return z.T, converged
 
 
 def _closed_form(coeffs: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conicstab import constab
+from conicstab import constab, poly
 from conicstab.cones import Orthant, Polyhedral, PSD, product
 from conicstab.constab import (
     CERTIFIED_STABLE,
@@ -1053,3 +1053,117 @@ class TestBezoutScreen:
         v = falsify_k_stability(f, Orthant(2), n_samples=4_096, rng=3)
         assert (v.status, v.samples) == (NOT_FALSIFIED, 4_096)
         assert sum(rows) < 8_192 // 2
+
+
+# ---------------------------------------------------------------------------
+# The expansion layer: restriction rows, batch values and fiber rows
+# ---------------------------------------------------------------------------
+
+
+def _bits(a):
+    """The IEEE bits of a complex array: equal bits, not merely equal values."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+class TestExpansionRowIndependence:
+    """A draw's expansion does not depend on the other draws of its block.
+
+    The expansion kernels run draws-last, one operation per Horner step
+    over the whole block, so a draw's restriction row, batch value and
+    fiber coefficient rows must be the bits it gets alone, in any chunk
+    and in the full block (as ``TestBatchRowIndependence`` asks of the
+    batched roots).
+    """
+
+    @staticmethod
+    def _case(deg):
+        """Two polynomials of degree ``deg`` in 4 variables and 60 draws.
+
+        One has real coefficients, the other complex ones; both hold a
+        constant and a top-degree term.  Some draws have exact-zero
+        coordinates, one a zero direction, so signed zeros and vanishing
+        top coefficients occur.
+        """
+        gen = np.random.default_rng(70 + deg)
+        names = ("z1", "z2", "z3", "z4")
+        polys = []
+        for complex_coeffs in (False, True):
+            terms = {(0, 0, 0, 0): 1.5, (deg, 0, 0, 0): -0.5}
+            for _ in range(8):
+                e = np.bincount(gen.integers(0, 4, gen.integers(1, deg + 1)), minlength=4)
+                terms[tuple(e)] = complex(gen.normal(), gen.normal() if complex_coeffs else 0.0)
+            polys.append(MultiPoly(names, terms))
+        X, Y = gen.normal(size=(60, 4)), gen.normal(size=(60, 4))
+        X[::5, 0] = 0.0
+        Y[::3, 2] = 0.0
+        Y[7] = 0.0
+        return polys, X, Y
+
+    @staticmethod
+    def _chunked(fn, n, chunk):
+        return [fn(slice(i, i + chunk)) for i in range(0, n, chunk)]
+
+    @pytest.mark.parametrize("deg", range(1, 7))
+    def test_restriction_rows(self, deg):
+        polys, X, Y = self._case(deg)
+        for p in polys:
+            full = p.restrict_line(X, Y)
+            assert full.shape == (60, deg + 1) and full.flags.writeable
+            for chunk in (1, 7, 25):
+                parts = self._chunked(lambda s: p.restrict_line(X[s], Y[s]), 60, chunk)
+                assert np.array_equal(_bits(np.concatenate(parts)), _bits(full))
+
+    @pytest.mark.parametrize("deg", range(1, 7))
+    def test_batch_values(self, deg):
+        polys, X, Y = self._case(deg)
+        Z = X + 1j * Y
+        for p in polys:
+            full = p(Z)
+            for chunk in (1, 7, 25):
+                parts = self._chunked(lambda s: p(Z[s]), 60, chunk)
+                assert np.array_equal(_bits(np.concatenate(parts)), _bits(full))
+
+    @pytest.mark.parametrize("deg", range(1, 7))
+    def test_fiber_rows(self, deg):
+        polys, X, Y = self._case(deg)
+        V = X + 1j * Y
+        active = (0, 1, 2, 3)
+        fibers = {k: [p.as_univariate_in(k) for p in polys] for k in active}
+
+        def per_draw(s):
+            lo = s.start or 0
+            return {lo + int(r): (k, F[:, i]) for k, rows, F in
+                    constab._fiber_rows(fibers, active, lo, V[s]) for i, r in enumerate(rows)}
+
+        full = per_draw(slice(0, 60))
+        assert sorted(full) == list(range(60))
+        for chunk in (1, 7, 25):
+            parts = {}
+            for part in self._chunked(per_draw, 60, chunk):
+                parts.update(part)
+            assert sorted(parts) == sorted(full)
+            for row, (k, F) in full.items():
+                assert parts[row][0] == k
+                assert np.array_equal(_bits(parts[row][1]), _bits(F))
+
+
+class TestHornerPlanPerSearch:
+    def test_each_polynomial_compiles_its_plan_once_per_search(self, monkeypatch):
+        # The line and fiber polynomials of one search are compiled on the
+        # first block and reused by the later ones.
+        builds = []
+        compile_plan = poly._horner_plan
+        monkeypatch.setattr(poly, "_horner_plan",
+                            lambda items, n: builds.append(n) or compile_plan(items, n))
+
+        def search(n_samples):
+            builds.clear()
+            # A fresh polynomial each time, with no zero in the orthant's tube.
+            f = parse("(z1 + 2*z2 + i)*(z2 + z3 + 1 + 2*i)*(z1 + z3 + 3*i)")
+            v = falsify_k_stability(f, Orthant(3), n_samples=n_samples, rng=5)
+            assert (v.status, v.samples) == (NOT_FALSIFIED, n_samples)
+            return len(builds)
+
+        one_block, three_blocks = search(constab._BLOCK), search(3 * constab._BLOCK)
+        # f, and the nonzero coefficients of its fibers in z1, z2 and z3
+        assert one_block == three_blocks == 1 + 3 * 3

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conicstab import poly
 from conicstab.poly import (
     MatrixVarIndex,
     MultiPoly,
@@ -258,6 +259,45 @@ class TestRestrictLine:
         lhs = p.restrict_line(x, y).derivative()
         rhs = p.directional_derivative(y).restrict_line(x, y)
         assert np.allclose(lhs.coeffs, rhs.coeffs)
+
+
+class TestHornerPlan:
+    """Each polynomial compiles its grouped Horner sum once (``_horner_plan``)."""
+
+    def test_unused_variables_change_no_bit(self):
+        # (z1+z2+z3+z4+1)^3 embedded among five unused variables, with
+        # matching extra columns of x and y: the same rows and values, bit
+        # for bit, and the same program with no instruction for the unused
+        # variables.
+        p = parse("(z1 + z2 + z3 + z4 + 1)^3 + i*z2*z4 - 2.5")
+        names = ("u1", "z1", "u2", "z2", "z3", "u3", "z4", "u4", "u5")
+        used = [1, 3, 4, 6]
+        emb = MultiPoly(names, {tuple(e[used.index(k)] if k in used else 0 for k in range(9)): c
+                                for e, c in p.terms.items()})
+        rng = np.random.default_rng(31)
+        X, Y = rng.normal(size=(50, 9)), rng.normal(size=(50, 9))
+        X[::4, 1] = 0.0
+        bits = lambda a: np.ascontiguousarray(a, dtype=complex).view(np.uint64)  # noqa: E731
+        rows, emb_rows = p.restrict_line(X[:, used], Y[:, used]), emb.restrict_line(X, Y)
+        assert np.array_equal(bits(emb_rows), bits(rows))
+        Z = X + 1j * Y
+        assert np.array_equal(bits(emb(Z)), bits(p(Z[:, used])))
+        assert emb._horner_program() == tuple(
+            (op, used[arg], a) if op == poly._STEP else (op, arg, a)
+            for op, arg, a in p._horner_program()
+        )
+
+    def test_compiled_once_and_kept(self, monkeypatch):
+        builds = []
+        compile_plan = poly._horner_plan
+        monkeypatch.setattr(poly, "_horner_plan",
+                            lambda items, n: builds.append(n) or compile_plan(items, n))
+        p = parse("z1^2*z2 - 3*z3^3 + i*z1*z3 + 2")
+        rng = np.random.default_rng(32)
+        for _ in range(3):
+            p.restrict_line(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
+            p(rng.normal(size=3))
+        assert builds == [3]
 
 
 class TestSubstitution:

@@ -159,6 +159,19 @@ class TestRoots:
             np.sort_complex(z[4, :-1]), np.sort_complex(np.roots(mixed[4, -2::-1])), atol=1e-8
         )
 
+    def test_aberth_keeps_the_correction_of_starts_far_from_zero(self):
+        # Roots near 1.5e11, 5 and 1e-13: the Cauchy circle has radius ~1e23.
+        # The Aberth sum over the other starts, ~1e-23 there, must not be
+        # lost to rounding, or the iteration is Newton's and leaves the row
+        # unconverged.
+        row = np.array([[0.044 - 0.011j, 7.0e9 - 3.2e11j, -5.2e10 - 2.5e10j,
+                         -2.1e-06 + 9.5e-07j, 2.6e-12 + 4.6e-13j]])
+        z, converged = unistab._aberth_batch(row)
+        assert converged[0]
+        oracle = np.roots(row[0, ::-1])
+        by_size = lambda r: r[np.argsort(np.abs(r))]
+        npt.assert_allclose(by_size(z[0]), by_size(oracle), rtol=1e-8)
+
     @pytest.mark.parametrize("row", [[0, 0, -5, 1], [0, 0, 0, -5, 1]])
     def test_batch_splits_off_exact_zero_roots(self, row, monkeypatch):
         # t^2 (t - 5) and t^3 (t - 5): Aberth would crawl toward the
@@ -299,8 +312,8 @@ class TestBezoutScreen:
 # companion eigenvalues; from degree 5 the wide random rows below do too.
 _RETRY_ROWS = {
     3: [7.44e-05, -1.36e-05, -1.88, -1.36e-07],
-    4: [0.044 - 0.011j, 7.0e9 - 3.2e11j, -5.2e10 - 2.5e10j, -2.1e-06 + 9.5e-07j,
-        2.6e-12 + 4.6e-13j],
+    4: [-8.9e-11 + 8.8e-11j, -5.1e-06 - 1.4e-05j, 8.9e11 - 6.3e11j, 6.2e-09 - 5.4e-09j,
+        -5.6e-12 - 4.7e-12j],
 }
 
 
