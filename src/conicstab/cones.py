@@ -182,14 +182,16 @@ class Cone:
     def interior_margin(self, p) -> float:
         raise NotImplementedError
 
-    def interior_margin_batch(self, P) -> np.ndarray | None:
-        """Vectorized interior margins for rows of ``P``, or None.
+    def interior_margin_batch(self, P, at_least: float) -> np.ndarray | None:
+        """Keep-mask ``interior_margin(row) >= at_least`` for the rows of ``P``, or None.
 
-        A None return means this cone has no fast batch path and callers
-        must fall back to scalar ``interior_margin`` per row.  Batch
-        margins are a screening device: they may use cheaper numerics
-        than the scalar path, so accept/reject decisions on individual
-        points should re-check with ``interior_margin``.
+        A screen: the cone answers the yes/no question without computing
+        the margins where it can (the PSD cone factors Y - at_least I
+        instead of finding its eigenvalues), so a row within rounding of
+        the threshold may fall either way, and decisions on individual
+        points re-check with ``interior_margin``.  None means this cone has
+        no batch path and callers keep every row or fall back to the
+        scalar margin.
         """
         return None
 
@@ -243,8 +245,8 @@ class Orthant(Cone):
     def interior_margin(self, p) -> float:
         return float(np.min(self._check_point(p)))
 
-    def interior_margin_batch(self, P) -> np.ndarray:
-        return np.min(np.asarray(P, dtype=float), axis=1)
+    def interior_margin_batch(self, P, at_least: float) -> np.ndarray:
+        return np.min(np.asarray(P, dtype=float), axis=1) >= at_least
 
     def dual_minimizer(self, a) -> tuple[float, np.ndarray]:
         # The orthant is self-dual in the flat inner product.
@@ -354,10 +356,10 @@ class Polyhedral(Cone):
             return -np.inf
         return float(x[-1])
 
-    def interior_margin_batch(self, P) -> np.ndarray | None:
+    def interior_margin_batch(self, P, at_least: float) -> np.ndarray | None:
         if self._dual_rays is None:
             return None  # LP-only cone: no vectorized screening
-        return np.min(np.asarray(P, dtype=float) @ self._dual_rays.T, axis=1)
+        return np.min(np.asarray(P, dtype=float) @ self._dual_rays.T, axis=1) >= at_least
 
     def dual_minimizer(self, a) -> tuple[float, np.ndarray]:
         a = self._check_point(a)
@@ -398,15 +400,27 @@ class PSD(Cone):
         mat = self.index.mat_from_flat(self._check_point(p))
         return float(hermitian_eigenvalues(mat)[0])
 
-    def interior_margin_batch(self, P) -> np.ndarray:
-        # Screening only (see base class): minimum eigenvalue per row from
-        # LAPACK, as in hermitian_eigh, but without its validation and
-        # residual check; decisions re-check via interior_margin.
+    def interior_margin_batch(self, P, at_least: float) -> np.ndarray:
+        # lambda_min(Y) >= at_least iff A = Y - at_least I is positive
+        # semidefinite iff every pivot of its (square-root-free) Cholesky
+        # factorization is >= 0, a zero pivot with a zero column below it.
+        # Draws-last: A is one (n, n, N) array, eliminated in place.
         P = np.asarray(P, dtype=float)
-        mats = np.zeros((P.shape[0], self.n, self.n))
-        mats[:, self._rows, self._cols] = P
-        mats[:, self._cols, self._rows] = P
-        return np.linalg.eigvalsh(mats)[:, 0]
+        A = np.empty((self.n, self.n, P.shape[0]))
+        A[self._rows, self._cols] = P.T
+        A[self._cols, self._rows] = P.T
+        diag = np.arange(self.n)
+        A[diag, diag] -= at_least
+        keep = np.ones(P.shape[0], dtype=bool)
+        # an overflowing update is a hugely negative Schur complement: rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(self.n - 1):
+                piv, col = A[j, j], A[j + 1 :, j]
+                pos = piv > 0
+                keep &= pos | ((piv == 0) & ~col.any(axis=0))
+                ratio = np.divide(col, piv, out=np.zeros_like(col), where=pos)
+                A[j + 1 :, j + 1 :] -= ratio[:, np.newaxis] * col
+        return keep & (A[-1, -1] >= 0)
 
     def _dual_matrix(self, a) -> np.ndarray:
         # <a, z>_flat = tr(A Z) when A carries half the off-diagonal
@@ -462,15 +476,15 @@ class Product(Cone):
         p = self._check_point(p)
         return min(f.interior_margin(p[s]) for f, s in zip(self.factors, self._slices))
 
-    def interior_margin_batch(self, P) -> np.ndarray | None:
+    def interior_margin_batch(self, P, at_least: float) -> np.ndarray | None:
         P = np.asarray(P, dtype=float)
-        margins = []
+        keep = np.ones(P.shape[0], dtype=bool)
         for f, s in zip(self.factors, self._slices):
-            m = f.interior_margin_batch(P[:, s])
+            m = f.interior_margin_batch(P[:, s], at_least)
             if m is None:
                 return None
-            margins.append(m)
-        return np.min(np.stack(margins, axis=1), axis=1)
+            keep &= m
+        return keep
 
     def dual_minimizer(self, a) -> tuple[float, np.ndarray]:
         a = self._check_point(a)

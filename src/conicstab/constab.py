@@ -43,8 +43,10 @@ provably hold no root the probe keeps (stability-mode lines and fibers
 read as (Re p, Im p): no root above the axis; hyperbolicity-mode real
 lines read as (p, p'): real, simple roots); the remaining rows, and every
 row of degree <= 3, are solved by the batched root engine (closed forms,
-and a polished closed-form start for cubics); vectorized cone margins
-then filter the fiber roots.  Every witness passes one acceptance check:
+and closed-form cubic roots kept where their residuals verify at rounding
+level, polished where not); a vectorized yes/no margin test then filters
+the fiber roots (margin at least half the floor; on the PSD cone a
+Cholesky factorization, no eigensolver).  Every witness passes one acceptance check:
 the candidate's coefficient row, contracted again for a member of
 several, is re-solved at scalar precision, its root polished by a single
 damped Newton step along its line or fiber (never in the full variable
@@ -384,13 +386,19 @@ def _confirm(f, K, p: UniPoly, ok, zero, tol, floor, start):
 
 
 def _screen_margins(K: Cone, points: np.ndarray, floor: float) -> np.ndarray:
-    """Boolean keep-mask for candidate points; generous to avoid false drops."""
+    """Boolean keep-mask of candidate points whose interior margin is >= floor / 2.
+
+    Generous, so no candidate is dropped that confirmation (margin >=
+    floor) would accept.  The cone answers the yes/no question itself
+    (``Cone.interior_margin_batch``, a Cholesky test on the PSD cone, no
+    eigensolver); the method keeps that name because the benchmark's
+    per-layer tracer (``bench/tracing.py``) wraps it.  A cone without a
+    batch path keeps every point.
+    """
     if points.shape[0] == 0:
         return np.zeros(0, dtype=bool)
-    m = K.interior_margin_batch(points)
-    if m is None:
-        return np.ones(points.shape[0], dtype=bool)
-    return m >= 0.5 * floor
+    keep = K.interior_margin_batch(points, 0.5 * floor)
+    return np.ones(points.shape[0], dtype=bool) if keep is None else keep
 
 
 # ---------------------------------------------------------------------------

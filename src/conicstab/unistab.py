@@ -15,8 +15,9 @@ companion-matrix eigenvalues (LAPACK, via ``np.roots``) above that.  A
 batch of same-degree polynomials (the samplers' line restrictions and
 fibers) is solved in closed form up to degree 2 and by Aberth–Ehrlich
 simultaneous iteration above that, vectorized across the batch: started
-from the closed-form (Cardano) roots at degree 3, so that it only polishes
-them, and on the Cauchy-bound circle from degree 4.  Both paths fall back
+from the closed-form (Cardano) roots at degree 3, which are kept where
+their residuals verify at rounding level and polished where not, and on
+the Cauchy-bound circle from degree 4.  Both paths fall back
 to one helper, companion eigenvalues polished by Aberth–Ehrlich iteration,
 for a polynomial the first attempt does not solve to tolerance.
 
@@ -192,7 +193,10 @@ def _batch_cubic(c: np.ndarray) -> np.ndarray:
     ``u w^k - p / (3 u w^k)`` for the cube roots of unity w^k and u^3 =
     -q/2 + sqrt(q^2/4 + p^3/27).  The sign of the square root is the one
     that enlarges |u^3|, so u is not lost to cancellation; u = 0 only for
-    the triple root s = 0.  Computed draws-last; the (B, 3) result is a
+    the triple root s = 0.  Any cube root u serves, since all three u w^k
+    are formed and each pairs with its own -p / (3 u w^k): u is the real
+    cube root of |u^3| turned by a third of its angle, which costs less
+    than a complex power.  Computed draws-last; the (B, 3) result is a
     view of a (3, B) array.
     """
     ct = np.ascontiguousarray(c.T)
@@ -201,7 +205,8 @@ def _batch_cubic(c: np.ndarray) -> np.ndarray:
     q = c0 - a * b / 3.0 + 2.0 * a * a * a / 27.0
     sq = np.sqrt(0.25 * q * q + p * p * p / 27.0)
     sq = np.where(np.real(np.conj(q) * sq) > 0.0, -sq, sq)
-    u = (sq - 0.5 * q) ** (1.0 / 3.0)
+    u3 = sq - 0.5 * q
+    u = np.cbrt(np.abs(u3)) * np.exp(1j / 3.0 * np.angle(u3))
     v = np.divide(-p, 3.0 * u, out=np.zeros_like(u), where=u != 0)
     w = np.exp(2j * np.pi * np.arange(3) / 3)[:, np.newaxis]
     return (u * w + v * w.conj() - a / 3.0).T
@@ -236,6 +241,12 @@ def _separated(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _rounding_level(pv: np.ndarray, sv: np.ndarray, k: float) -> np.ndarray:
+    """Where the residual ``|pv| <= k eps max(sv, eps)``, sv the mass sum |c_j| |z|^j."""
+    eps = np.finfo(float).eps
+    return np.abs(pv) <= k * eps * np.maximum(sv, eps)
+
+
 def _aberth_batch(
     coeffs: np.ndarray,
     max_iter: int = 80,
@@ -260,7 +271,12 @@ def _aberth_batch(
         Root estimates, shape (B, d), and a per-row convergence flag based
         on a backward-stable residual test.
 
-    The iteration runs draws-last, on (d, B) arrays, so each operation
+    Given starts are verified before any sweep: a row whose every start
+    already has a rounding-level residual (16 eps of its mass, the test
+    under which a sweep leaves a root in place) is returned as it is and
+    converged, and only the other rows are swept.  A sweep would never
+    have moved such a row, so every row gets the bits of the full
+    iteration.  The iteration runs draws-last, on (d, B) arrays, so each operation
     spans the whole batch.  The Aberth sum over the other starts is
     accumulated start by start in a fixed order, so a row's roots do not
     depend on its batch-mates.
@@ -270,18 +286,23 @@ def _aberth_batch(
     ct = np.ascontiguousarray(coeffs.T)
     monic = ct / ct[-1]
     dcoeffs = monic[1:] * np.arange(1, d + 1)[:, np.newaxis]
+    moduli = np.abs(monic)
 
     if start is None:
         radius = 1.0 + np.max(np.abs(monic[:-1]), axis=0)
         angles = 2.0 * np.pi * (np.arange(d) + 0.5) / d + 0.43
         z = radius * np.exp(1j * angles)[:, np.newaxis]
+        active = np.ones(b, dtype=bool)
     else:
         z = _separated(np.array(start.T, dtype=complex, order="C"))
+        settled = _rounding_level(_horner_batch(monic, z), _horner_batch(moduli, np.abs(z)), 16.0)
+        active = ~np.all(settled, axis=0)
 
     eps = np.finfo(float).eps
-    moduli = np.abs(monic)
-    active = np.ones(b, dtype=bool)
+    swept = active.copy()
     for _ in range(max_iter):
+        if not active.any():
+            break
         cols = slice(None) if active.all() else active
         za = z[:, cols]
         pv = _horner_batch(monic[:, cols], za)
@@ -305,18 +326,20 @@ def _aberth_batch(
         step = w / denom
         # A root whose residual is rounding noise stays put: near a
         # multiple root a step built from that noise can throw it far off.
-        settled = np.abs(pv) <= 16.0 * eps * np.maximum(sv, eps)
+        settled = _rounding_level(pv, sv, 16.0)
         done_rows = np.all(settled | (np.abs(step) <= 4.0 * eps * (1.0 + np.abs(za))), axis=0)
         z[:, cols] = np.where(settled, za, za - step)
         still = np.flatnonzero(active)
         active[still[done_rows]] = False
-        if not active.any():
-            break
 
-    # final residual verdict per row
-    pv = _horner_batch(monic, z)
-    sv = _horner_batch(moduli, np.abs(z))
-    converged = np.all(np.abs(pv) <= 1e6 * eps * np.maximum(sv, eps), axis=0)
+    # final residual verdict per swept row
+    converged = ~swept
+    if swept.any():
+        cols = slice(None) if swept.all() else swept
+        zs = z[:, cols]
+        pv = _horner_batch(monic[:, cols], zs)
+        sv = _horner_batch(moduli[:, cols], np.abs(zs))
+        converged[cols] = np.all(_rounding_level(pv, sv, 1e6), axis=0)
     return z.T, converged
 
 
@@ -331,7 +354,8 @@ def _companion_polished(c: np.ndarray) -> np.ndarray:
     """Roots of one ascending coefficient row, shape (d,).
 
     Companion-matrix eigenvalues (``np.roots``) are the start of an
-    Aberth–Ehrlich polish.  No ordering guarantee.
+    Aberth–Ehrlich polish, which keeps them as they are when every residual
+    is already at rounding level.  No ordering guarantee.
     """
     start = np.roots(c[::-1])
     z, _ = _aberth_batch(
@@ -343,10 +367,11 @@ def _companion_polished(c: np.ndarray) -> np.ndarray:
 def _roots_batch(coeffs: np.ndarray) -> np.ndarray:
     """All roots for a batch of same-degree polynomials, shape (B, d).
 
-    Degrees 1 and 2 use closed forms.  Higher degrees use Aberth–Ehrlich
-    iteration, started from the closed-form (Cardano) roots at degree 3,
-    which it only polishes, and on the Cauchy-bound circle from degree 4;
-    rows that resist it are retried by :func:`_companion_polished`.  A row
+    Degrees 1 and 2 use closed forms.  At degree 3 the closed-form
+    (Cardano) roots are verified by their residuals and kept where every
+    one is at rounding level; Aberth–Ehrlich iteration polishes the other
+    rows.  From degree 4 Aberth starts on the Cauchy-bound circle.  Rows
+    that resist it are retried by :func:`_companion_polished`.  A row
     whose leading coefficient is exactly zero gets the roots of the row
     with that coefficient dropped, padded with NaN; from degree 3 a row
     whose constant coefficient is exactly zero gets the exact root 0 and

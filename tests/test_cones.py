@@ -3,7 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -317,6 +317,8 @@ class TestSampling:
 
 
 class TestBatchMargins:
+    """``interior_margin_batch(P, t)`` is the keep-mask ``interior_margin(row) >= t``."""
+
     @pytest.mark.parametrize(
         "cone",
         [
@@ -324,20 +326,44 @@ class TestBatchMargins:
             Polyhedral([[1.0, 0.0], [1.0, 1.0]]),
             PSD(2),
             Product([Orthant(1), PSD(2)]),
+            PSD(3),
+            PSD(4),
         ],
     )
-    def test_batch_agrees_with_scalar(self, cone):
+    def test_mask_agrees_with_scalar(self, cone):
         rng = np.random.default_rng(40)
         P = rng.normal(size=(30, cone.dim))
         # Mix in some certified-interior rows.
         P[::3] = cone.interior_from_normals(rng.standard_normal((10, cone.draw_dim)))
-        margins = cone.interior_margin_batch(P)
-        assert margins is not None
-        for row, m in zip(P, margins):
-            assert m == pytest.approx(cone.interior_margin(row), abs=1e-8)
+        margins = np.array([cone.interior_margin(row) for row in P])
+        for t in (0.0, 2.5e-4, 1.0):
+            keep = cone.interior_margin_batch(P, t)
+            assert keep.dtype == bool and np.array_equal(keep, margins >= t)
+        # Each row against thresholds just below and just above its own margin.
+        for sign in (-1.0, 1.0):
+            for row, m in zip(P, margins):
+                t = m + sign * 1e-6 * max(1.0, abs(m))
+                assert cone.interior_margin_batch(row[np.newaxis], t)[0] == (m >= t)
+
+    @given(st.data())
+    def test_psd_mask_away_from_the_threshold(self, data):
+        # Y = scale Q diag(lam) Q^T at scales 10^[-6, 6], any inertia.
+        n = data.draw(st.integers(1, 4))
+        cone = PSD(n)
+        lam = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        Q, _ = np.linalg.qr(gen.standard_normal((n, n)))
+        scale = 10.0 ** data.draw(st.floats(-6.0, 6.0))
+        Y = scale * (Q * lam) @ Q.T
+        Y = (Y + Y.T) / 2.0
+        t = scale * data.draw(st.floats(-1.0, 1.0))
+        row = cone.index.flat_from_mat(Y)
+        m = cone.interior_margin(row)
+        assume(abs(m - t) > 1e-9 * np.linalg.norm(Y))
+        assert cone.interior_margin_batch(row[np.newaxis], t)[0] == (m >= t)
 
     def test_lp_only_cone_has_no_batch_path(self):
-        assert Polyhedral(np.eye(7)).interior_margin_batch(np.ones((2, 7))) is None
+        assert Polyhedral(np.eye(7)).interior_margin_batch(np.ones((2, 7)), 0.0) is None
 
 
 class TestJson:

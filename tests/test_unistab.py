@@ -249,7 +249,8 @@ class TestCubicStart:
         assert not converged[0] or np.all(resid <= 1e6 * eps * np.maximum(mass, eps))
 
     def test_random_batch_converges_in_four_sweeps(self, monkeypatch):
-        # Each sweep evaluates three Horner rows; the verdict adds two.
+        # Verifying the starts evaluates two Horner rows, each sweep three and
+        # the verdict two more, so (calls - 2) // 3 counts the sweeps.
         calls = []
         horner = unistab._horner_batch
         monkeypatch.setattr(
@@ -269,6 +270,54 @@ class TestCubicStart:
             z, converged = unistab._aberth_batch(rows, start=unistab._batch_cubic(rows))
         assert converged.all()
         npt.assert_allclose(z, [[0.0] * 3, [1.0] * 3], atol=1e-6)
+
+
+def _counting_horner(monkeypatch):
+    calls = []
+    horner = unistab._horner_batch
+    monkeypatch.setattr(unistab, "_horner_batch", lambda c, z: calls.append(1) or horner(c, z))
+    return calls
+
+
+class TestVerifiedStarts:
+    """Given starts whose residuals are at rounding level skip the sweeps."""
+
+    # Cardano starts of the first two rows verify; those of the last two
+    # (roots 0.25, -4, 7 and 1e3, -2e-3, 5) do not.
+    _ROWS = np.array(
+        [np.poly(r)[::-1] for r in ([1, 2, 3], [-1 + 1j, 2, 0.5j], [0.25, -4, 7], [1e3, -2e-3, 5])],
+        dtype=complex,
+    )
+
+    def test_verified_batch_returns_its_starts_after_two_evaluations(self, monkeypatch):
+        rows = self._ROWS[:2]
+        start = unistab._batch_cubic(rows)
+        calls = _counting_horner(monkeypatch)
+        z, converged = unistab._aberth_batch(rows, start=start)
+        assert len(calls) == 2 and converged.all()
+        assert np.array_equal(z, unistab._separated(np.array(start.T, order="C")).T)
+
+    def test_mixed_batch_gives_each_row_what_it_gets_alone(self, monkeypatch):
+        start = unistab._batch_cubic(self._ROWS)
+        z, converged = unistab._aberth_batch(self._ROWS, start=start)
+        assert converged.all()
+        calls = _counting_horner(monkeypatch)
+        swept = []
+        for i in range(len(self._ROWS)):
+            calls.clear()
+            zi, ci = unistab._aberth_batch(self._ROWS[i : i + 1], start=start[i : i + 1])
+            swept.append(len(calls) > 2)
+            assert np.array_equal(zi[0], z[i]) and ci[0]
+        assert swept == [False, False, True, True]
+
+    def test_well_separated_companion_start_runs_no_sweep(self, monkeypatch):
+        # The scalar path's retry polishes companion eigenvalues; for a
+        # well-separated polynomial they verify as they are.
+        c = np.poly([1, -2, 3j, -4, 0.5 + 1j])[::-1].astype(complex)
+        calls = _counting_horner(monkeypatch)
+        z = unistab._companion_polished(c)
+        assert len(calls) == 2
+        assert np.array_equal(z, np.roots(c[::-1]))
 
 
 class TestBezoutScreen:
@@ -311,7 +360,7 @@ class TestBezoutScreen:
 # Rows that Aberth leaves unconverged, so _roots_batch retries them from
 # companion eigenvalues; from degree 5 the wide random rows below do too.
 _RETRY_ROWS = {
-    3: [7.44e-05, -1.36e-05, -1.88, -1.36e-07],
+    3: [-0.0537, -0.19, 522000.0, 2.04e-06],
     4: [-8.9e-11 + 8.8e-11j, -5.1e-06 - 1.4e-05j, 8.9e11 - 6.3e11j, 6.2e-09 - 5.4e-09j,
         -5.6e-12 - 4.7e-12j],
 }
