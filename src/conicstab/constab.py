@@ -46,13 +46,13 @@ row of degree <= 3, are solved by the batched root engine (closed forms,
 and closed-form cubic roots kept where their residuals verify at rounding
 level, polished where not); a vectorized yes/no margin test then filters
 the fiber roots (margin at least half the floor; on the PSD cone a
-Cholesky factorization, no eigensolver).  Every witness passes one acceptance check:
-the candidate's coefficient row, contracted again for a member of
-several, is re-solved at scalar precision, its root polished by a single
-damped Newton step along its line or fiber (never in the full variable
-space), and accepted only if |f(z)| <= residual_tol * sum|coeff| *
-max(1,|z|)^deg and Im(z) clears an interior margin of half the sampling
-margin.
+Cholesky factorization, no eigensolver).  Every witness passes one
+acceptance check: the candidate's coefficient row, contracted again for
+a member of several, is re-solved at scalar precision, its root polished
+by a single damped Newton step along its line or fiber (never in the
+full variable space), and accepted only if |f(z)| <= residual_tol *
+sum|coeff| * max(1,|z|)^deg and Im(z) clears an interior margin of half
+the sampling margin.
 
 Determinism: sampling operations take an integer seed (the ``rng``
 argument).  Draw j is a pure function of (seed, j) — blocks of fixed size

@@ -17,9 +17,9 @@ fibers) is solved in closed form up to degree 2 and by Aberth–Ehrlich
 simultaneous iteration above that, vectorized across the batch: started
 from the closed-form (Cardano) roots at degree 3, which are kept where
 their residuals verify at rounding level and polished where not, and on
-the Cauchy-bound circle from degree 4.  Both paths fall back
-to one helper, companion eigenvalues polished by Aberth–Ehrlich iteration,
-for a polynomial the first attempt does not solve to tolerance.
+the Cauchy-bound circle from degree 4.  Both paths fall back to one
+helper, companion eigenvalues polished by Aberth–Ehrlich iteration, for a
+polynomial the first attempt does not solve to tolerance.
 
 Stability, real-rootedness and interlacing are decided without roots.  By
 Hermite's theorem (the Hermite–Biehler base of the conic theory) the
@@ -276,8 +276,8 @@ def _aberth_batch(
     under which a sweep leaves a root in place) is returned as it is and
     converged, and only the other rows are swept.  A sweep would never
     have moved such a row, so every row gets the bits of the full
-    iteration.  The iteration runs draws-last, on (d, B) arrays, so each operation
-    spans the whole batch.  The Aberth sum over the other starts is
+    iteration.  The iteration runs draws-last, on (d, B) arrays, so each
+    operation spans the whole batch.  The Aberth sum over the other starts is
     accumulated start by start in a fixed order, so a row's roots do not
     depend on its batch-mates.
     """

@@ -330,7 +330,7 @@ class TestBatchMargins:
             PSD(4),
         ],
     )
-    def test_mask_agrees_with_scalar(self, cone):
+    def test_batch_agrees_with_scalar(self, cone):
         rng = np.random.default_rng(40)
         P = rng.normal(size=(30, cone.dim))
         # Mix in some certified-interior rows.
@@ -361,6 +361,12 @@ class TestBatchMargins:
         m = cone.interior_margin(row)
         assume(abs(m - t) > 1e-9 * np.linalg.norm(Y))
         assert cone.interior_margin_batch(row[np.newaxis], t)[0] == (m >= t)
+
+    def test_psd_zero_pivot(self):
+        # A zero pivot is semidefinite only with a zero column below it:
+        # [[0, 1], [1, 1]] is indefinite, 0 and diag(0, 1) have margin 0.
+        P = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert PSD(2).interior_margin_batch(P, 0.0).tolist() == [False, True, True]
 
     def test_lp_only_cone_has_no_batch_path(self):
         assert Polyhedral(np.eye(7)).interior_margin_batch(np.ones((2, 7)), 0.0) is None

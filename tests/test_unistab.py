@@ -312,12 +312,16 @@ class TestVerifiedStarts:
 
     def test_well_separated_companion_start_runs_no_sweep(self, monkeypatch):
         # The scalar path's retry polishes companion eigenvalues; for a
-        # well-separated polynomial they verify as they are.
+        # well-separated polynomial they verify as they are, and roots()
+        # accepts them without the retry.
         c = np.poly([1, -2, 3j, -4, 0.5 + 1j])[::-1].astype(complex)
         calls = _counting_horner(monkeypatch)
         z = unistab._companion_polished(c)
         assert len(calls) == 2
         assert np.array_equal(z, np.roots(c[::-1]))
+        calls.clear()
+        unistab.roots(UniPoly(c))
+        assert not calls
 
 
 class TestBezoutScreen:
