@@ -217,7 +217,8 @@ def _verify_verdict(v: Verdict, f: MultiPoly, K: Cone, tol: ToleranceProfile) ->
     z = np.asarray(v.witness)
     margin = K.interior_margin(z.imag)
     interior = margin >= tol.sample_margin / 2.0 if v.status == FALSIFIED else margin > 0
-    return bool(abs(complex(f(z))) <= tol.residual_tol * _coeff_scale(f, z)) and interior
+    bound = tol.residual_tol * _coeff_scale(f.coeff_norm1(), f.degree, z)
+    return bool(abs(complex(f(z))) <= bound) and interior
 
 
 def _emit(payload: dict, mode: str, out) -> None:

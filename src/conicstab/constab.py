@@ -29,30 +29,32 @@ real base point e, giving i e' for a real interior zero e'.
 `imaginary_projection_sample` solves the same fibers at uniform complex
 base points.
 
-Each block is drawn and expanded once per family of polynomials searched
-together (the pencil's members; a falsifier's one f): the line rows come
-from `MultiPoly.restrict_line` on the whole block, the fiber rows from the
-coefficients in the solved variable evaluated at the base points, both of
-a basis (f itself, or the members' monomials) each member contracts.
-Members whose rows share a probe and a degree are contracted and solved
-together, in stacked solves of at most one block of rows; each member
-then confirms its own candidates.  Batch screening only selects
-candidates and can never flip a verdict on its own.  It runs in three
-stages: a root-free Bezoutian test clears rows of degree >= 4 that
-provably hold no root the probe keeps (stability-mode lines and fibers
-read as (Re p, Im p): no root above the axis; hyperbolicity-mode real
-lines read as (p, p'): real, simple roots); the remaining rows, and every
-row of degree <= 3, are solved by the batched root engine (closed forms,
-and closed-form cubic roots kept where their residuals verify at rounding
-level, polished where not); a vectorized yes/no margin test then filters
-the fiber roots (margin at least half the floor; on the PSD cone a
-Cholesky factorization, no eigensolver).  Every witness passes one
-acceptance check: the candidate's coefficient row, contracted again for
-a member of several, is re-solved at scalar precision, its root polished
-by a single damped Newton step along its line or fiber (never in the
-full variable space), and accepted only if |f(z)| <= residual_tol *
-sum|coeff| * max(1,|z|)^deg and Im(z) clears an interior margin of half
-the sampling margin.
+A search runs one family: basis polynomials and a weight matrix whose
+rows are the members (a falsifier's f is the basis [f] at weight 1; the
+pencil's members are weight rows on the monomials of f and g, never
+built as polynomials).  Each block is drawn and the basis expanded once:
+the line rows from `MultiPoly.restrict_line` on the whole block, the
+fiber rows from the coefficients in the solved variable evaluated at the
+base points.  Members whose rows share a probe and a degree are
+contracted (one product with their weight rows) and solved together, in
+stacked solves of at most one block of rows; each member then confirms
+its own candidates.  Batch screening only selects candidates and can
+never flip a verdict on its own.  It runs in three stages: a root-free
+Bezoutian test clears rows of degree >= 4 that provably hold no root the
+probe keeps (stability-mode lines and fibers read as (Re p, Im p): no
+root above the axis; hyperbolicity-mode real lines read as (p, p'):
+real, simple roots); the remaining rows, and every row of degree <= 3,
+are solved by the batched root engine (closed forms, and closed-form
+cubic roots kept where their residuals verify at rounding level,
+polished where not); a vectorized yes/no margin test then filters the
+fiber roots (margin at least half the floor; on the PSD cone a Cholesky
+factorization, no eigensolver).  Every witness passes one acceptance
+check: the candidate's coefficient row, contracted again from its basis
+rows, is re-solved at scalar precision, its root polished by a single
+damped Newton step along its line or fiber (never in the full variable
+space), and accepted only if |f(z)| <= residual_tol * sum|coeff| *
+max(1,|z|)^deg and Im(z) clears an interior margin of half the sampling
+margin.
 
 Determinism: sampling operations take an integer seed (the ``rng``
 argument).  Draw j is a pure function of (seed, j) — blocks of fixed size
@@ -227,10 +229,10 @@ def _check_fit(f: MultiPoly, K: Cone) -> None:
         )
 
 
-def _coeff_scale(f: MultiPoly, z: np.ndarray):
+def _coeff_scale(mass: float, degree: int, z: np.ndarray):
     """Residual scale sum|coeff| * max(1,|z|)^deg of a point or of each row."""
     grow = np.maximum(1.0, np.max(np.abs(z), axis=-1, initial=0.0))
-    return f.coeff_norm1() * grow ** max(f.degree, 0)
+    return mass * grow ** max(degree, 0)
 
 
 def _block_stream(seed: int, n_blocks: int):
@@ -313,54 +315,32 @@ def _fiber_rows(fibers: dict, active, lo: int, V: np.ndarray):
         yield k, rows, F
 
 
-def _family_basis(family):
-    """Basis polynomials and each member's weights on them.
-
-    One member is its own basis (weight None: its rows are its own
-    expansion).  Several share the monomials of their support, weighted by
-    each member's trimmed coefficients, so a cancelled term adds exact zeros.
-    """
-    if len(family) == 1:
-        return list(family), [None]
-    support = sorted({e for f in family for e in f.terms})
-    basis = [MultiPoly(family[0].var_names, {e: 1.0}) for e in support]
-    return basis, list(np.array([[f.coefficient(e) for e in support] for f in family]))
-
-
-def _member_rows(rows: np.ndarray, w, width: int) -> np.ndarray:
-    """Rows of ``width`` columns from basis rows (nb, B, d).
-
-    ``rows[0]`` for w None; else contracted with w: w (nb,) gives one
-    member's rows (B, width), w (c, nb) those of c members (c, B, width).
-    """
-    return (rows[0] if w is None else np.tensordot(w, rows, 1))[..., :width]
-
-
-def _stacked(rows: np.ndarray, members: list, weights: dict, width: int):
-    """Yield (chunk, coefficient rows) for the ``members`` sharing basis rows ``rows``.
+def _stacked(rows: np.ndarray, W: np.ndarray, members: list, width: int):
+    """Yield (chunk, coefficient rows) of the ``members`` (rows of ``W``) on basis rows ``rows``.
 
     ``rows`` (nb, n, d) are the basis rows of one probe.  A chunk of
     members stacks each member's n rows of ``width`` columns in turn, at
     most ``_BLOCK`` rows (``_BLOCK // n`` members), so a stacked solve is
-    no larger than a lone member's full block.  A lone member (weight
-    None) is its own expansion ``rows[0]``.
+    no larger than a lone member's full block.  A chunk is one product
+    ``W[chunk] @ rows``; a unit weight on a one-polynomial basis (a
+    falsifier's f) is its rows as they are, without the copy.
     """
-    if weights[members[0]] is None:
-        yield members, _member_rows(rows, None, width)
-        return
-    per = max(1, _BLOCK // rows.shape[1])
+    nb, n, d = rows.shape
+    per = max(1, _BLOCK // n)
+    unit = W.shape == (1, 1) and W[0, 0] == 1
     for c in range(0, len(members), per):
         chunk = members[c : c + per]
-        W = np.array([weights[m] for m in chunk])
-        yield chunk, _member_rows(rows, W, width).reshape(-1, width)
+        stack = rows if unit else (W[chunk] @ rows.reshape(nb, -1)).reshape(-1, n, d)
+        yield chunk, stack[..., :width].reshape(-1, width)
 
 
-def _confirm(f, K, p: UniPoly, ok, zero, tol, floor, start):
+def _confirm(basis, w, size, K, p: UniPoly, ok, zero, tol, floor, start):
     """Re-solve ``p`` at scalar precision; return (witness, residual) or None.
 
+    The member is ``w @ basis`` with coefficient mass and degree ``size``.
     Roots are tried in lexicographic order.  A root passing ``ok`` is
     polished by one Newton step from ``start(root)`` (kept unpolished if
-    the step leaves ``ok``), mapped to a zero of f by ``zero`` and
+    the step leaves ``ok``), mapped to a zero of the member by ``zero`` and
     accepted when that zero clears the interior margin and the residual
     bound.
     """
@@ -379,9 +359,9 @@ def _confirm(f, K, p: UniPoly, ok, zero, tol, floor, start):
         z = zero(t1)
         if K.interior_margin(z.imag) < floor:
             continue
-        res = abs(f(z))
-        if res <= tol.residual_tol * _coeff_scale(f, z):
-            return z, res
+        res = abs(w @ [b(z) for b in basis])
+        if res <= tol.residual_tol * _coeff_scale(*size, z):
+            return z, float(res)
     return None
 
 
@@ -499,7 +479,8 @@ def linear_k_stability(
         cert = "neither a nor -a lies in the dual cone"
     witness = _linear_witness(K, a, complex(b), max(dm_pos, dm_neg) >= -band)
     res = abs(f(witness))
-    if K.interior_margin(witness.imag) <= 0 or res > tol.residual_tol * _coeff_scale(f, witness):
+    bound = tol.residual_tol * _coeff_scale(f.coeff_norm1(), f.degree, witness)
+    if K.interior_margin(witness.imag) <= 0 or res > bound:
         raise ArithmeticError("closed-form linear witness failed its margin or residual check")
     return Verdict(CERTIFIED_UNSTABLE, witness=witness, certificate=cert, residual=res)
 
@@ -606,29 +587,32 @@ _HYPERBOLICITY = _Probe(
 )
 
 
-def _search(family, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
-    """Run both probes for each member of ``family`` over the draws of seed ``rng``.
+def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
+    """Run both probes for each member ``W[m] @ basis`` over the draws of seed ``rng``.
 
-    The members share one variable tuple.  Each block is drawn, and the
-    line and fiber rows of the family's basis (``_family_basis``)
-    expanded, once.  The live members are grouped by probe (the line, or
-    the fiber of coordinate k over their active coordinates) and row
-    degree; each group's rows are contracted and solved in stacked chunks
-    (``_stacked``).  A member books its candidates as (draw row, k), k =
-    -1 for the line probe (a row's fiber solves one coordinate), and
-    confirms them in draw order, the line before the fiber, each row
-    contracted again from its basis row, until its first witness, where it
-    leaves the family.
+    The members are rows of weights ``W`` on ``basis``, polynomials over one
+    variable tuple: ``[f]`` at weight 1 for a falsifier, the monomials of the
+    support for the pencil.  Each block is drawn, and the line and fiber
+    rows of the basis expanded, once.  The live members are grouped by
+    probe (the line, or the fiber of coordinate k over their active
+    coordinates) and row degree; each group's rows are contracted and
+    solved in stacked chunks (``_stacked``).  A member books its candidates
+    as (draw row, k), k = -1 for the line probe (a row's fiber solves one
+    coordinate), and confirms them in draw order, the line before the
+    fiber, each row contracted again from its basis row, until its first
+    witness, where it leaves the family.
     """
-    out = [Verdict(CERTIFIED_UNSTABLE, certificate="zero polynomial", seed=rng) if not f
+    bdeg = [[b.degree] + [b.degree_in(k) for k in range(K.dim)] for b in basis]
+    # deg[m][1 + k]: member m's degree in z_k, its total degree at k = -1 (-1: zero member)
+    deg = np.where((W != 0)[:, :, None], bdeg, -1).max(axis=1, initial=-1).tolist()
+    mass = np.abs(W) @ [b.coeff_norm1() for b in basis]
+    out = [Verdict(CERTIFIED_UNSTABLE, certificate="zero polynomial", seed=rng) if d < 0
            else Verdict(NOT_FALSIFIED, certificate="nonvanishing constant", seed=rng)
-           if f.degree == 0 else None for f in family]
+           if d == 0 else None for d, *_ in deg]
     live = [m for m, v in enumerate(out) if v is None]
     if not live:
         return out
-    basis, weights = _family_basis([family[m] for m in live])
-    weights = dict(zip(live, weights))
-    active = {m: tuple(k for k in range(K.dim) if family[m].degree_in(k) >= 1) for m in live}
+    active = {m: tuple(k for k, d in enumerate(deg[m][1:]) if d >= 1) for m in live}
     fibers = {k: [b.as_univariate_in(k) for b in basis] for k in set().union(*active.values())}
     width = max(b.degree for b in basis) + 1
     floor = tol.sample_margin / 2
@@ -642,18 +626,17 @@ def _search(family, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
             expanded.update({(k, a): (rows, F) for k, rows, F in _fiber_rows(fibers, a, lo, V)})
         groups = {}
         for m in live:
-            f = family[m]
-            groups.setdefault((-1, (), f.degree), []).append(m)
+            groups.setdefault((-1, (), deg[m][0]), []).append(m)
             for k in active[m]:
-                groups.setdefault((k, active[m], f.degree_in(k)), []).append(m)
+                groups.setdefault((k, active[m], deg[m][1 + k]), []).append(m)
         # hits[m][row] holds the k of the row's line (-1) and fiber candidates, -2 for none
         hits = {m: np.full((x.shape[0], 2), -2) for m in live}
-        for (k, a, deg), members in groups.items():
+        for (k, a, d), members in groups.items():
             if (k, a) not in expanded:
                 continue
             rows, basis_rows = expanded[k, a]
             n = rows.size
-            for chunk, coeffs in _stacked(basis_rows, members, weights, deg + 1):
+            for chunk, coeffs in _stacked(basis_rows, W, members, d + 1):
                 r = _screened_roots(coeffs, probe.line_pairs if k < 0 else probe.fiber_pairs)
                 if k < 0:
                     hit = np.nonzero(np.any(probe.line_ok(r, tol), axis=1))[0]
@@ -666,21 +649,21 @@ def _search(family, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
                     hits[m][rows[hit[ends[s] : ends[s + 1]] - s * n], int(k >= 0)] = k
 
         for m in live:
-            f = family[m]
             # Row-major: draw order, the line before the fiber.
             for row, col in zip(*np.nonzero(hits[m] > -2)):
                 k = int(hits[m][row, col])
                 rows, basis_rows = expanded[k, active[m] if k >= 0 else ()]
                 at = np.searchsorted(rows, row)
                 if k < 0:
-                    cols, ok, start = f.degree + 1, probe.line_ok, complex
+                    ok, start = probe.line_ok, complex
                     zero, cert = partial(probe.line_zero, x[row], y[row]), probe.line_cert
                 else:
-                    cols, ok, start = f.degree_in(k) + 1, probe.fiber_ok, probe.fiber_start
+                    ok, start = probe.fiber_ok, probe.fiber_start
                     zero = partial(probe.fiber_zero, V[row], k)
-                    cert = probe.fiber_cert.format(var=f.var_names[k])
-                p = UniPoly(_member_rows(basis_rows[:, at : at + 1], weights[m], cols)[0], tol=tol)
-                got = _confirm(f, K, p, ok, zero, tol, floor, start)
+                    cert = probe.fiber_cert.format(var=basis[0].var_names[k])
+                p = UniPoly((W[m] @ basis_rows[:, at])[: deg[m][1 + k] + 1], tol=tol)
+                got = _confirm(basis, W[m], (mass[m], deg[m][0]), K, p, ok, zero, tol, floor,
+                               start)
                 if got is not None:
                     z, res = got
                     out[m] = Verdict(FALSIFIED, witness=z, certificate=cert,
@@ -711,7 +694,7 @@ def falsify_k_stability(
     """
     seed = _as_seed(rng)
     _check_fit(f, K)
-    return _search((f,), K, n_samples, seed, tol, _STABILITY)[0]
+    return _search([f], np.ones((1, 1)), K, n_samples, seed, tol, _STABILITY)[0]
 
 
 def hyperbolicity_check(
@@ -733,7 +716,7 @@ def hyperbolicity_check(
     _check_fit(f, K)
     if not f.is_homogeneous():
         raise ValueError("hyperbolicity_check requires a homogeneous polynomial")
-    return _search((f,), K, n_samples, seed, tol, _HYPERBOLICITY)[0]
+    return _search([f], np.ones((1, 1)), K, n_samples, seed, tol, _HYPERBOLICITY)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -798,20 +781,30 @@ def pencil_hko_check(
 
     Side one: every lam*f + mu*g on the grid is stable or identically
     zero.  Side two: f + i g or g + i f is stable.  Both sides are probed
-    by falsification at the same budget and seed; the nonzero members are
-    one family of the sampling engine, so each block is drawn and expanded
-    once for all of them, and members of one row degree share stacked,
-    block-sized root solves.  The report records each verdict and the flags.
+    by falsification at the same budget and seed.  Member (lam, mu) is the
+    weight row lam*F + mu*G on the monomials of supp f ∪ supp g (F, G the
+    coefficients there), trimmed as ``f.scale(lam) + g.scale(mu)`` trims,
+    never built as a polynomial.  The nonzero rows are one family of the
+    sampling engine, so each block is drawn and expanded once for all of
+    them, and members of one row degree share stacked, block-sized root
+    solves.  The report records each verdict and the flags.
     """
     _require_real_pair(f, g, tol)
     _check_fit(f, K)
     if not f and not g:
         raise ValueError("pencil of two zero polynomials")
     pts = _default_pencil_grid() if grid is None else list(grid)
-    members = [f.scale(lam) + g.scale(mu) for lam, mu in pts]
-    found = iter(_search([p for p in members if p], K, n_samples, _as_seed(rng), tol, _STABILITY))
-    entries = [PencilEntry(lam=lam, mu=mu, zero=not p, verdict=next(found) if p else None)
-               for (lam, mu), p in zip(pts, members)]
+    support = sorted(set(f.terms) | set(g.terms))
+    basis = [MultiPoly(f.var_names, {e: 1.0}) for e in support]
+    lam, mu = np.array(pts, dtype=float).reshape(-1, 2).T[..., None]
+    F, G = (np.array([p.coefficient(e) for e in support]) for p in (f, g))
+    cut = DEFAULT_TOL.coeff_zero_tol  # MultiPoly's trim, of each scaled term and of the sum
+    W = sum(np.where(np.abs(c) > cut, c, 0) for c in (lam * F, mu * G))
+    W = np.where(np.abs(W) > cut, W, 0)
+    zero = ~W.any(axis=1)
+    found = iter(_search(basis, W[~zero], K, n_samples, _as_seed(rng), tol, _STABILITY))
+    entries = [PencilEntry(lam=a, mu=b, zero=z, verdict=None if z else next(found))
+               for (a, b), z in zip(pts, zero.tolist())]
     any_falsified = any(e.verdict.falsified for e in entries if e.verdict is not None)
     v_fg = falsify_k_stability(f + g.scale(1j), K, n_samples, rng, tol)
     v_gf = falsify_k_stability(g + f.scale(1j), K, n_samples, rng, tol)
@@ -877,7 +870,7 @@ def wronskian_certificate(
             )
             continue
         vals = np.real(w(pts))
-        excess = vals - tol.sign_tol * _coeff_scale(w, pts)
+        excess = vals - tol.sign_tol * _coeff_scale(w.coeff_norm1(), w.degree, pts)
         bad = np.nonzero(excess > 0)[0]
         worst = bad[np.argsort(excess[bad])[::-1][:5]]
         reports.append(
@@ -957,7 +950,7 @@ def imaginary_projection_sample(
             r = _roots_batch(F[0])
             i, j = np.nonzero(np.isfinite(r))
             Z = _replace_coord(V[rows[i]], k, r[i, j])
-            ok = np.abs(f(Z)) <= tol.residual_tol * _coeff_scale(f, Z)
+            ok = np.abs(f(Z)) <= tol.residual_tol * _coeff_scale(f.coeff_norm1(), f.degree, Z)
             out.append(Z[ok].imag)
             total += out[-1].shape[0]
             if total >= n_points:  # the rest of the block would be cut off

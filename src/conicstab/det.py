@@ -411,7 +411,8 @@ def thm54_certify(
 
     A positive semidefinite flattened block matrix certifies stability of
     the determinant polynomial relative to PSD(n) — unless the polynomial
-    vanishes identically, which is reported separately.  An indefinite
+    vanishes identically, which is reported separately (a definite
+    flattening never gives the zero polynomial).  An indefinite
     flattening yields ``not_certified``: the test is one-sided and never
     claims instability (there are indefinite examples whose polynomial is
     stable regardless).
@@ -438,7 +439,9 @@ def thm54_certify(
 
     nonzero, method, poly = _poly_is_nonzero(A, b, tol)
     outcome, text = IDENTICALLY_ZERO, "determinant vanishes identically"
-    if nonzero:
+    # A definite flattening is nonzero by itself: f(iI) = det(B + i sum_i A_ii)
+    # with sum_i A_ii definite, even where the expansion trims every term.
+    if nonzero or flat_class == POSITIVE_DEFINITE:
         b_residual = float(np.max(np.abs(b - b.conj().T)))
         outcome, text = CERTIFIED_STABLE, (
             f"flattened coefficient matrix is {flat_class} "

@@ -491,9 +491,10 @@ class TestPencil:
         pencil_hko_check(parse("z1^2 + z2"), parse("z1*z2 - 1"), Orthant(2), n_samples=600)
         assert (len(draws), len(calls)) == (3, 2)
 
-    def test_lone_member_is_its_own_basis(self):
-        # A family of one expands the member itself: the same rows, roots
-        # and witness bits as falsify_k_stability.
+    def test_one_point_grid_matches_the_lone_falsifier(self):
+        # The grid's one member, a weight row on the monomials of f and g,
+        # gets the same witness bits as falsify_k_stability on the member
+        # polynomial.
         f, g = parse("z1^2 - z2^2 + z1"), parse("z1*z2 + 1")
         rep = pencil_hko_check(f, g, Orthant(2), grid=[(0.6, 0.8)], n_samples=600, rng=2)
         v = falsify_k_stability(f.scale(0.6) + g.scale(0.8), Orthant(2), n_samples=600, rng=2)
@@ -638,6 +639,62 @@ class TestPencilFamily:
             if witness and v.witness is not None:
                 np.testing.assert_allclose(got.witness, v.witness, rtol=1e-9,
                                            atol=1e-9 * np.max(np.abs(v.witness)))
+
+
+class TestPencilWeightRows:
+    """The members are weight rows on the monomials of supp f ∪ supp g.
+
+    Each row is exactly the coefficients of f.scale(lam) + g.scale(mu) on
+    that support, trimmed in the same order, so the 45-degree cancellation
+    (lam - mu = 1.1e-16) and the 90-degree member (lam = 6e-17) keep the
+    same exact zeros, and a zero row is a zero entry.  ``_search`` is
+    replaced by a recorder, so no draw is made.
+    """
+
+    @settings(max_examples=30)
+    @given(_real_pencil_pairs(), st.sampled_from([None, _GRID8]))
+    def test_rows_are_the_trimmed_member_coefficients(self, pair, grid):
+        self._check(*pair, grid)
+
+    @pytest.mark.parametrize("f,g,names,K", [
+        ("z1 + z2", "z1 - z2", ("z1", "z2"), Orthant(2)),
+        ("z1^2 - 3*z1*z2 + 1", "z1 + 2*z2 - 1", ("z1", "z2"), Orthant(2)),
+        ("z1 + z2", "-z1 - z2", ("z1", "z2"), Orthant(2)),
+    ])
+    def test_explicit_pairs(self, f, g, names, K):
+        self._check(parse(f, var_names=names), parse(g, var_names=names), K, _GRID8)
+
+    def test_members_are_never_built(self, monkeypatch):
+        # Only f + ig and g + if scale a polynomial, not the 32 members.
+        f, g = parse("z1^2 + z2"), parse("z1*z2 - 1")
+        factors, scale = [], MultiPoly.scale
+        monkeypatch.setattr(MultiPoly, "scale", lambda p, c: factors.append(c) or scale(p, c))
+        pencil_hko_check(f, g, Orthant(2), n_samples=600)
+        assert factors == [1j, 1j]
+
+    @staticmethod
+    def _check(f, g, K, grid):
+        if not f and not g:
+            return
+        seen = []
+
+        def record(basis, W, *rest):
+            seen.append((basis, W))
+            return [constab.Verdict(NOT_FALSIFIED)] * len(W)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constab, "_search", record)
+            rep = pencil_hko_check(f, g, K, grid=grid, n_samples=1)
+        basis, W = seen[0]
+        support = sorted(set(f.terms) | set(g.terms))
+        assert [b.terms for b in basis] == [{e: 1.0} for e in support]
+        rows = iter(W)
+        for e in rep.entries:
+            member = f.scale(e.lam) + g.scale(e.mu)
+            assert e.zero == (not member)
+            if not e.zero:
+                assert np.array_equal(next(rows), [member.coefficient(t) for t in support])
+        assert next(rows, None) is None
 
 
 # ---------------------------------------------------------------------------

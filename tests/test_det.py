@@ -385,6 +385,17 @@ class TestCertify:
         cert = thm54_certify(A, np.zeros((2, 2)))
         assert cert.outcome == IDENTICALLY_ZERO
 
+    @pytest.mark.parametrize("norm", [1.0, 1e-3, 1e-6])
+    def test_small_definite_grid_certified_on_the_expansion_route(self, norm):
+        # Below norm 1e-3 the degree-4 coefficients (~norm^4) fall under the
+        # expansion's trim and it comes back as the zero polynomial; the
+        # definite flattening still makes f(iI) = det(i sum A_ii) nonzero.
+        A = random_psd_blocks(np.random.default_rng(19), 2, 4)
+        A = BlockMatrix(A.blocks * (norm / np.linalg.norm(A.flatten())))
+        cert = thm54_certify(A, np.zeros((4, 4)))
+        assert (cert.flat_class, cert.nonzero_method) == (POSITIVE_DEFINITE, "expansion")
+        assert cert.outcome == CERTIFIED_STABLE
+
     def test_certified_instance_survives_falsifier(self):
         f = expand_det_polynomial(coupling_example(), np.zeros((2, 2)))
         v = falsify_k_stability(f, PSD(2), n_samples=2_000, rng=0)

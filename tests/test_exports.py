@@ -56,19 +56,21 @@ def test_bench_tracer_binds_every_layer():
     )
 
 
-def test_bench_tracer_reaches_every_certificates_layer():
-    # One traced pass of the certificates workload must record calls to
-    # every layer it is expected to reach (det.expand, det.certify,
-    # linalg.eigh, ...), so a refactor that routes around a traced entry
-    # point fails here, not only in a traced benchmark run.
+@pytest.mark.parametrize("workload", ["sampling_sweep", "hko_pairs", "certificates"])
+def test_bench_tracer_reaches_every_expected_layer(workload):
+    # One traced pass of each workload must record calls to every layer it
+    # is expected to reach (``layers.EXPECTED_CALLS``: det.expand on
+    # certificates, unistab.roots and linalg.eigh on sampling_sweep, ...), so
+    # a refactor that routes around a traced entry point fails here, not
+    # only in a traced benchmark run.
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     script = (
         "import json, tracing, worker, workloads\n"
         "tracer = tracing.Tracer()\n"
         "tracer.install([workloads])\n"
-        "worker.measure(workloads.certificates(1), 0, tracer)\n"
-        "print(json.dumps(tracing.missing_calls(tracer.summary(), 'certificates')))\n"
+        f"worker.measure(workloads.{workload}(1), 0, tracer)\n"
+        f"print(json.dumps(tracing.missing_calls(tracer.summary(), {workload!r})))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],
