@@ -322,22 +322,21 @@ def _stacked(rows: np.ndarray, W: np.ndarray, members: list, width: int):
     members stacks each member's n rows of ``width`` columns in turn, at
     most ``_BLOCK`` rows (``_BLOCK // n`` members), so a stacked solve is
     no larger than a lone member's full block.  A chunk is one product
-    ``W[chunk] @ rows``; a unit weight on a one-polynomial basis (a
-    falsifier's f) is its rows as they are, without the copy.
+    ``W[chunk] @ rows``.
     """
     nb, n, d = rows.shape
     per = max(1, _BLOCK // n)
-    unit = W.shape == (1, 1) and W[0, 0] == 1
     for c in range(0, len(members), per):
         chunk = members[c : c + per]
-        stack = rows if unit else (W[chunk] @ rows.reshape(nb, -1)).reshape(-1, n, d)
+        stack = (W[chunk] @ rows.reshape(nb, -1)).reshape(-1, n, d)
         yield chunk, stack[..., :width].reshape(-1, width)
 
 
-def _confirm(basis, w, size, K, p: UniPoly, ok, zero, tol, floor, start):
+def _confirm(basis, w, mass, degree, K, p: UniPoly, ok, zero, tol, floor, start):
     """Re-solve ``p`` at scalar precision; return (witness, residual) or None.
 
-    The member is ``w @ basis`` with coefficient mass and degree ``size``.
+    The member is ``w @ basis``, of coefficient mass ``mass`` and total
+    degree ``degree``.
     Roots are tried in lexicographic order.  A root passing ``ok`` is
     polished by one Newton step from ``start(root)`` (kept unpolished if
     the step leaves ``ok``), mapped to a zero of the member by ``zero`` and
@@ -360,7 +359,7 @@ def _confirm(basis, w, size, K, p: UniPoly, ok, zero, tol, floor, start):
         if K.interior_margin(z.imag) < floor:
             continue
         res = abs(w @ [b(z) for b in basis])
-        if res <= tol.residual_tol * _coeff_scale(*size, z):
+        if res <= tol.residual_tol * _coeff_scale(mass, degree, z):
             return z, float(res)
     return None
 
@@ -662,8 +661,7 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
                     zero = partial(probe.fiber_zero, V[row], k)
                     cert = probe.fiber_cert.format(var=basis[0].var_names[k])
                 p = UniPoly((W[m] @ basis_rows[:, at])[: deg[m][1 + k] + 1], tol=tol)
-                got = _confirm(basis, W[m], (mass[m], deg[m][0]), K, p, ok, zero, tol, floor,
-                               start)
+                got = _confirm(basis, W[m], mass[m], deg[m][0], K, p, ok, zero, tol, floor, start)
                 if got is not None:
                     z, res = got
                     out[m] = Verdict(FALSIFIED, witness=z, certificate=cert,

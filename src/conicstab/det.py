@@ -378,6 +378,9 @@ class DetCertificate:
     test (``nonzero_method``) is ``"expansion"`` within the caps, which
     also sets ``polynomial``, or ``"evaluation"`` of f(iI) above them,
     which leaves it ``None``; for ``not_certified`` both are ``None``.
+    A positive definite flattening is certified on either route (f(iI) is
+    nonzero), so its ``polynomial`` may be the zero polynomial when the
+    trim emptied the expansion; the certificate text then says so.
     """
 
     outcome: str
@@ -411,8 +414,7 @@ def thm54_certify(
 
     A positive semidefinite flattened block matrix certifies stability of
     the determinant polynomial relative to PSD(n) — unless the polynomial
-    vanishes identically, which is reported separately (a definite
-    flattening never gives the zero polynomial).  An indefinite
+    vanishes identically, which is reported separately.  An indefinite
     flattening yields ``not_certified``: the test is one-sided and never
     claims instability (there are indefinite examples whose polynomial is
     stable regardless).
@@ -446,6 +448,7 @@ def thm54_certify(
         outcome, text = CERTIFIED_STABLE, (
             f"flattened coefficient matrix is {flat_class} "
             f"(lambda_min = {lam_min:.6g}); B Hermitian residual {b_residual:.2g}"
+            + ("" if nonzero else "; expansion trimmed to zero, f(iI) nonzero by definiteness")
         )
     return DetCertificate(
         outcome=outcome,

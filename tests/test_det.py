@@ -395,6 +395,8 @@ class TestCertify:
         cert = thm54_certify(A, np.zeros((4, 4)))
         assert (cert.flat_class, cert.nonzero_method) == (POSITIVE_DEFINITE, "expansion")
         assert cert.outcome == CERTIFIED_STABLE
+        assert bool(cert.polynomial) == (norm == 1.0)
+        assert ("expansion trimmed to zero" in cert.certificate) == (norm < 1.0)
 
     def test_certified_instance_survives_falsifier(self):
         f = expand_det_polynomial(coupling_example(), np.zeros((2, 2)))
