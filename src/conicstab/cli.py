@@ -37,7 +37,7 @@ from .cones import Cone, Orthant, Polyhedral, PSD, cone_from_descriptor, product
 from .constab import (
     FALSIFIED,
     Verdict,
-    _coeff_scale,
+    _witness_residual,
     falsify_k_stability,
     imaginary_projection_sample,
     linear_k_stability,
@@ -209,16 +209,14 @@ def _verdict_payload(v: Verdict) -> dict:
 def _verify_verdict(v: Verdict, f: MultiPoly, K: Cone, tol: ToleranceProfile) -> bool:
     """Re-check the witness contract from scratch, for any verdict carrying one.
 
-    The residual bound always applies; Im(z) must clear half the sampling
+    The samplers' acceptance rule on f: Im(z) must clear half the sampling
     margin for a sampling witness and be interior for an exact one.
     """
     if v.witness is None:
         return True
+    floor = tol.sample_margin / 2.0 if v.status == FALSIFIED else 0.0
     z = np.asarray(v.witness)
-    margin = K.interior_margin(z.imag)
-    interior = margin >= tol.sample_margin / 2.0 if v.status == FALSIFIED else margin > 0
-    bound = tol.residual_tol * _coeff_scale(f.coeff_norm1(), f.degree, z)
-    return bool(abs(complex(f(z))) <= bound) and interior
+    return _witness_residual(K, z, floor, f, f.coeff_norm1(), f.degree, tol) is not None
 
 
 def _emit(payload: dict, mode: str, out) -> None:

@@ -48,13 +48,13 @@ are solved by the batched root engine (closed forms, and closed-form
 cubic roots kept where their residuals verify at rounding level,
 polished where not); a vectorized yes/no margin test then filters the
 fiber roots (margin at least half the floor; on the PSD cone a Cholesky
-factorization, no eigensolver).  Every witness passes one acceptance
-check: the candidate's coefficient row, contracted again from its basis
-rows, is re-solved at scalar precision, its root polished by a single
-damped Newton step along its line or fiber (never in the full variable
-space), and accepted only if |f(z)| <= residual_tol * sum|coeff| *
-max(1,|z|)^deg and Im(z) clears an interior margin of half the sampling
-margin.
+factorization, no eigensolver).  The candidate's coefficient row,
+contracted again from its basis rows, is re-solved at scalar precision
+and each kept root mapped to its zero as solved.  Every witness, the
+exact linear route's and ``stab --verify``'s included, passes one
+acceptance check (`_witness_residual`): Im(z) clears the interior margin
+floor (half the sampling margin here), then |f(z)| <= residual_tol *
+sum|coeff| * max(1,|z|)^deg.
 
 Determinism: sampling operations take an integer seed (the ``rng``
 argument).  Draw j is a pure function of (seed, j) — blocks of fixed size
@@ -258,18 +258,19 @@ def _blocks(seed: int, n: int, K: Cone, sigma: float, n_samples: int, margin: fl
         yield lo, x, K.interior_from_normals(u, margin)
 
 
-def _newton_once(p: UniPoly, t: complex) -> complex:
-    """One damped Newton step on p; keeps t unless a step lowers |p|."""
-    d = p.derivative()(t)
-    if d == 0:
-        return t
-    step = p(t) / d
-    best_val = abs(p(t))
-    for damp in (1.0, 0.5, 0.25, 0.125):
-        cand = t - damp * step
-        if abs(p(cand)) < best_val:
-            return cand
-    return t
+def _witness_residual(K: Cone, z: np.ndarray, floor: float, member, mass: float,
+                      degree: int, tol: ToleranceProfile) -> float | None:
+    """|member(z)| when z is a witness, else None: the one acceptance rule.
+
+    Im(z) must have interior margin >= ``floor`` (and > 0 at floor 0),
+    tested before the member is evaluated; then |member(z)| <=
+    residual_tol * mass * max(1,|z|)^degree.
+    """
+    margin = K.interior_margin(z.imag)
+    if not (margin >= floor and margin > 0):
+        return None
+    res = abs(member(z))
+    return float(res) if res <= tol.residual_tol * _coeff_scale(mass, degree, z) else None
 
 
 def _screened_roots(coeffs: np.ndarray, pairs) -> np.ndarray:
@@ -333,16 +334,13 @@ def _stacked(rows: np.ndarray, W: np.ndarray, members: list, width: int):
         yield chunk, stack[..., :width].reshape(-1, width)
 
 
-def _confirm(basis, w, mass, degree, K, p: UniPoly, ok, zero, tol, floor, start):
+def _confirm(basis, w, mass, degree, K, p: UniPoly, ok, zero, tol, floor):
     """Re-solve ``p`` at scalar precision; return (witness, residual) or None.
 
     The member is ``w @ basis``, of coefficient mass ``mass`` and total
-    degree ``degree``.
-    Roots are tried in lexicographic order.  A root passing ``ok`` is
-    polished by one Newton step from ``start(root)`` (kept unpolished if
-    the step leaves ``ok``), mapped to a zero of the member by ``zero`` and
-    accepted when that zero clears the interior margin and the residual
-    bound.
+    degree ``degree``.  Roots are tried in lexicographic order; a root
+    passing ``ok`` is mapped to a zero of the member by ``zero`` and
+    accepted by ``_witness_residual`` at margin ``floor``.
     """
     if p.degree < 1:
         return None
@@ -350,35 +348,14 @@ def _confirm(basis, w, mass, degree, K, p: UniPoly, ok, zero, tol, floor, start)
         rts = roots(p, tol)
     except (ValueError, ArithmeticError):
         return None
-    for t0 in rts:
-        if not ok(t0, tol):
-            continue
-        t1 = _newton_once(p, start(t0))
-        if not ok(t1, tol):
-            t1 = complex(t0)
-        z = zero(t1)
-        if K.interior_margin(z.imag) < floor:
-            continue
-        res = abs(w @ [b(z) for b in basis])
-        if res <= tol.residual_tol * _coeff_scale(mass, degree, z):
-            return z, float(res)
+    member = lambda z: w @ [b(z) for b in basis]  # noqa: E731
+    for t in rts:
+        if ok(t, tol):
+            z = zero(t)
+            res = _witness_residual(K, z, floor, member, mass, degree, tol)
+            if res is not None:
+                return z, res
     return None
-
-
-def _screen_margins(K: Cone, points: np.ndarray, floor: float) -> np.ndarray:
-    """Boolean keep-mask of candidate points whose interior margin is >= floor / 2.
-
-    Generous, so no candidate is dropped that confirmation (margin >=
-    floor) would accept.  The cone answers the yes/no question itself
-    (``Cone.interior_margin_batch``, a Cholesky test on the PSD cone, no
-    eigensolver); the method keeps that name because the benchmark's
-    per-layer tracer (``bench/tracing.py``) wraps it.  A cone without a
-    batch path keeps every point.
-    """
-    if points.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    keep = K.interior_margin_batch(points, 0.5 * floor)
-    return np.ones(points.shape[0], dtype=bool) if keep is None else keep
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +399,8 @@ def linear_k_stability(
     in the closed dual suffices: any nonzero dual functional is strictly
     positive on the interior, so the imaginary part of f cannot vanish
     there.  On the dual boundary the decision is exact but numerically
-    fragile; the certificate says so.
+    fragile; the certificate says so.  The decision is made on f/||a||,
+    which has the same zeros, so its bands do not depend on the scale of f.
 
     The constant term must be real unless ``allow_complex_constant`` is
     set; with the flag, stability additionally requires Im(b) to have the
@@ -432,8 +410,9 @@ def linear_k_stability(
     y with <a, y> = -Im(b), either a scaled interior point or an interior
     point shifted along the dual minimizer of a or -a (a point of K on
     which that functional is negative), and x solving <a, x> = -Re(b).  The
-    witness is accepted as the samplers' are: Im(z) interior and the
-    residual bound met; otherwise ``ArithmeticError`` is raised.
+    witness is accepted as the samplers' are (`_witness_residual` at
+    floor 0): Im(z) interior and the residual bound met; otherwise
+    ``ArithmeticError`` is raised.
     """
     _check_fit(f, K)
     if f.degree > 1:
@@ -455,6 +434,8 @@ def linear_k_stability(
             "the sign-matched extension of the linear criterion"
         )
 
+    norm = float(np.linalg.norm(a))
+    a, b = a / norm, complex(b) / norm
     band = tol.interior_tol
     dm_pos = K.dual_margin(a)
     dm_neg = K.dual_margin(-a)
@@ -477,10 +458,9 @@ def linear_k_stability(
         cert = "-a ∈ K* but Im b > 0"
     else:
         cert = "neither a nor -a lies in the dual cone"
-    witness = _linear_witness(K, a, complex(b), max(dm_pos, dm_neg) >= -band)
-    res = abs(f(witness))
-    bound = tol.residual_tol * _coeff_scale(f.coeff_norm1(), f.degree, witness)
-    if K.interior_margin(witness.imag) <= 0 or res > bound:
+    witness = _linear_witness(K, a, b, max(dm_pos, dm_neg) >= -band)
+    res = _witness_residual(K, witness, 0.0, f, f.coeff_norm1(), f.degree, tol)
+    if res is None:
         raise ArithmeticError("closed-form linear witness failed its margin or residual check")
     return Verdict(CERTIFIED_UNSTABLE, witness=witness, certificate=cert, residual=res)
 
@@ -492,13 +472,7 @@ def linear_k_stability(
 
 def _upper(t, tol):
     """Root lies strictly above the real axis (rows or a scalar)."""
-    return np.isfinite(t) & (t.imag > tol.stability_im_tol)
-
-
-def _non_real(t, tol):
-    """Root is off the real axis beyond the real-rootedness slack."""
-    lim = np.maximum(tol.real_root_im_tol * np.maximum(1.0, np.abs(t)), tol.stability_im_tol)
-    return np.isfinite(t) & (np.abs(t.imag) > lim)
+    return np.isfinite(t) & (t.imag > tol.real_root_im_tol)
 
 
 def _near_real(t, slack):
@@ -536,7 +510,6 @@ class _Probe:
     selects batch fiber roots and may be more generous than ``fiber_ok``.
     ``line_zero(x, y, t)`` and ``fiber_zero(w, k, r)`` map a root to the
     zero of f it stands for; ``fiber_zero`` also works on rows.
-    ``fiber_start`` is where the Newton polish of a fiber root begins.
     ``line_pairs``/``fiber_pairs`` map a block of coefficient rows to the
     rows P + iQ of ``_screened_roots``: a row cleared there has no root
     passing ``line_ok``, respectively ``fiber_screen``.  None screens
@@ -549,7 +522,6 @@ class _Probe:
     fiber_ok: Callable
     line_zero: Callable
     fiber_zero: Callable
-    fiber_start: Callable
     line_cert: str
     fiber_cert: str
     line_pairs: Callable | None
@@ -563,7 +535,6 @@ _STABILITY = _Probe(
     fiber_ok=_upper,
     line_zero=lambda x, y, t: x + t * y.astype(complex),
     fiber_zero=_replace_coord,
-    fiber_start=complex,
     line_cert="zero on a sampled line with interior imaginary direction",
     fiber_cert="zero on the {var} coordinate fiber with interior imaginary part",
     # (Re p, Im p) clears p with every root below the axis.
@@ -573,12 +544,11 @@ _STABILITY = _Probe(
 
 _HYPERBOLICITY = _Probe(
     base=lambda x, e: e.astype(complex),
-    line_ok=_non_real,
+    line_ok=lambda t, tol: np.isfinite(t) & ~_near_real(t, tol.real_root_im_tol),
     fiber_screen=lambda t, tol: _near_real(t, _NEAR_REAL_SCREEN),
     fiber_ok=lambda t, tol: _near_real(t, tol.real_root_im_tol),
     line_zero=_signed_line_zero,
     fiber_zero=_imaginary_real_point,
-    fiber_start=lambda r: complex(r.real),
     line_cert="restriction along an interior direction has a non-real root",
     fiber_cert="vanishes at a real interior point (not hyperbolic there)",
     line_pairs=_with_derivative,
@@ -643,7 +613,9 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
                 else:
                     i, j = np.nonzero(probe.fiber_screen(r, tol))
                     comp = probe.fiber_zero(V[rows[i % n]], k, r[i, j]).imag
-                    hit = i[_screen_margins(K, comp, floor)]
+                    # generous: margin >= floor / 2; None (no batch path) keeps every point
+                    keep = K.interior_margin_batch(comp, floor / 2) if i.size else None
+                    hit = i if keep is None else i[keep]
                 ends = np.searchsorted(hit, n * np.arange(len(chunk) + 1))
                 for s, m in enumerate(chunk):
                     hits[m][rows[hit[ends[s] : ends[s + 1]] - s * n], int(k >= 0)] = k
@@ -655,14 +627,14 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
                 rows, basis_rows = expanded[k, active[m] if k >= 0 else ()]
                 at = np.searchsorted(rows, row)
                 if k < 0:
-                    ok, start = probe.line_ok, complex
+                    ok = probe.line_ok
                     zero, cert = partial(probe.line_zero, x[row], y[row]), probe.line_cert
                 else:
-                    ok, start = probe.fiber_ok, probe.fiber_start
+                    ok = probe.fiber_ok
                     zero = partial(probe.fiber_zero, V[row], k)
                     cert = probe.fiber_cert.format(var=basis[0].var_names[k])
                 p = UniPoly((W[m] @ basis_rows[:, at])[: deg[m][1 + k] + 1], tol=tol)
-                got = _confirm(basis, W[m], mass[m], deg[m][0], K, p, ok, zero, tol, floor, start)
+                got = _confirm(basis, W[m], mass[m], deg[m][0], K, p, ok, zero, tol, floor)
                 if got is not None:
                     z, res = got
                     out[m] = Verdict(FALSIFIED, witness=z, certificate=cert,

@@ -30,11 +30,10 @@ class ToleranceProfile:
         during canonicalization.
     root_tol : float
         Univariate root acceptance: |p(r)| <= root_tol * ||p||_1 * max(1,|r|)^deg.
-    stability_im_tol : float
-        One-sided slack on imaginary parts of computed roots: a root
-        with Im(r) <= stability_im_tol does not disprove stability.
     real_root_im_tol : float
-        Two-sided |Im| slack when a computed root is read as real.
+        The one slack on imaginary parts of computed roots: a root with
+        Im(r) <= real_root_im_tol does not disprove stability, and a root
+        with |Im(r)| <= real_root_im_tol * max(1, |r|) is read as real.
     sign_tol : float
         Relative slack when testing nonpositivity of a sampled function.
     residual_tol : float
@@ -52,7 +51,6 @@ class ToleranceProfile:
     eig_tol: float = 1e-10
     coeff_zero_tol: float = 1e-12
     root_tol: float = 1e-8
-    stability_im_tol: float = 1e-9
     real_root_im_tol: float = 1e-9
     sign_tol: float = 1e-9
     residual_tol: float = 1e-6

@@ -83,9 +83,10 @@ class TestDescriptors:
         with pytest.raises(CliError):
             parse_tol("residual_tol")
 
-    def test_removed_tolerance_name_exits_two(self, capsys):
+    @pytest.mark.parametrize("name", ["root_merge_tol", "stability_im_tol"])
+    def test_removed_tolerance_name_exits_two(self, capsys, name):
         code, _, err = run_cli(
-            capsys, "stab", "-e", "z1 + 1", "--cone", "orthant:1", "--tol", "root_merge_tol=1e-7"
+            capsys, "stab", "-e", "z1 + 1", "--cone", "orthant:1", "--tol", f"{name}=1e-7"
         )
         assert code == 2
         assert "unknown tolerance name" in err
@@ -142,6 +143,14 @@ class TestStab:
             "--samples", "2000", "--verify",
         )
         assert code == 1
+        assert data["verified"] is True
+
+    def test_verify_flag_rechecks_tiny_linear_witness(self, capsys):
+        code, data = run_json(
+            capsys, "stab", "-e", "1e-10*z1 - 1e-10*z2 + 1", "--cone", "orthant:2", "--verify"
+        )
+        assert code == 1
+        assert (data["route"], data["status"]) == ("exact-linear", "certified_unstable")
         assert data["verified"] is True
 
     def test_verify_flag_rejects_bad_exact_witness(self, capsys, monkeypatch):

@@ -36,7 +36,7 @@ from conicstab.constab import (
     specialize_stability_check,
     wronskian_certificate,
 )
-from conicstab.constab import _HYPERBOLICITY, _STABILITY, _non_real, _upper
+from conicstab.constab import _HYPERBOLICITY, _STABILITY, _upper
 from conicstab.poly import MultiPoly, parse
 from conicstab.tolerances import DEFAULT_TOL
 from conicstab.unistab import UniPoly, _clears_lower, _roots_batch, roots
@@ -200,6 +200,49 @@ class TestLinearStability:
         assert v.status == CERTIFIED_UNSTABLE
         _assert_exact_witness(v, f, K)
 
+    @pytest.mark.parametrize(
+        "K, expr, names",
+        [
+            (Orthant(2), "1e-10*z1 - 1e-10*z2 + 1", None),
+            (Orthant(2), "1e-9*z1 - 1e-9*z2 + 1", None),
+            (PSD(2), "1e-10*z11 - 1e-10*z22 + 1", ("z11", "z12", "z22")),
+        ],
+        ids=["orthant_1e-10", "orthant_1e-9", "psd2_1e-10"],
+    )
+    def test_tiny_mixed_sign_form_is_unstable(self, K, expr, names):
+        # Neither a nor -a is dual; the dual margins of a itself are within
+        # the band only because ||a|| is tiny, so the decision is on f/||a||.
+        f = parse(expr, var_names=names)
+        v = linear_k_stability(f, K)
+        assert v.status == CERTIFIED_UNSTABLE
+        assert v.certificate == "neither a nor -a lies in the dual cone"
+        _assert_exact_witness(v, f, K)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_status_is_invariant_under_scaling(self, data):
+        # f -> c*f keeps the zeros.  |a_k| >= 0.1 and |c| >= 1e-9 keep every
+        # coefficient far above the trim, so both sides see the same terms.
+        K = data.draw(st.sampled_from(_LINEAR_CONES))
+        mag = st.floats(0.1, 10.0)
+        sign = st.sampled_from([-1.0, 1.0])
+        part = st.one_of(st.just(0.0), st.builds(lambda m, s: m * s, mag, sign))
+        a = [data.draw(mag) * data.draw(sign) for _ in range(K.dim)]
+        b = complex(data.draw(part), data.draw(part))
+        c = data.draw(sign) * 10.0 ** data.draw(st.floats(-9.0, 9.0))
+        names = tuple(f"z{k}" for k in range(K.dim))
+
+        def form(scale):
+            terms = {tuple(int(j == k) for j in range(K.dim)): scale * a[k] for k in range(K.dim)}
+            terms[(0,) * K.dim] = scale * b
+            return MultiPoly(names, terms)
+
+        base = linear_k_stability(form(1.0), K, allow_complex_constant=True)
+        scaled = linear_k_stability(form(c), K, allow_complex_constant=True)
+        assert scaled.status == base.status
+        if scaled.witness is not None:
+            _assert_exact_witness(scaled, form(c), K)
+
     @given(st.data())
     def test_decides_every_form_property(self, data):
         K = data.draw(st.sampled_from(_LINEAR_CONES))
@@ -213,6 +256,25 @@ class TestLinearStability:
         v = linear_k_stability(f, K, allow_complex_constant=True)
         if v.witness is not None:
             _assert_exact_witness(v, f, K)
+
+
+@pytest.mark.parametrize(
+    "imag, floor, value, accepted",
+    [
+        ((0.0, 1.0), 0.0, 0.0, False),  # margin exactly 0 at floor 0
+        ((5e-4, 1.0), 5e-4, 0.0, True),  # margin equal to the floor
+        ((1.0, 1.0), 5e-4, DEFAULT_TOL.residual_tol, True),  # residual at the bound
+        ((1.0, 1.0), 5e-4, np.nextafter(DEFAULT_TOL.residual_tol, 1.0), False),  # just above
+    ],
+    ids=["zero_margin_floor_zero", "margin_at_floor", "residual_at_bound", "residual_above_bound"],
+)
+def test_witness_acceptance_boundaries(imag, floor, value, accepted):
+    # The one acceptance rule of the samplers, the linear route and
+    # ``stab --verify``: mass 1, degree 1 and |z| = 1 make the bound
+    # residual_tol itself.
+    z = 1j * np.array(imag, dtype=complex)
+    got = constab._witness_residual(Orthant(2), z, floor, lambda _: value, 1.0, 1, DEFAULT_TOL)
+    assert (got == value) if accepted else (got is None)
 
 
 # ---------------------------------------------------------------------------
@@ -1077,7 +1139,7 @@ class TestBezoutScreen:
         row = sign * np.poly(r).real[::-1].astype(complex)
         if _clears_lower(_HYPERBOLICITY.line_pairs(row[np.newaxis, :]))[0]:
             assert n_pairs == 0
-            assert not np.any(_non_real(_scalar_roots(row), DEFAULT_TOL))
+            assert not np.any(_HYPERBOLICITY.line_ok(_scalar_roots(row), DEFAULT_TOL))
 
     def test_cleared_rows_hold_nan_and_the_rest_are_solved(self):
         planted = ([-1j, 2 - 1j, -3 - 2j, 1 - 0.5j], [1j, 2 - 1j, -3 - 2j, 1 - 0.5j])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -32,13 +33,18 @@ def test_all_names_resolve(name):
 
 
 def test_every_tolerance_is_read():
-    # A ToleranceProfile field that no module reads can be set and does nothing.
+    # A ToleranceProfile field that no module reads can be set and does
+    # nothing; every field is documented in the class docstring, and no
+    # removed one still is.
     from conicstab.tolerances import ToleranceProfile
 
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "conicstab"
     text = "\n".join(p.read_text() for p in src.glob("*.py") if p.name != "tolerances.py")
     names = [f.name for f in dataclasses.fields(ToleranceProfile)]
     assert [n for n in names if not re.search(rf"\.{n}\b", text)] == []
+    documented = re.findall(r"^(\w+) : ", inspect.cleandoc(ToleranceProfile.__doc__), re.M)
+    assert [n for n in names if n not in documented] == []
+    assert [n for n in documented if n not in names] == []
 
 
 def test_bench_tracer_binds_every_layer():
