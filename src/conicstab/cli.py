@@ -238,11 +238,10 @@ def _emit(payload: dict, mode: str, out) -> None:
 
 
 def _linear_part_real(f: MultiPoly, tol: ToleranceProfile) -> bool:
-    return all(
-        abs(c.imag) <= tol.coeff_zero_tol
-        for e, c in f.terms.items()
-        if sum(e) == 1
-    )
+    """Im of every linear coefficient within ``coeff_zero_tol`` times their norm."""
+    lin = [c for e, c in f.terms.items() if sum(e) == 1]
+    band = tol.coeff_zero_tol * float(np.linalg.norm(lin))
+    return all(abs(c.imag) <= band for c in lin)
 
 
 def _cmd_stab(args, out) -> int:

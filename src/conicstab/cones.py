@@ -434,11 +434,17 @@ class PSD(Cone):
         return float(w[0]), self.index.flat_from_mat(np.outer(v[:, 0], v[:, 0].conj()).real)
 
     def interior_from_normals(self, u, margin: float = DEFAULT_TOL.sample_margin) -> np.ndarray:
+        # Draws-last: (G G^T)_ik = sum_j G_ij G_kj, summed in j order as
+        # n outer products of the (n, B) columns of the Gram factors G; a
+        # loop over the flat entries instead is slow for a single draw.
         u = np.asarray(u, dtype=float)
-        G = u.reshape(u.shape[0], self.n, self.n)
-        S = np.einsum("bij,bkj->bik", G, G)
-        S[:, np.arange(self.n), np.arange(self.n)] += margin
-        return S[:, self._rows, self._cols]
+        G = np.ascontiguousarray(u.T).reshape(self.n, self.n, u.shape[0])
+        S = G[:, None, 0] * G[None, :, 0]
+        for j in range(1, self.n):
+            S += G[:, None, j] * G[None, :, j]
+        diag = np.arange(self.n)
+        S[diag, diag] += margin
+        return np.ascontiguousarray(S[self._rows, self._cols].T)
 
     def descriptor(self) -> dict:
         return {"type": "psd", "n": self.n}

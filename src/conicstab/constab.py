@@ -371,7 +371,8 @@ def _linear_witness(K: Cone, a: np.ndarray, b: complex, one_sided: bool) -> np.n
     otherwise ``y = c + lam p`` with ``p`` the dual minimizer of ``a`` or
     ``-a``, a point of K where <a,.> has the sign of ``target - s``, and
     ``lam >= 0`` solving ``<a,y> = target``.  Adding a point of K keeps y
-    interior.  x solves ``<a,x> = -Re b``.
+    interior.  At target 0 any positive multiple of y is a zero too, and y
+    is scaled to unit norm.  x solves ``<a,x> = -Re b``.
     """
     target = -b.imag
     gen = np.random.default_rng((_LIN_SALT, K.dim, 1))
@@ -382,6 +383,8 @@ def _linear_witness(K: Cone, a: np.ndarray, b: complex, one_sided: bool) -> np.n
     else:
         _, p = K.dual_minimizer(a if target < s else -a)
         y = c + ((target - s) / float(a @ p)) * p
+    if target == 0:
+        y = y / np.linalg.norm(y)
     x = -(b.real / float(a @ a)) * a
     return x + 1j * y
 
@@ -400,7 +403,9 @@ def linear_k_stability(
     positive on the interior, so the imaginary part of f cannot vanish
     there.  On the dual boundary the decision is exact but numerically
     fragile; the certificate says so.  The decision is made on f/||a||,
-    which has the same zeros, so its bands do not depend on the scale of f.
+    which has the same zeros, so its bands do not depend on the scale of f;
+    the checks that Im a and Im b vanish compare them with
+    ``coeff_zero_tol * ||a||`` for the same reason.
 
     The constant term must be real unless ``allow_complex_constant`` is
     set; with the flag, stability additionally requires Im(b) to have the
@@ -409,10 +414,10 @@ def linear_k_stability(
     Unstable inputs come back with a witness in closed form: an interior
     y with <a, y> = -Im(b), either a scaled interior point or an interior
     point shifted along the dual minimizer of a or -a (a point of K on
-    which that functional is negative), and x solving <a, x> = -Re(b).  The
-    witness is accepted as the samplers' are (`_witness_residual` at
-    floor 0): Im(z) interior and the residual bound met; otherwise
-    ``ArithmeticError`` is raised.
+    which that functional is negative), of unit norm when Im(b) = 0, and x
+    solving <a, x> = -Re(b).  The witness is accepted as the samplers' are
+    (`_witness_residual` at floor 0): Im(z) interior and the residual bound
+    met; otherwise ``ArithmeticError`` is raised.
     """
     _check_fit(f, K)
     if f.degree > 1:
@@ -423,12 +428,13 @@ def linear_k_stability(
     a_cplx = np.array(
         [f.coefficient(tuple(int(j == k) for j in range(f.nvars))) for k in range(f.nvars)]
     )
-    if np.max(np.abs(a_cplx.imag), initial=0.0) > tol.coeff_zero_tol:
+    band_im = tol.coeff_zero_tol * float(np.linalg.norm(a_cplx))
+    if np.max(np.abs(a_cplx.imag), initial=0.0) > band_im:
         raise ValueError("linear part must have real coefficients")
     a = a_cplx.real.astype(float)
     if f.degree == 0:
         return Verdict(CERTIFIED_STABLE, certificate="nonvanishing constant")
-    if abs(b.imag) > tol.coeff_zero_tol and not allow_complex_constant:
+    if abs(b.imag) > band_im and not allow_complex_constant:
         raise ValueError(
             "complex constant term: pass allow_complex_constant=True to use "
             "the sign-matched extension of the linear criterion"

@@ -18,6 +18,7 @@ constructions.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 
@@ -237,7 +238,7 @@ class MultiPoly:
                 powers[k, a] = cols[k] ** a
             return v * powers[k, a]
 
-        val = _horner(self._horner_program(), lambda c: c, step)
+        val = _horner(self._horner_program(), lambda c: c, step, operator.add)
         if batch:
             out = np.empty(pt.shape[0], dtype=complex)
             out[:] = val
@@ -251,9 +252,11 @@ class MultiPoly:
         :class:`UniPoly` trimmed at ``tol``, or batches (shape (B, n)),
         giving the untrimmed ascending coefficient rows, a new (B, deg+1)
         array.  The grouped Horner program (``_horner``) runs draws-last,
-        on (deg+1, B) coefficient columns: leaves c t^0, and steps
-        multiplying by ``x_k + t y_k`` by shift-and-add over whole rows of
-        B draws, whose top row is exactly zero until the last factor.
+        on (rows, B) coefficient columns that hold only a value's live
+        rows, one per degree: a leaf is the one row c, a step by
+        ``x_k + t y_k`` appends one row by shift-and-add over whole rows
+        of B draws, and an add adds the shorter value into the longer.
+        The result is padded to deg+1 rows once, at the end.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -263,18 +266,28 @@ class MultiPoly:
         xs, ys = (x, y) if batch else (x[np.newaxis], y[np.newaxis])
         # complex, as the products below would cast them on every call
         xt, yt = (np.ascontiguousarray(a.T, dtype=complex) for a in (xs, ys))
-        e0 = np.eye(max(self.degree, 0) + 1, 1, dtype=complex)
+        n_draws = xt.shape[1]
 
         def step(v, k, a):
             for _ in range(a):
-                w = v * xt[k]
-                w[1:] += v[:-1] * yt[k]
+                w = np.empty((len(v) + 1, n_draws), dtype=complex)
+                np.multiply(v, xt[k], out=w[:-1])
+                np.multiply(v[-1], yt[k], out=w[-1])
+                if len(v) > 1:  # a leaf has no middle rows
+                    w[1:-1] += v[:-1] * yt[k]
                 v = w
             return v
 
-        out = np.zeros((xt.shape[1], e0.shape[0]), dtype=complex)
-        rows = out.T  # the (B, deg+1) result, filled through its draws-last view
-        rows += _horner(self._horner_program(), lambda c: c * e0, step)
+        def add(u, v):
+            # the longer value was stepped, so it is a fresh (rows, B) array
+            if len(u) < len(v):
+                u, v = v, u
+            u[: len(v)] += v
+            return u
+
+        out = np.zeros((n_draws, max(self.degree, 0) + 1), dtype=complex)
+        val = _horner(self._horner_program(), lambda c: np.array([[c]], dtype=complex), step, add)
+        out.T[: len(val)] += val  # filled through the draws-last view
         return out if batch else UniPoly(out[0], tol=tol)
 
     def substitute_partial(self, assignments: dict[int, complex]) -> "MultiPoly":
@@ -395,14 +408,15 @@ def _emit(items, k: int, n: int, program: list) -> None:
         program.append((_STEP, k, exps[-1]))
 
 
-def _horner(program, leaf, step):
+def _horner(program, leaf, step, add):
     """The grouped Horner sum of a polynomial, from its compiled ``program``.
 
     Runs the postfix program of ``_horner_plan`` on a stack: ``leaf`` maps
     a coefficient sum (0 for the zero polynomial) to a value, ``step(v, k,
-    a)`` multiplies a value by ``z_k**a``, and an add adds the top value to
-    the one below it.  Each instruction is one operation on whole values
-    (scalars, or the rows of a batch); no variable level is walked.
+    a)`` multiplies a value by ``z_k**a``, and ``add(u, v)`` adds the top
+    value v to the value u below it.  Each instruction is one operation on
+    whole values (scalars, or the rows of a batch); no variable level is
+    walked.
     """
     stack = []
     for op, arg, a in program:
@@ -412,7 +426,7 @@ def _horner(program, leaf, step):
             stack[-1] = step(stack[-1], arg, a)
         else:
             v = stack.pop()
-            stack[-1] = stack[-1] + v
+            stack[-1] = add(stack[-1], v)
     return stack[0]
 
 

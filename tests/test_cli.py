@@ -131,6 +131,14 @@ class TestStab:
         assert data["route"] == "exact-linear"
         assert data["seed"] == 0
 
+    @pytest.mark.parametrize("expr", ["z1 + z2 + 1e-15*i*z2 + 1", "1e6*z1 + 1e6*z2 + 1e-9*i*z2 + 1e6"])
+    def test_linear_route_is_scale_free(self, capsys, expr):
+        # Im a_2 is 7e-16 of ||a|| in both forms: the linear part is real.
+        code, data = run_json(capsys, "stab", "-e", expr, "--cone", "orthant:2")
+        assert code == 0
+        assert data["status"] == "certified_stable"
+        assert data["route"] == "exact-linear"
+
     def test_partial_matrix_expression_widens_variables(self, capsys):
         # z11 + z22 mentions two of the three psd:2 variables.
         code, data = run_json(capsys, "stab", "-e", "z11 + z22", "--cone", "psd:2")

@@ -218,18 +218,43 @@ class TestLinearStability:
         assert v.certificate == "neither a nor -a lies in the dual cone"
         _assert_exact_witness(v, f, K)
 
+    def test_witness_of_real_constant_form_has_unit_imaginary_part(self):
+        # a = (1, -1e-6) is just outside the orthant's dual: <a, y> = 0 only
+        # near the z2 axis, where the dual-minimizer step grows y to ~1e6.
+        # With Im b = 0 any positive multiple of y is a zero, so y is unit.
+        f = parse("z1 - 1e-6*z2 + 1")
+        v = linear_k_stability(f, Orthant(2))
+        assert v.status == CERTIFIED_UNSTABLE
+        assert v.certificate == "neither a nor -a lies in the dual cone"
+        _assert_exact_witness(v, f, Orthant(2))
+        assert np.linalg.norm(v.witness.imag) == pytest.approx(1.0, rel=1e-12)
+
+    def test_raw_coefficient_checks_are_scale_free(self):
+        # Im b = 1e-9 is 7e-16 of ||a||: a real constant term at any scale.
+        big = linear_k_stability(parse("1e6*z1 + 1e6*z2 + 1e6 + 1e-9*i"), Orthant(2))
+        unit = linear_k_stability(parse("z1 + z2 + 1 + 1e-15*i"), Orthant(2))
+        assert big.status == unit.status == CERTIFIED_STABLE
+        with pytest.raises(ValueError, match="linear part must have real"):
+            linear_k_stability(parse("1e6*z1 + 1e6*z2 + 1e-3*i*z2"), Orthant(2))
+
     @settings(max_examples=150)
     @given(st.data())
     def test_status_is_invariant_under_scaling(self, data):
         # f -> c*f keeps the zeros.  |a_k| >= 0.1 and |c| >= 1e-9 keep every
-        # coefficient far above the trim, so both sides see the same terms.
+        # coefficient but a tiny Im b far above the trim, so both sides see
+        # the same terms; Im b of about 1e-14 ||a|| is real at every scale
+        # (or trimmed, which gives the same outcome).  The outcome is the
+        # status, or the type raised for a complex constant term without
+        # ``allow_complex_constant``.
         K = data.draw(st.sampled_from(_LINEAR_CONES))
         mag = st.floats(0.1, 10.0)
         sign = st.sampled_from([-1.0, 1.0])
         part = st.one_of(st.just(0.0), st.builds(lambda m, s: m * s, mag, sign))
         a = [data.draw(mag) * data.draw(sign) for _ in range(K.dim)]
-        b = complex(data.draw(part), data.draw(part))
+        tiny = 1e-14 * float(np.linalg.norm(a)) * data.draw(st.floats(0.5, 2.0)) * data.draw(sign)
+        b = complex(data.draw(part), data.draw(st.one_of(part, st.just(tiny))))
         c = data.draw(sign) * 10.0 ** data.draw(st.floats(-9.0, 9.0))
+        allow = data.draw(st.booleans())
         names = tuple(f"z{k}" for k in range(K.dim))
 
         def form(scale):
@@ -237,10 +262,16 @@ class TestLinearStability:
             terms[(0,) * K.dim] = scale * b
             return MultiPoly(names, terms)
 
-        base = linear_k_stability(form(1.0), K, allow_complex_constant=True)
-        scaled = linear_k_stability(form(c), K, allow_complex_constant=True)
-        assert scaled.status == base.status
-        if scaled.witness is not None:
+        def outcome(scale):
+            try:
+                v = linear_k_stability(form(scale), K, allow_complex_constant=allow)
+            except ValueError as exc:
+                return type(exc).__name__, None
+            return v.status, v
+
+        (base, _), (status, scaled) = outcome(1.0), outcome(c)
+        assert status == base
+        if scaled is not None and scaled.witness is not None:
             _assert_exact_witness(scaled, form(c), K)
 
     @given(st.data())

@@ -261,6 +261,74 @@ class TestRestrictLine:
         assert np.allclose(lhs.coeffs, rhs.coeffs)
 
 
+def _full_width_rows(p, X, Y):
+    """Reference restriction: every Horner value carries all deg+1 rows.
+
+    Runs the compiled program of ``p`` with leaves c t^0 padded to deg+1
+    rows, steps by whole-array shift-and-add and adds of equal-width
+    values, so every row above a value's degree is an explicit zero.
+    """
+    xt, yt = (np.ascontiguousarray(a.T, dtype=complex) for a in (X, Y))
+    e0 = np.eye(max(p.degree, 0) + 1, 1, dtype=complex)
+    stack = []
+    for op, arg, a in poly._horner_plan(list(p.terms.items()), p.nvars):
+        if op == poly._LEAF:
+            stack.append(arg * e0)
+        elif op == poly._STEP:
+            v = stack[-1]
+            for _ in range(a):
+                w = v * xt[arg]
+                w[1:] += v[:-1] * yt[arg]
+                v = w
+            stack[-1] = v
+        else:
+            v = stack.pop()
+            stack[-1] = stack[-1] + v
+    out = np.zeros((X.shape[0], e0.shape[0]), dtype=complex)
+    out.T[...] += stack[0]
+    return out
+
+
+@st.composite
+def _kernel_case(draw):
+    """A polynomial in 1-6 variables of degree at most 6 and a block of B lines."""
+    n = draw(st.integers(1, 6))
+    deg = draw(st.integers(0, 6))
+
+    def exponent(factors):
+        return tuple(factors.count(k) for k in range(n))
+
+    exps = st.lists(st.integers(0, n - 1), max_size=deg).map(exponent)
+    coeffs = st.one_of(
+        st.floats(-10.0, 10.0, allow_nan=False),
+        st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    )
+    p = MultiPoly(tuple(f"z{k + 1}" for k in range(n)), draw(st.dictionaries(exps, coeffs, max_size=10)))
+    B = draw(st.sampled_from([1, 7, 600]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X, Y = rng.normal(size=(B, n)), rng.normal(size=(B, n))
+    for M in (X, Y):
+        M[:, draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
+        M[:: draw(st.integers(2, 5)), draw(st.integers(0, n - 1))] = 0.0
+    return p, X, Y
+
+
+class TestRestrictKernel:
+    """The degree-aware kernel against the full-width shift-and-add."""
+
+    @given(_kernel_case())
+    def test_rows_equal_full_width_reference_bitwise(self, case):
+        # Rows above a value's degree only ever added exact zeros, and the
+        # result is added into zeros, so even signed zeros agree.
+        p, X, Y = case
+        bits = lambda a: np.ascontiguousarray(a, dtype=complex).view(np.uint64)  # noqa: E731
+        rows = p.restrict_line(X, Y)
+        assert rows.shape == (X.shape[0], max(p.degree, 0) + 1)
+        assert np.array_equal(bits(rows), bits(_full_width_rows(p, X, Y)))
+        for x, y, row in zip(X[:7], Y[:7], rows):
+            assert p.restrict_line(x, y).coeffs == UniPoly(row).coeffs
+
+
 class TestHornerPlan:
     """Each polynomial compiles its grouped Horner sum once (``_horner_plan``)."""
 
