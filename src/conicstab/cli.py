@@ -335,7 +335,8 @@ def _cmd_detstab(args, out) -> int:
             expansion = expand_det_polynomial(A, B, tol)
         except ValueError:  # above the expansion caps: certificate only
             pass
-    if expansion is not None:
+    # none beside certified_stable when the trim emptied it: the certificate says why
+    if expansion is not None and (expansion or cert.outcome != DET_CERTIFIED):
         payload["polynomial"] = str(expansion)
     if cert.outcome == NOT_CERTIFIED and expansion is not None:
         v = falsify_k_stability(

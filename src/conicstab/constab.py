@@ -34,8 +34,9 @@ rows are the members (a falsifier's f is the basis [f] at weight 1; the
 pencil's members are weight rows on the monomials of f and g, never
 built as polynomials).  Each block is drawn and the basis expanded once:
 the line rows from `MultiPoly.restrict_line` on the whole block, the
-fiber rows from the coefficients in the solved variable evaluated at the
-base points.  Members whose rows share a probe and a degree are
+fiber rows from `MultiPoly.as_univariate_in` on the base points of each
+solved coordinate; both run each basis polynomial's own compiled Horner
+program.  Members whose rows share a probe and a degree are
 contracted (one product with their weight rows) and solved together, in
 stacked solves of at most one block of rows; each member then confirms
 its own candidates.  Batch screening only selects candidates and can
@@ -115,7 +116,6 @@ _BLOCK = 2048
 _NEAR_REAL_SCREEN = 1e-4
 _DIR_SALT = 0x5EED_D12  # sub-stream tags for derived generators
 _PTS_SALT = 0x5EED_901
-_LIN_SALT = 0x11EA_4
 
 
 @dataclass(frozen=True)
@@ -291,28 +291,25 @@ def _screened_roots(coeffs: np.ndarray, pairs) -> np.ndarray:
     return z
 
 
-def _fiber_rows(fibers: dict, active, lo: int, V: np.ndarray):
+def _fiber_rows(basis, active, lo: int, V: np.ndarray):
     """Coefficient rows of the coordinate fibers at one block of base points ``V``.
 
-    ``fibers`` maps each coordinate k to the basis polynomials'
-    coefficients in z_k; draw ``lo + row`` solves coordinate
-    ``active[(lo + row) mod #active]``.  Yields ``(k, rows, F)``: ``F[j, i]``
-    are the ascending coefficients of basis polynomial j's fiber at
-    ``V[rows[i]]``.  The coefficients are evaluated on the base points'
-    contiguous columns (draws-last), shared by every coefficient of k.
+    Draw ``lo + row`` solves coordinate ``active[(lo + row) mod #active]``.
+    Yields ``(k, rows, F)``: ``F[j, i]`` are the ascending coefficients of
+    basis polynomial j's z_k-fiber at ``V[rows[i]]``, from
+    ``MultiPoly.as_univariate_in`` on the base points ``V[rows]``, taken
+    once per k; columns above a polynomial's degree in z_k stay zero.
     """
     ks_local = (lo + np.arange(V.shape[0])) % len(active)
-    Vt = np.ascontiguousarray(V.T)
     for ki, k in enumerate(active):
         rows = np.nonzero(ks_local == ki)[0]
         if rows.size == 0:
             continue
-        W = np.ascontiguousarray(np.delete(Vt, k, axis=0)[:, rows]).T
-        F = np.zeros((len(fibers[k]), rows.size, max(map(len, fibers[k]))), dtype=complex)
-        for j, cs in enumerate(fibers[k]):
-            for col, c in enumerate(cs):
-                if c:
-                    F[j, :, col] = c(W)
+        Vk = V[rows]
+        F = np.zeros((len(basis), rows.size, 1 + max(b.degree_in(k) for b in basis)), dtype=complex)
+        for j, b in enumerate(basis):
+            c = b.as_univariate_in(k, Vk)
+            F[j, :, : c.shape[1]] = c
         yield k, rows, F
 
 
@@ -375,8 +372,7 @@ def _linear_witness(K: Cone, a: np.ndarray, b: complex, one_sided: bool) -> np.n
     is scaled to unit norm.  x solves ``<a,x> = -Re b``.
     """
     target = -b.imag
-    gen = np.random.default_rng((_LIN_SALT, K.dim, 1))
-    c = K.interior_from_normals(gen.standard_normal((1, K.draw_dim)))[0]
+    c = K.interior_from_normals(np.eye(K.draw_dim)).sum(axis=0)
     s = float(a @ c)
     if one_sided and target * s > 0:
         y = (target / s) * c
@@ -589,7 +585,6 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
     if not live:
         return out
     active = {m: tuple(k for k, d in enumerate(deg[m][1:]) if d >= 1) for m in live}
-    fibers = {k: [b.as_univariate_in(k) for b in basis] for k in set().union(*active.values())}
     width = max(b.degree for b in basis) + 1
     floor = tol.sample_margin / 2
 
@@ -599,7 +594,7 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
                           for r in (b.restrict_line(x, y) for b in basis)])
         expanded = {(-1, ()): (np.arange(x.shape[0]), lines)}
         for a in {active[m] for m in live}:
-            expanded.update({(k, a): (rows, F) for k, rows, F in _fiber_rows(fibers, a, lo, V)})
+            expanded.update({(k, a): (rows, F) for k, rows, F in _fiber_rows(basis, a, lo, V)})
         groups = {}
         for m in live:
             groups.setdefault((-1, (), deg[m][0]), []).append(m)
@@ -914,7 +909,7 @@ def imaginary_projection_sample(
     if not lo < hi:
         raise ValueError("box must be an increasing interval")
     n = f.nvars
-    fibers = {k: [f.as_univariate_in(k)] for k in range(n) if f.degree_in(k) >= 1}
+    active = [k for k in range(n) if f.degree_in(k) >= 1]
     out = [np.zeros((0, n))]
     total = 0
     for start, gen in _block_stream(seed, 2 + 20 * (n_points // _BLOCK + 1)):
@@ -923,7 +918,7 @@ def imaginary_projection_sample(
         re = gen.uniform(lo, hi, (_BLOCK, n))
         im = gen.uniform(lo, hi, (_BLOCK, n))
         V = re + 1j * im
-        for k, rows, F in _fiber_rows(fibers, list(fibers), start, V):
+        for k, rows, F in _fiber_rows([f], active, start, V):
             r = _roots_batch(F[0])
             i, j = np.nonzero(np.isfinite(r))
             Z = _replace_coord(V[rows[i]], k, r[i, j])

@@ -2,12 +2,13 @@
 
 A :class:`MultiPoly` maps exponent tuples to complex coefficients over a
 fixed, named variable tuple.  The module provides the exact operations the
-stability pipeline needs — line restriction ``t -> f(x + t y)``, partial
-substitution, directional derivatives and Wronskians, splitting into real
-and imaginary coefficient parts — plus a small expression parser and a
-JSON wire format.  Evaluation and line restriction run one grouped Horner
-program (``_horner``) over the variable order, on scalars or on rows; each
-polynomial compiles its program once (``_horner_plan``) and keeps it.
+stability pipeline needs — line restriction ``t -> f(x + t y)``, coordinate
+fibers, partial substitution, directional derivatives and Wronskians,
+splitting into real and imaginary coefficient parts — plus a small
+expression parser and a JSON wire format.  Evaluation, line and fiber
+restriction run one grouped Horner program (``_horner``) over the variable
+order, on scalars or on rows; each polynomial compiles its program once
+(``_horner_plan``) and keeps it.
 
 :class:`MatrixVarIndex` fixes the flat ordering of the upper triangle of a
 symmetric matrix variable (row-major: z11, z12, ..., z1n, z22, ...), which
@@ -311,23 +312,40 @@ class MultiPoly:
             out[key] = out.get(key, 0j) + val
         return MultiPoly(names, out)
 
-    def as_univariate_in(self, k: int) -> list["MultiPoly"]:
-        """Coefficients of ``z_k^j`` as polynomials in the other variables.
+    def as_univariate_in(self, k: int, base) -> np.ndarray:
+        """Ascending coefficient rows of the fibers ``t -> f(v with z_k = t)``.
 
-        Returns ``[c_0, ..., c_d]`` with ``f = sum_j c_j * z_k^j``; the
-        list always has ``degree_in(k) + 1`` entries (at least one).
+        ``base`` holds the points v, shape (B, n), column k ignored; the
+        result is a new (B, max(degree_in(k), 0)+1) array.  The grouped
+        Horner program (``_horner``) runs on lists of rows, one per power of
+        z_k: a leaf is [c], a step in z_k prepends int zeros, one in z_j
+        multiplies each nonzero row by ``base[:, j]**a`` (formed once per
+        call), and an add sums rows pairwise, keeping the longer tail.
         """
         if not 0 <= k < self.nvars:
             raise ValueError(f"variable index {k} out of range")
-        keep = [j for j in range(self.nvars) if j != k]
-        names = tuple(self.var_names[j] for j in keep)
-        d = max(self.degree_in(k), 0)
-        buckets: list[dict] = [{} for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            key = tuple(e[j] for j in keep)
-            b = buckets[e[k]]
-            b[key] = b.get(key, 0j) + c
-        return [MultiPoly(names, b) for b in buckets]
+        base = np.asarray(base, dtype=complex)
+        if base.ndim != 2 or base.shape[1] != self.nvars:
+            raise ValueError(f"base shape {base.shape} does not fit {self.nvars} variables")
+        powers = {}
+
+        def step(v, j, a):
+            if j == k:
+                return [0] * a + v
+            if (j, a) not in powers:
+                powers[j, a] = base[:, j] ** a
+            return [r if isinstance(r, int) else r * powers[j, a] for r in v]
+
+        def add(u, v):
+            if len(u) < len(v):
+                u, v = v, u
+            return [p + q for p, q in zip(u, v)] + u[len(v) :]
+
+        val = _horner(self._horner_program(), lambda c: [c], step, add)
+        out = np.empty((base.shape[0], len(val)), dtype=complex)
+        for col, r in zip(out.T, val):
+            col[:] = r
+        return out
 
     def real_imag_parts(self) -> tuple["MultiPoly", "MultiPoly"]:
         """Split into real polynomials ``(g, f)`` with ``self = g + i f``."""

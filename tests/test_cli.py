@@ -331,6 +331,24 @@ class TestDetstab:
         assert code == 1
         assert data["polynomial"] == "0"
 
+    def test_certified_grid_with_trimmed_expansion_prints_no_polynomial(self, capsys, tmp_path):
+        # A positive definite 2 x 2 grid of 4 x 4 blocks at Frobenius norm
+        # 1e-6: every coefficient of the degree-4 expansion is ~1e-24 and
+        # the trim drops it, but definiteness still certifies the grid.  A
+        # "0" beside certified_stable would contradict the outcome; the
+        # certificate says why no polynomial is printed.
+        G = np.random.default_rng(8).normal(size=(8, 8))
+        flat = G.T @ G + np.eye(8)
+        flat *= 1e-6 / np.linalg.norm(flat)
+        grid = flat.reshape(2, 4, 2, 4).transpose(0, 2, 1, 3)
+        path = tmp_path / "A.json"
+        path.write_text(json.dumps({"n": 2, "d": 4, "re_im": False, "blocks": grid.tolist()}))
+        code, data = run_json(capsys, "detstab", "-f", str(path))
+        assert code == 0
+        assert data["outcome"] == "certified_stable"
+        assert "expansion trimmed to zero" in data["certificate"]
+        assert "polynomial" not in data
+
     def test_above_expansion_caps_certificate_only(self, capsys, tmp_path):
         # A 5 x 5 grid is above the expansion caps: no polynomial is printed
         # and an indefinite flattening gets no falsifier run.

@@ -1278,12 +1278,11 @@ class TestExpansionRowIndependence:
         polys, X, Y = self._case(deg)
         V = X + 1j * Y
         active = (0, 1, 2, 3)
-        fibers = {k: [p.as_univariate_in(k) for p in polys] for k in active}
 
         def per_draw(s):
             lo = s.start or 0
             return {lo + int(r): (k, F[:, i]) for k, rows, F in
-                    constab._fiber_rows(fibers, active, lo, V[s]) for i, r in enumerate(rows)}
+                    constab._fiber_rows(polys, active, lo, V[s]) for i, r in enumerate(rows)}
 
         full = per_draw(slice(0, 60))
         assert sorted(full) == list(range(60))
@@ -1299,8 +1298,8 @@ class TestExpansionRowIndependence:
 
 class TestHornerPlanPerSearch:
     def test_each_polynomial_compiles_its_plan_once_per_search(self, monkeypatch):
-        # The line and fiber polynomials of one search are compiled on the
-        # first block and reused by the later ones.
+        # The searched polynomial's one program is compiled on the first
+        # block and runs its line and fiber expansions on every block.
         builds = []
         compile_plan = poly._horner_plan
         monkeypatch.setattr(poly, "_horner_plan",
@@ -1315,5 +1314,4 @@ class TestHornerPlanPerSearch:
             return len(builds)
 
         one_block, three_blocks = search(constab._BLOCK), search(3 * constab._BLOCK)
-        # f, and the nonzero coefficients of its fibers in z1, z2 and z3
-        assert one_block == three_blocks == 1 + 3 * 3
+        assert one_block == three_blocks == 1

@@ -62,6 +62,34 @@ def test_bench_tracer_binds_every_layer():
     )
 
 
+def test_bench_tracer_names_exist():
+    # Every function in the tracer's ENTRY_POINTS and every method in its
+    # METHODS must exist on its module or class.  A layer with several
+    # names still binds when one of them is renamed away, so the install
+    # above does not catch that; the tables are read here without
+    # installing, so nothing is rebound.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    script = (
+        "import json, tracing\n"
+        "missing = [f'{home.__name__}.{name}' for home, names in tracing.ENTRY_POINTS.values()\n"
+        "           for name in names if not hasattr(home, name)]\n"
+        "missing += [f'{cls.__name__}.{name}' for classes, names in tracing.METHODS.values()\n"
+        "            for cls in classes for name in names if not hasattr(cls, name)]\n"
+        "print(json.dumps(missing))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=root / "bench",
+        env=env,
+        check=True,
+        timeout=120,
+        capture_output=True,
+        text=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
 @pytest.mark.parametrize("workload", ["sampling_sweep", "hko_pairs", "certificates"])
 def test_bench_tracer_reaches_every_expected_layer(workload):
     # One traced pass of each workload must record calls to every layer it

@@ -329,6 +329,42 @@ class TestRestrictKernel:
             assert p.restrict_line(x, y).coeffs == UniPoly(row).coeffs
 
 
+@st.composite
+def _fiber_case(draw):
+    """An integer polynomial in 1-4 variables, a coordinate k and Gaussian-integer base points.
+
+    Exponents up to 4 in each variable, at most 6 terms (so exponent gaps
+    and the zero polynomial occur), Gaussian-integer coefficients of size
+    at most 4 and base points with parts in -2..2 (so zero coordinates
+    give exact-zero rows): every product and sum is exact in doubles.
+    """
+    n = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    coeffs = st.builds(complex, st.integers(-4, 4), st.integers(-4, 4))
+    p = MultiPoly(tuple(f"z{j + 1}" for j in range(n)), draw(st.dictionaries(exps, coeffs, max_size=6)))
+    B = draw(st.integers(1, 6))
+    parts = st.lists(st.tuples(*[st.builds(complex, small, small)] * n), min_size=B, max_size=B)
+    return p, draw(st.integers(0, n - 1)), np.array(draw(parts), dtype=complex)
+
+
+class TestFiberKernel:
+    """``as_univariate_in`` against the substituted polynomial's coefficients."""
+
+    @given(_fiber_case())
+    def test_rows_equal_substitution_exactly(self, case):
+        # All arithmetic is exact, so both sides agree bit for bit once
+        # signed zeros (which summation order decides) are folded by + 0.
+        p, k, V = case
+        bits = lambda a: (np.asarray(a, dtype=complex) + 0).view(np.uint64)  # noqa: E731
+        rows = p.as_univariate_in(k, V)
+        d = max(p.degree_in(k), 0)
+        assert rows.shape == (V.shape[0], d + 1)
+        for v, row in zip(V, rows):
+            q = p.substitute_partial({j: v[j] for j in range(p.nvars) if j != k})
+            assert np.array_equal(bits(row), bits([q.coefficient((e,)) for e in range(d + 1)]))
+
+
 class TestHornerPlan:
     """Each polynomial compiles its grouped Horner sum once (``_horner_plan``)."""
 
@@ -380,15 +416,6 @@ class TestSubstitution:
         q = p.substitute_partial({0: 1 + 1j, 1: 2.0})
         assert q.nvars == 0
         assert q(np.zeros(0)) == pytest.approx(3 + 2j)
-
-    def test_univariate_view_reconstructs(self):
-        rng = np.random.default_rng(24)
-        p = parse("z1^2*z2 - z2^3 + 4*z1 - 7")
-        coeffs = p.as_univariate_in(1)
-        assert len(coeffs) == p.degree_in(1) + 1
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        total = sum(c(np.array([z[0]])) * z[1] ** j for j, c in enumerate(coeffs))
-        assert total == pytest.approx(p(z))
 
     def test_real_imag_parts_recombine(self):
         p = parse("(2+3i)*z1^2 - i*z2 + 5")
