@@ -37,6 +37,7 @@ from .cones import Cone, Orthant, Polyhedral, PSD, cone_from_descriptor, product
 from .constab import (
     FALSIFIED,
     Verdict,
+    _linear_part,
     _witness_residual,
     falsify_k_stability,
     imaginary_projection_sample,
@@ -237,18 +238,12 @@ def _emit(payload: dict, mode: str, out) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _linear_part_real(f: MultiPoly, tol: ToleranceProfile) -> bool:
-    """Im of every linear coefficient within ``coeff_zero_tol`` times their norm."""
-    lin = [c for e, c in f.terms.items() if sum(e) == 1]
-    band = tol.coeff_zero_tol * float(np.linalg.norm(lin))
-    return all(abs(c.imag) <= band for c in lin)
-
-
 def _cmd_stab(args, out) -> int:
     K = parse_cone(args.cone)
     tol = parse_tol(args.tol)
     f = parse_poly(_read_exprs(args, 1, "stab")[0], K)
-    if f.degree <= 1 and _linear_part_real(f, tol):
+    a, band = _linear_part(f, tol)
+    if f.degree <= 1 and np.all(np.abs(a.imag) <= band):
         v = linear_k_stability(f, K, allow_complex_constant=True, tol=tol)
         v = dataclasses.replace(v, seed=args.seed)
         route = "exact-linear"

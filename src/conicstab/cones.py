@@ -7,16 +7,18 @@ finitely generated (polyhedral) cones, the positive semidefinite cone on
 flattened symmetric matrices, and finite products of those — behind one
 small interface:
 
-* ``contains_interior(p, tol)``  — is ``p`` strictly inside ``K``?
+* ``interior_margin(p)`` — how far ``p`` lies inside ``K`` (> 0 exactly
+  on the interior); ``contains_interior(p, tol)`` tests it against ``tol``.
+* ``interior_margin_batch(P, t)`` — the keep-mask ``interior_margin(row)
+  >= t`` over the rows of ``P``, a screen every cone answers.
 * ``dual_minimizer(a)`` — ``(margin, p)``: the minimum of ``<a, p>``
   over a compact slice of ``K`` (unit vectors e_k, unit generators
   divided by ``|a|``, unit-trace rank-one matrices) and a point ``p`` of
-  ``K`` attaining it; ``dual_margin(a)`` is the margin alone.
-* ``dual_contains_interior(a, tol)`` / ``dual_contains(a, tol)`` — does
-  the linear functional ``z -> <a, z>`` lie strictly inside / inside the
-  dual cone ``K*``?
-* ``sample_interior(rng)`` and its batch form ``interior_from_normals`` —
-  deterministic maps from standard-normal draws to interior points.
+  ``K`` attaining it; ``dual_margin(a)`` is the margin alone, ``>= 0``
+  exactly when the functional ``z -> <a, z>`` lies in the dual cone ``K*``.
+* ``interior_from_normals(u)`` — the deterministic map from rows of
+  standard-normal draws to interior points.
+* ``descriptor()`` — a JSON-ready dict that ``cone_from_descriptor`` reads.
 
 Points are plain real numpy vectors whose length matches ``cone.dim``;
 for the semidefinite cone a point stores the upper triangle of a
@@ -27,19 +29,20 @@ vector ``a`` acts on a matrix point as ``tr(A Z)`` where ``A`` has
 diagonal ``a_ii`` and off-diagonal ``a_ij / 2``.  Dual tests reconstruct
 that halved matrix explicitly.
 
-Polyhedral cones validate at construction time that their generators
-span (full-dimensional) and that no generator's negation lies in the
-cone (pointedness), the latter via the module's self-contained two-phase
-simplex solver.  Interior membership uses the extreme rays of the dual
-cone when the ambient dimension is at most 6 and a small LP otherwise.
+Polyhedral cones validate at construction time that no generator is zero
+relative to the largest, that the generators span (full-dimensional) and
+that no unit generator's negation lies in the cone of the unit generators
+(pointedness), the latter via the module's self-contained two-phase
+simplex solver; no test depends on the generators' scale.  Interior
+membership uses the extreme rays of the dual cone when the ambient
+dimension is at most 6 and a small LP otherwise.
 
-Cone values are immutable; sampling takes the caller's RNG, so parallel
-use is per-thread RNG streams and nothing else.
+Cone values are immutable; sampling maps the caller's normal draws, so
+parallel use is per-thread RNG streams and nothing else.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 
 import numpy as np
@@ -56,8 +59,6 @@ __all__ = [
     "Product",
     "product",
     "cone_from_descriptor",
-    "cone_from_json",
-    "cone_to_json",
 ]
 
 _DUAL_RAY_MAX_DIM = 6
@@ -77,9 +78,9 @@ def _pivot(T, row_costs, basis, i, j):
     basis[i] = j
 
 
-def _run_phase(T, row, basis, ncols, tol, max_iter):
+def _run_phase(T, row, basis, ncols, tol, max_pivots):
     """Pivot until no reduced cost is negative; Bland's rule throughout."""
-    for _ in range(max_iter):
+    for _ in range(max_pivots):
         enter = -1
         for j in range(ncols):
             if row[j] < -tol:
@@ -123,13 +124,13 @@ def simplex_solve(A, b, c, tol: float = 1e-9):
     T[:, n : n + m] = np.eye(m)
     T[:, -1] = b
     basis = list(range(n, n + m))
-    max_iter = 200 * (n + m + 1)
+    max_pivots = 200 * (n + m + 1)
 
     # Phase 1: reduced costs of "minimize the artificial sum".
     row = np.zeros(n + m + 1)
     row[n : n + m] = 1.0
     row -= T.sum(axis=0)
-    status = _run_phase(T, row, basis, n + m, tol, max_iter)
+    status = _run_phase(T, row, basis, n + m, tol, max_pivots)
     if status != "optimal" or -row[-1] > tol:
         return "infeasible", None, None
 
@@ -153,7 +154,7 @@ def simplex_solve(A, b, c, tol: float = 1e-9):
     row2[:n] = c
     for i, bi in enumerate(basis):
         row2 -= c[bi] * T2[i]
-    status = _run_phase(T2, row2, basis, n, tol, max_iter)
+    status = _run_phase(T2, row2, basis, n, tol, max_pivots)
     if status != "optimal":
         return "unbounded", None, None
     x = np.zeros(n)
@@ -182,18 +183,17 @@ class Cone:
     def interior_margin(self, p) -> float:
         raise NotImplementedError
 
-    def interior_margin_batch(self, P, at_least: float) -> np.ndarray | None:
-        """Keep-mask ``interior_margin(row) >= at_least`` for the rows of ``P``, or None.
+    def interior_margin_batch(self, P, at_least: float) -> np.ndarray:
+        """Keep-mask ``interior_margin(row) >= at_least`` for the rows of ``P``.
 
         A screen: the cone answers the yes/no question without computing
         the margins where it can (the PSD cone factors Y - at_least I
         instead of finding its eigenvalues), so a row within rounding of
         the threshold may fall either way, and decisions on individual
-        points re-check with ``interior_margin``.  None means this cone has
-        no batch path and callers keep every row or fall back to the
-        scalar margin.
+        points re-check with ``interior_margin``.  A polyhedral cone above
+        the dual-ray dimension has no vectorized test and keeps every row.
         """
-        return None
+        raise NotImplementedError
 
     def contains_interior(self, p, tol: float = DEFAULT_TOL.interior_tol) -> bool:
         return self.interior_margin(p) > tol
@@ -209,18 +209,8 @@ class Cone:
     def dual_margin(self, a) -> float:
         return self.dual_minimizer(a)[0]
 
-    def dual_contains_interior(self, a, tol: float = DEFAULT_TOL.interior_tol) -> bool:
-        return self.dual_margin(a) > tol
-
-    def dual_contains(self, a, tol: float = DEFAULT_TOL.interior_tol) -> bool:
-        return self.dual_margin(a) >= -tol
-
     def interior_from_normals(self, u, margin: float = DEFAULT_TOL.sample_margin) -> np.ndarray:
         raise NotImplementedError
-
-    def sample_interior(self, rng, margin: float = DEFAULT_TOL.sample_margin) -> np.ndarray:
-        u = rng.standard_normal((1, self.draw_dim))
-        return self.interior_from_normals(u, margin)[0]
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -266,9 +256,11 @@ class Polyhedral(Cone):
     """Finitely generated cone {sum_j lambda_j v_j : lambda >= 0} in R^n.
 
     Construction rejects generator sets that fail the proper-cone
-    requirements: all generators nonzero, spanning R^n, and no
-    generator's negation inside the cone (pointedness, decided by the
-    membership LP).
+    requirements: all generators nonzero (``tol.negligible`` of each norm
+    over the largest), spanning R^n, and no generator's negation inside the
+    cone (pointedness, decided by the membership LP on the unit
+    generators).  Each test is invariant under scaling the generators;
+    ``generators``, the draws and the descriptor keep them as given.
     """
 
     def __init__(self, generators, tol: ToleranceProfile = DEFAULT_TOL):
@@ -276,19 +268,17 @@ class Polyhedral(Cone):
         if V.ndim != 2 or V.shape[0] == 0:
             raise ValueError("generators must be a nonempty sequence of equal-length vectors")
         norms = np.linalg.norm(V, axis=1)
-        if np.any(norms <= tol.coeff_zero_tol):
+        if not norms.max() or np.any(tol.negligible(norms / norms.max())):
             raise ValueError("zero generator")
         if np.linalg.matrix_rank(V) < V.shape[1]:
             raise ValueError("generators must span the ambient space (cone not full-dimensional)")
         self.generators = V
         self.m, self.dim = V.shape
         self.draw_dim = self.m
-        for k in range(self.m):
-            if self._member(-V[k], tol.interior_tol):
-                raise ValueError(
-                    f"generator set is not pointed: -v_{k} lies in the cone"
-                )
         self._unit_gens = V / norms[:, None]
+        for k, u in enumerate(self._unit_gens):
+            if simplex_solve(self._unit_gens.T, -u, np.zeros(self.m), tol.interior_tol)[0] == "optimal":
+                raise ValueError(f"generator set is not pointed: -v_{k} lies in the cone")
         self._dual_rays = self._enumerate_dual_rays() if self.dim <= _DUAL_RAY_MAX_DIM else None
         # Direction used by the interior LP: an explicit interior point.
         self._center = self._unit_gens.sum(axis=0)
@@ -302,12 +292,6 @@ class Polyhedral(Cone):
             and other.generators.shape == self.generators.shape
             and np.array_equal(other.generators, self.generators)
         )
-
-    def _member(self, p, tol: float) -> bool:
-        status, _, _ = simplex_solve(
-            self.generators.T, np.asarray(p, dtype=float), np.zeros(self.m), tol
-        )
-        return status == "optimal"
 
     def _enumerate_dual_rays(self) -> np.ndarray:
         """Unit normals of all supporting hyperplanes from (n-1)-subsets.
@@ -356,9 +340,9 @@ class Polyhedral(Cone):
             return -np.inf
         return float(x[-1])
 
-    def interior_margin_batch(self, P, at_least: float) -> np.ndarray | None:
+    def interior_margin_batch(self, P, at_least: float) -> np.ndarray:
         if self._dual_rays is None:
-            return None  # LP-only cone: no vectorized screening
+            return np.ones(np.shape(P)[0], dtype=bool)  # LP-only cone: the scalar margin decides
         return np.min(np.asarray(P, dtype=float) @ self._dual_rays.T, axis=1) >= at_least
 
     def dual_minimizer(self, a) -> tuple[float, np.ndarray]:
@@ -482,14 +466,11 @@ class Product(Cone):
         p = self._check_point(p)
         return min(f.interior_margin(p[s]) for f, s in zip(self.factors, self._slices))
 
-    def interior_margin_batch(self, P, at_least: float) -> np.ndarray | None:
+    def interior_margin_batch(self, P, at_least: float) -> np.ndarray:
         P = np.asarray(P, dtype=float)
         keep = np.ones(P.shape[0], dtype=bool)
         for f, s in zip(self.factors, self._slices):
-            m = f.interior_margin_batch(P[:, s], at_least)
-            if m is None:
-                return None
-            keep &= m
+            keep &= f.interior_margin_batch(P[:, s], at_least)
         return keep
 
     def dual_minimizer(self, a) -> tuple[float, np.ndarray]:
@@ -533,11 +514,3 @@ def cone_from_descriptor(data: dict) -> Cone:
     if kind == "product":
         return Product([cone_from_descriptor(f) for f in data["factors"]])
     raise ValueError(f"unknown cone descriptor type: {kind!r}")
-
-
-def cone_to_json(cone: Cone) -> str:
-    return json.dumps(cone.descriptor())
-
-
-def cone_from_json(text: str) -> Cone:
-    return cone_from_descriptor(json.loads(text))

@@ -79,7 +79,7 @@ import numpy as np
 from .cones import Cone, Orthant, Polyhedral, product
 from .poly import MultiPoly, wronskian_v
 from .tolerances import DEFAULT_TOL, ToleranceProfile
-from .unistab import UniPoly, _clears_lower, _roots_batch, _with_derivative, roots
+from .unistab import UniPoly, _clears_lower, _coeff_scale, _roots_batch, _with_derivative, roots
 
 __all__ = [
     "CERTIFIED_STABLE",
@@ -229,12 +229,6 @@ def _check_fit(f: MultiPoly, K: Cone) -> None:
         )
 
 
-def _coeff_scale(mass: float, degree: int, z: np.ndarray):
-    """Residual scale sum|coeff| * max(1,|z|)^deg of a point or of each row."""
-    grow = np.maximum(1.0, np.max(np.abs(z), axis=-1, initial=0.0))
-    return mass * grow ** max(degree, 0)
-
-
 def _block_stream(seed: int, n_blocks: int):
     """Yield (start_index, generator) for blocks 0..n_blocks-1.
 
@@ -360,6 +354,16 @@ def _confirm(basis, w, mass, degree, K, p: UniPoly, ok, zero, tol, floor):
 # ---------------------------------------------------------------------------
 
 
+def _linear_part(f: MultiPoly, tol: ToleranceProfile) -> tuple[np.ndarray, float]:
+    """The coefficients a of z_1..z_n in f, and the band ``coeff_zero_tol * ||a||``.
+
+    An imaginary part of a, or of the constant, within the band counts as
+    zero: the one test of the linear route, which ``stab`` reads too.
+    """
+    a = np.array([f.coefficient(tuple(int(j == k) for j in range(f.nvars))) for k in range(f.nvars)])
+    return a, tol.coeff_zero_tol * float(np.linalg.norm(a))
+
+
 def _linear_witness(K: Cone, a: np.ndarray, b: complex, one_sided: bool) -> np.ndarray:
     """The closed-form zero of <a,z>+b from one interior point c.
 
@@ -421,10 +425,7 @@ def linear_k_stability(
     if not f:
         return Verdict(CERTIFIED_UNSTABLE, certificate="zero polynomial")
     b = f.coefficient(tuple([0] * f.nvars))
-    a_cplx = np.array(
-        [f.coefficient(tuple(int(j == k) for j in range(f.nvars))) for k in range(f.nvars)]
-    )
-    band_im = tol.coeff_zero_tol * float(np.linalg.norm(a_cplx))
+    a_cplx, band_im = _linear_part(f, tol)
     if np.max(np.abs(a_cplx.imag), initial=0.0) > band_im:
         raise ValueError("linear part must have real coefficients")
     a = a_cplx.real.astype(float)
@@ -614,9 +615,8 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
                 else:
                     i, j = np.nonzero(probe.fiber_screen(r, tol))
                     comp = probe.fiber_zero(V[rows[i % n]], k, r[i, j]).imag
-                    # generous: margin >= floor / 2; None (no batch path) keeps every point
-                    keep = K.interior_margin_batch(comp, floor / 2) if i.size else None
-                    hit = i if keep is None else i[keep]
+                    # generous: margin >= floor / 2
+                    hit = i[K.interior_margin_batch(comp, floor / 2)] if i.size else i
                 ends = np.searchsorted(hit, n * np.arange(len(chunk) + 1))
                 for s, m in enumerate(chunk):
                     hits[m][rows[hit[ends[s] : ends[s + 1]] - s * n], int(k >= 0)] = k
@@ -755,7 +755,8 @@ def pencil_hko_check(
     zero.  Side two: f + i g or g + i f is stable.  Both sides are probed
     by falsification at the same budget and seed.  Member (lam, mu) is the
     weight row lam*F + mu*G on the monomials of supp f ∪ supp g (F, G the
-    coefficients there), trimmed as ``f.scale(lam) + g.scale(mu)`` trims,
+    coefficients there), trimmed by ``negligible`` of the default profile
+    as ``f.scale(lam) + g.scale(mu)`` trims, term by term and then the sum,
     never built as a polynomial.  The nonzero rows are one family of the
     sampling engine, so each block is drawn and expanded once for all of
     them, and members of one row degree share stacked, block-sized root
@@ -770,9 +771,8 @@ def pencil_hko_check(
     basis = [MultiPoly(f.var_names, {e: 1.0}) for e in support]
     lam, mu = np.array(pts, dtype=float).reshape(-1, 2).T[..., None]
     F, G = (np.array([p.coefficient(e) for e in support]) for p in (f, g))
-    cut = DEFAULT_TOL.coeff_zero_tol  # MultiPoly's trim, of each scaled term and of the sum
-    W = sum(np.where(np.abs(c) > cut, c, 0) for c in (lam * F, mu * G))
-    W = np.where(np.abs(W) > cut, W, 0)
+    trim = lambda c: np.where(DEFAULT_TOL.negligible(c), 0, c)  # noqa: E731
+    W = trim(trim(lam * F) + trim(mu * G))
     zero = ~W.any(axis=1)
     found = iter(_search(basis, W[~zero], K, n_samples, _as_seed(rng), tol, _STABILITY))
     entries = [PencilEntry(lam=a, mu=b, zero=z, verdict=None if z else next(found))

@@ -117,7 +117,7 @@ class BlockMatrix:
         return square and is_hermitian(self.flatten(), tol)
 
     def is_real(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-        return float(np.max(np.abs(self.blocks.imag))) <= tol.coeff_zero_tol
+        return bool(np.all(tol.negligible(self.blocks.imag)))
 
     @staticmethod
     def from_flat(m, n1: int, n2: int) -> "BlockMatrix":
@@ -583,9 +583,11 @@ def prop56_diagonal_criterion(A: BlockMatrix, tol: ToleranceProfile = DEFAULT_TO
     sum of the slice matrices A_k = (A_ij[k, k])_ij, so semidefiniteness
     holds exactly when every slice is semidefinite.  For 2 x 2 grids the
     slice conditions are also reported as the explicit scalar
-    inequalities (diagonal nonnegativity plus determinant).  A block
-    entry off its diagonal counts as zero up to ``tol.hermitian_tol``
-    times the largest entry of the grid; a larger one raises ``ValueError``.
+    inequalities (diagonal nonnegativity plus determinant), with bands
+    ``tol.eig_tol`` times the slice's Frobenius norm and its square, so
+    they do not depend on the scale of A.  A block entry off its diagonal
+    counts as zero up to ``tol.hermitian_tol`` times the largest entry of
+    the grid; a larger one raises ``ValueError``.
     """
     _check_square(A)
     n, d = A.n1, A.p
@@ -617,10 +619,10 @@ def prop56_diagonal_criterion(A: BlockMatrix, tol: ToleranceProfile = DEFAULT_TO
     if n == 2:
         conds = []
         for s in slices:
+            norm = float(np.linalg.norm(s))
             ok = (
-                s[0, 0].real >= -tol.eig_tol
-                and s[1, 1].real >= -tol.eig_tol
-                and (s[0, 0].real * s[1, 1].real - abs(s[0, 1]) ** 2) >= -tol.eig_tol
+                min(s[0, 0].real, s[1, 1].real) >= -tol.eig_tol * norm
+                and (s[0, 0].real * s[1, 1].real - abs(s[0, 1]) ** 2) >= -tol.eig_tol * norm**2
             )
             conds.append(bool(ok))
         scalar_conditions = tuple(conds)

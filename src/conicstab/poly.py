@@ -54,8 +54,8 @@ def _natural_key(name: str):
 class MultiPoly:
     """Polynomial in C[z_1, ..., z_n] as {exponent tuple: coefficient}.
 
-    Construction canonicalizes: coefficients with ``|c| <=
-    tol.coeff_zero_tol`` are dropped, so the zero polynomial has an empty
+    Construction canonicalizes: coefficients that ``tol.negligible`` holds
+    are dropped, so the zero polynomial has an empty
     term map and ``bool(p)`` is its nonzeroness test.  All binary
     operations require identical variable tuples — aligning different
     variable universes is the caller's job, not a silent guess.  The first
@@ -78,7 +78,7 @@ class MultiPoly:
             c = clean.get(e, 0j) + complex(coeff)
             clean[e] = c
         self.var_names = names
-        self.terms = {e: c for e, c in clean.items() if abs(c) > tol.coeff_zero_tol}
+        self.terms = {e: c for e, c in clean.items() if not tol.negligible(c)}
         self._plan = None
 
     def _horner_program(self) -> tuple:
@@ -131,7 +131,7 @@ class MultiPoly:
         return max((e[k] for e in self.terms), default=-1)
 
     def is_real(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-        return all(abs(c.imag) <= tol.coeff_zero_tol for c in self.terms.values())
+        return all(tol.negligible(c.imag) for c in self.terms.values())
 
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}

@@ -27,7 +27,7 @@ class ToleranceProfile:
         coefficient mass of its normalized row, on top of its rounding).
     coeff_zero_tol : float
         Polynomial coefficients with modulus at or below this are dropped
-        during canonicalization.
+        during canonicalization (:meth:`negligible`, the one trim rule).
     root_tol : float
         Univariate root acceptance: |p(r)| <= root_tol * ||p||_1 * max(1,|r|)^deg.
     real_root_im_tol : float
@@ -61,6 +61,16 @@ class ToleranceProfile:
     def with_overrides(self, **kwargs: float) -> "ToleranceProfile":
         """Return a copy with the named fields replaced."""
         return replace(self, **kwargs)
+
+    def negligible(self, c):
+        """``|c| <= coeff_zero_tol``, on a scalar or elementwise on an array.
+
+        The coefficient-zero (trim) rule: ``MultiPoly`` and ``UniPoly`` drop
+        such coefficients, the ``is_real`` tests read such imaginary parts as
+        zero, the pencil trims its weight rows with it, and ``Polyhedral``
+        applies it to generator norms relative to the largest.
+        """
+        return abs(c) <= self.coeff_zero_tol
 
 
 #: Default profile shared by all modules.

@@ -31,9 +31,9 @@ samplers' screen (``_clears_lower``), which skips the batch solve of a row
 of degree >= 4 whose Bez(P, Q) is clearly definite.
 
 A :class:`UniPoly` stores coefficients in ascending degree order and is
-canonicalized on construction: trailing coefficients with modulus at or
-below ``coeff_zero_tol`` are dropped, so the zero polynomial has an empty
-coefficient tuple and degree -1.
+canonicalized on construction: trailing coefficients that
+``ToleranceProfile.negligible`` holds are dropped, so the zero polynomial
+has an empty coefficient tuple and degree -1.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class UniPoly:
     """Univariate polynomial with ascending complex coefficients.
 
     ``UniPoly((c0, c1, c2))`` is ``c0 + c1 t + c2 t^2``.  The public
-    constructor canonicalizes: trailing near-zero coefficients are trimmed
-    at ``tol.coeff_zero_tol`` (absolute), so ``degree`` of the zero
+    constructor canonicalizes: trailing coefficients are trimmed by
+    ``tol.negligible`` (absolute), so ``degree`` of the zero
     polynomial is -1 and ``bool(p)`` tells whether p is nonzero.
     """
 
@@ -78,7 +78,7 @@ class UniPoly:
 
     def __init__(self, coeffs, tol: ToleranceProfile = DEFAULT_TOL):
         cs = [complex(c) for c in coeffs]
-        while cs and abs(cs[-1]) <= tol.coeff_zero_tol:
+        while cs and tol.negligible(cs[-1]):
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -92,7 +92,7 @@ class UniPoly:
         return bool(self.coeffs)
 
     def is_real(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-        return all(abs(c.imag) <= tol.coeff_zero_tol for c in self.coeffs)
+        return all(tol.negligible(c.imag) for c in self.coeffs)
 
     @property
     def lead(self) -> complex:
@@ -247,11 +247,13 @@ def _rounding_level(pv: np.ndarray, sv: np.ndarray, k: float) -> np.ndarray:
     return np.abs(pv) <= k * eps * np.maximum(sv, eps)
 
 
-def _aberth_batch(
-    coeffs: np.ndarray,
-    max_iter: int = 80,
-    start: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+# The most sweeps one Aberth–Ehrlich iteration runs, on the batch and on
+# the companion retry alike; rows still moving then fail the final residual
+# test (a batch row goes to the retry).
+_ABERTH_SWEEPS = 80
+
+
+def _aberth_batch(coeffs: np.ndarray, start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Aberth–Ehrlich iteration on a batch of same-degree polynomials.
 
     Parameters
@@ -274,12 +276,12 @@ def _aberth_batch(
     Given starts are verified before any sweep: a row whose every start
     already has a rounding-level residual (16 eps of its mass, the test
     under which a sweep leaves a root in place) is returned as it is and
-    converged, and only the other rows are swept.  A sweep would never
-    have moved such a row, so every row gets the bits of the full
-    iteration.  The iteration runs draws-last, on (d, B) arrays, so each
-    operation spans the whole batch.  The Aberth sum over the other starts is
-    accumulated start by start in a fixed order, so a row's roots do not
-    depend on its batch-mates.
+    converged, and only the other rows are swept, at most ``_ABERTH_SWEEPS``
+    times.  A sweep would never have moved such a row, so every row gets
+    the bits of the full iteration.  The iteration runs draws-last, on (d,
+    B) arrays, so each operation spans the whole batch.  The Aberth sum over
+    the other starts is accumulated start by start in a fixed order, so a
+    row's roots do not depend on its batch-mates.
     """
     b, d1 = coeffs.shape
     d = d1 - 1
@@ -300,7 +302,7 @@ def _aberth_batch(
 
     eps = np.finfo(float).eps
     swept = active.copy()
-    for _ in range(max_iter):
+    for _ in range(_ABERTH_SWEEPS):
         if not active.any():
             break
         cols = slice(None) if active.all() else active
@@ -358,9 +360,7 @@ def _companion_polished(c: np.ndarray) -> np.ndarray:
     is already at rounding level.  No ordering guarantee.
     """
     start = np.roots(c[::-1])
-    z, _ = _aberth_batch(
-        c[np.newaxis, :].astype(complex), start=start[np.newaxis, :], max_iter=60
-    )
+    z, _ = _aberth_batch(c[np.newaxis, :].astype(complex), start=start[np.newaxis, :])
     return z[0]
 
 
@@ -505,12 +505,16 @@ def _with_derivative(c):
     return rows
 
 
+def _coeff_scale(mass: float, degree: int, z: np.ndarray):
+    """Residual scale sum|coeff| * max(1,|z|)^deg of a point or of each row."""
+    grow = np.maximum(1.0, np.max(np.abs(z), axis=-1, initial=0.0))
+    return mass * grow ** max(degree, 0)
+
+
 def _within_bound(p: UniPoly, z: np.ndarray, tol: ToleranceProfile) -> bool:
-    """Every ``|p(r)| <= tol.root_tol * ||p||_1 * max(1, |r|)^deg``; NaN fails."""
-    norm1 = sum(abs(c) for c in p.coeffs)
-    resid = np.abs(p(z))
-    bound = tol.root_tol * norm1 * np.maximum(1.0, np.abs(z)) ** p.degree
-    return bool(np.all(resid <= bound))
+    """Every ``|p(r)| <= tol.root_tol * _coeff_scale(||p||_1, deg, r)``; NaN fails."""
+    bound = tol.root_tol * _coeff_scale(sum(abs(c) for c in p.coeffs), p.degree, z[:, np.newaxis])
+    return bool(np.all(np.abs(p(z)) <= bound))
 
 
 def roots(p: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:

@@ -5,15 +5,20 @@ captures stdout, and checks both the payload and the exit-code contract
 (0 clean, 1 instability/inconsistency, 2 bad input).
 """
 
+import contextlib
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conicstab.cli
 from conicstab.cli import main, parse_cone, parse_tol
 from conicstab.cones import Orthant, Polyhedral, Product, PSD
-from conicstab.constab import CERTIFIED_UNSTABLE, Verdict
+from conicstab.constab import CERTIFIED_UNSTABLE, NOT_FALSIFIED, Verdict, linear_k_stability
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +143,35 @@ class TestStab:
         assert code == 0
         assert data["status"] == "certified_stable"
         assert data["route"] == "exact-linear"
+
+    @settings(max_examples=200)
+    @given(
+        a=st.lists(st.floats(0.1, 10.0) | st.floats(-10.0, -0.1), min_size=2, max_size=2),
+        rel_im=st.lists(st.sampled_from([0.0]) | st.floats(-15.0, -9.0).map(lambda u: 10.0**u),
+                        min_size=3, max_size=3),
+        k=st.integers(-40, 40),
+    )
+    def test_exact_route_iff_linear_part_is_real(self, a, rel_im, k):
+        # stab takes the exact route iff linear_k_stability accepts the
+        # linear part as real, at every scale c = 2^k; both routes are
+        # stubbed, so only the route choice runs.
+        c = 2.0**k
+        norm = float(np.linalg.norm(a))
+        coeffs = [complex(c * re, c * norm * im) for re, im in zip(a + [1.0], rel_im)]
+        text = " + ".join(f"({z.real!r} + {z.imag!r}i)" + var for z, var in zip(coeffs, ["*z1", "*z2", ""]))
+        f = conicstab.cli.parse_poly(text, Orthant(2))
+        try:
+            linear_k_stability(f, Orthant(2), allow_complex_constant=True)
+            real = True
+        except ValueError as exc:
+            real = "linear part must have real coefficients" not in str(exc)
+        stub = lambda *args, **kw: Verdict(NOT_FALSIFIED)  # noqa: E731
+        out = io.StringIO()
+        with mock.patch.object(conicstab.cli, "linear_k_stability", stub), \
+                mock.patch.object(conicstab.cli, "falsify_k_stability", stub), \
+                contextlib.redirect_stdout(out):
+            main(["stab", f"--expr={text}", "--cone", "orthant:2", "--output", "json"])
+        assert (json.loads(out.getvalue())["route"] == "exact-linear") == real
 
     def test_partial_matrix_expression_widens_variables(self, capsys):
         # z11 + z22 mentions two of the three psd:2 variables.

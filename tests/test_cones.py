@@ -1,9 +1,11 @@
 """Tests for cone membership, duals, sampling, and the simplex core."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -12,13 +14,19 @@ from conicstab.cones import (
     Orthant,
     Polyhedral,
     Product,
-    cone_from_json,
-    cone_to_json,
+    cone_from_descriptor,
     product,
     simplex_solve,
 )
+from conicstab.tolerances import DEFAULT_TOL
 
 DELTA = 1e-3  # default interior sampling margin
+TOL = DEFAULT_TOL.interior_tol  # the dual tests below compare dual_margin with it
+
+
+def sample_interior(cone, rng):
+    """One interior point from one row of standard normals."""
+    return cone.interior_from_normals(rng.standard_normal((1, cone.draw_dim)))[0]
 
 
 class TestSimplex:
@@ -85,17 +93,17 @@ class TestOrthant:
 
     def test_dual_is_self(self):
         k = Orthant(2)
-        assert k.dual_contains_interior(np.array([1.0, 1.0]))
+        assert k.dual_margin(np.array([1.0, 1.0])) > TOL
         rng = np.random.default_rng(31)
         for _ in range(25):
             p = rng.normal(size=2)
-            assert k.dual_contains_interior(p) == k.contains_interior(p)
+            assert (k.dual_margin(p) > TOL) == k.contains_interior(p)
 
     def test_boundary_vs_closed_dual(self):
         k = Orthant(2)
         a = np.array([1.0, 0.0])
-        assert k.dual_contains(a)
-        assert not k.dual_contains_interior(a)
+        assert k.dual_margin(a) >= -TOL
+        assert k.dual_margin(a) <= TOL
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not fit"):
@@ -123,8 +131,8 @@ class TestPolyhedral:
         k = Polyhedral([[1.0, 0.0], [1.0, 1.0]])
         # <a, (1,0)> = 0 puts a on the dual boundary.
         a = np.array([0.0, 1.0])
-        assert not k.dual_contains_interior(a)
-        assert k.dual_contains(a)
+        assert k.dual_margin(a) <= TOL
+        assert k.dual_margin(a) >= -TOL
 
     def test_dual_positivity_definition(self):
         rng = np.random.default_rng(33)
@@ -133,7 +141,7 @@ class TestPolyhedral:
         for _ in range(40):
             a = rng.normal(size=3)
             expected = bool(np.min(gens @ a) > 1e-9 * np.linalg.norm(a))
-            assert k.dual_contains_interior(a) == expected
+            assert (k.dual_margin(a) > TOL) == expected
 
     def test_rejects_non_spanning(self):
         with pytest.raises(ValueError, match="span"):
@@ -146,6 +154,33 @@ class TestPolyhedral:
     def test_rejects_zero_generator(self):
         with pytest.raises(ValueError, match="zero generator"):
             Polyhedral([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-11, 1.0, 1e11])
+    def test_tiny_orthant_generators_are_accepted(self, scale):
+        # The orthant at any scale: no zero generator, pointed.
+        k = Polyhedral(scale * np.eye(3))
+        assert np.array_equal(k.generators, scale * np.eye(3))
+        assert k.contains_interior(np.ones(3))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_acceptance_is_scale_free(self, data):
+        # Polyhedral(c G) is accepted, or rejected with the same reason,
+        # exactly as Polyhedral(G) is, for c = 2^k.
+        n = data.draw(st.integers(2, 4))
+        m = data.draw(st.integers(n, n + 3))
+        entry = st.integers(-300, 300).map(lambda v: v / 100)
+        G = np.array(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
+        c = 2.0 ** data.draw(st.integers(-40, 40))
+
+        def outcome(gens):
+            try:
+                Polyhedral(gens)
+            except ValueError as exc:
+                return str(exc)
+            return "accepted"
+
+        assert outcome(c * G) == outcome(G)
 
     def test_high_dimension_lp_route(self):
         # Above the ray-enumeration cutoff the LP fallback must agree
@@ -179,17 +214,17 @@ class TestPSDCone:
 
     def test_dual_example(self):
         k = PSD(2)
-        assert k.dual_contains_interior(np.array([5.0, 0.0, 1.0]))
+        assert k.dual_margin(np.array([5.0, 0.0, 1.0])) > TOL
 
     def test_dual_uses_halved_off_diagonals(self):
         k = PSD(2)
         # a = (1, 2, 1) acts as tr(AZ) with A = [[1,1],[1,1]], which is
         # PSD but singular: in the closed dual, not its interior.
         a = np.array([1.0, 2.0, 1.0])
-        assert k.dual_contains(a)
-        assert not k.dual_contains_interior(a)
+        assert k.dual_margin(a) >= -TOL
+        assert k.dual_margin(a) <= TOL
         # (1, 1, 1) acts via [[1, .5], [.5, 1]] with eigenvalues {.5, 1.5}.
-        assert k.dual_contains_interior(np.array([1.0, 1.0, 1.0]))
+        assert k.dual_margin(np.array([1.0, 1.0, 1.0])) > TOL
 
     def test_self_duality_under_reweighting(self):
         rng = np.random.default_rng(35)
@@ -199,7 +234,7 @@ class TestPSDCone:
             mat = k.index.mat_from_flat(a)
             halved = (mat + np.diag(np.diag(mat))) / 2.0
             p = k.index.flat_from_mat(halved)
-            assert k.dual_contains_interior(a) == k.contains_interior(p)
+            assert (k.dual_margin(a) > TOL) == k.contains_interior(p)
 
 
 class TestProduct:
@@ -211,7 +246,7 @@ class TestProduct:
         for _ in range(25):
             p = rng.normal(size=3)
             assert k.contains_interior(p) == o.contains_interior(p)
-            assert k.dual_contains_interior(p) == o.dual_contains_interior(p)
+            assert (k.dual_margin(p) > TOL) == (o.dual_margin(p) > TOL)
 
     def test_halfline_extension(self):
         k = product(Polyhedral([[1.0, 0.0], [1.0, 1.0]]), Orthant(1))
@@ -290,13 +325,13 @@ class TestSampling:
     def test_samples_are_interior(self, cone):
         rng = np.random.default_rng(37)
         for _ in range(50):
-            p = cone.sample_interior(rng)
+            p = sample_interior(cone, rng)
             assert cone.contains_interior(p, tol=DELTA / 2)
 
     def test_psd_sample_margin(self):
         rng = np.random.default_rng(38)
         k = PSD(2)
-        s = k.sample_interior(rng)
+        s = sample_interior(k, rng)
         assert k.interior_margin(s) >= DELTA - 1e-12
 
     def test_batch_matches_stream(self):
@@ -311,8 +346,8 @@ class TestSampling:
 
     def test_rng_determinism(self):
         k = Polyhedral([[1.0, 0.0], [1.0, 1.0]])
-        a = k.sample_interior(np.random.default_rng(123))
-        b = k.sample_interior(np.random.default_rng(123))
+        a = sample_interior(k, np.random.default_rng(123))
+        b = sample_interior(k, np.random.default_rng(123))
         assert np.array_equal(a, b)
 
 
@@ -369,7 +404,7 @@ class TestBatchMargins:
         assert PSD(2).interior_margin_batch(P, 0.0).tolist() == [False, True, True]
 
     def test_lp_only_cone_has_no_batch_path(self):
-        assert Polyhedral(np.eye(7)).interior_margin_batch(np.ones((2, 7)), 0.0) is None
+        assert Polyhedral(np.eye(7)).interior_margin_batch(np.ones((2, 7)), 0.0).all()
 
 
 class TestJson:
@@ -383,9 +418,9 @@ class TestJson:
         ],
     )
     def test_round_trip(self, cone):
-        restored = cone_from_json(cone_to_json(cone))
+        restored = cone_from_descriptor(json.loads(json.dumps(cone.descriptor())))
         assert restored == cone
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match="unknown cone"):
-            cone_from_json('{"type": "icecream", "n": 2}')
+            cone_from_descriptor({"type": "icecream", "n": 2})

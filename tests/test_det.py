@@ -607,6 +607,26 @@ class TestDiagonalReduction:
             assert rep.permutation_ok
             assert rep.consistent
 
+    def test_scalar_conditions_use_relative_bands(self):
+        # An indefinite slice at scale 1e-6 fails its determinant condition.
+        rep = prop56_diagonal_criterion(BlockMatrix.scalar(1e-6 * np.array([[1.0, 2.0], [2.0, 1.0]])))
+        assert rep.block_classes == (INDEFINITE,)
+        assert rep.scalar_conditions == (False,)
+
+    @given(st.data())
+    def test_scalar_conditions_are_scale_free(self, data):
+        # The scalar conditions of c A equal those of A for c = 2^k.
+        d = data.draw(st.integers(1, 3))
+        entry = st.integers(-300, 300).map(lambda v: v / 100)
+        blocks = np.zeros((2, 2, d, d))
+        for k in range(d):
+            a, b, c = (data.draw(entry) for _ in range(3))
+            blocks[:, :, k, k] = [[a, b], [b, c]]
+        scale = 2.0 ** data.draw(st.integers(-40, 40))
+        rep = prop56_diagonal_criterion(BlockMatrix(blocks))
+        scaled = prop56_diagonal_criterion(BlockMatrix(scale * blocks))
+        assert scaled.scalar_conditions == rep.scalar_conditions
+
     def test_rejects_non_diagonal_blocks(self):
         with pytest.raises(ValueError):
             prop56_diagonal_criterion(coupling_example())

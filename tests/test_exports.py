@@ -1,5 +1,6 @@
 """Every name a conicstab module exports, or the benchmark tracer binds, must exist."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -116,3 +117,40 @@ def test_bench_tracer_reaches_every_expected_layer(workload):
         text=True,
     )
     assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def _private_definitions_unreferenced():
+    """Module-level private functions and classes of ``src/conicstab`` that nothing else names.
+
+    A definition counts as referenced when another top-level statement of its
+    own module names it, or another module imports it from its module and a
+    statement there names it.  Its own body (a recursive call) does not count.
+    """
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "conicstab"
+    trees = {p.stem: ast.parse(p.read_text()) for p in src.glob("*.py")}
+
+    def names_in(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+            n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+        }
+
+    used = {}  # (module, name) -> referenced
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                others = set().union(*(names_in(n) for n in tree.body if n is not node))
+                used[mod, node.name] = node.name in others
+    for mod, tree in trees.items():
+        imports = [n for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1]
+        rest = set().union(*(names_in(n) for n in tree.body if n not in imports))
+        for node in imports:
+            for alias in node.names:
+                if (node.module, alias.name) in used and (alias.asname or alias.name) in rest:
+                    used[node.module, alias.name] = True
+    return sorted(f"{mod}.{name}" for (mod, name), ok in used.items() if not ok)
+
+
+def test_every_private_helper_is_used():
+    # Delete kernels, wrappers and aliases that nothing in src/ calls: a
+    # helper orphaned by a deletion fails here.
+    assert _private_definitions_unreferenced() == []
