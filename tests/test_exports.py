@@ -1,4 +1,7 @@
-"""Every name a conicstab module exports, or the benchmark tracer binds, must exist."""
+"""Every name a conicstab module exports, or the benchmark tracer binds, must exist.
+
+Every module-level private helper of the package must be used in it.
+"""
 
 import ast
 import dataclasses
