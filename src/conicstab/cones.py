@@ -47,7 +47,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, hermitian_eigh
+from .linalg import hermitian_eigenvalues, hermitian_eigh, min_eig_at_least
 from .poly import MatrixVarIndex
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
@@ -255,11 +255,11 @@ class Orthant(Cone):
 class Polyhedral(Cone):
     """Finitely generated cone {sum_j lambda_j v_j : lambda >= 0} in R^n.
 
-    Construction rejects generator sets that fail the proper-cone
-    requirements: all generators nonzero (``tol.negligible`` of each norm
-    over the largest), spanning R^n, and no generator's negation inside the
-    cone (pointedness, decided by the membership LP on the unit
-    generators).  Each test is invariant under scaling the generators;
+    Construction rejects non-finite generators first, then generator sets
+    that fail the proper-cone requirements: all generators nonzero
+    (``tol.negligible`` of each norm over the largest), spanning R^n, and
+    no generator's negation inside the cone (pointedness, decided by the
+    membership LP on the unit generators).  Each test is invariant under scaling the generators;
     ``generators``, the draws and the descriptor keep them as given.
     """
 
@@ -267,6 +267,8 @@ class Polyhedral(Cone):
         V = np.asarray(generators, dtype=float)
         if V.ndim != 2 or V.shape[0] == 0:
             raise ValueError("generators must be a nonempty sequence of equal-length vectors")
+        if not np.isfinite(V).all():
+            raise ValueError("generators must be finite")
         norms = np.linalg.norm(V, axis=1)
         if not norms.max() or np.any(tol.negligible(norms / norms.max())):
             raise ValueError("zero generator")
@@ -385,26 +387,12 @@ class PSD(Cone):
         return float(hermitian_eigenvalues(mat)[0])
 
     def interior_margin_batch(self, P, at_least: float) -> np.ndarray:
-        # lambda_min(Y) >= at_least iff A = Y - at_least I is positive
-        # semidefinite iff every pivot of its (square-root-free) Cholesky
-        # factorization is >= 0, a zero pivot with a zero column below it.
-        # Draws-last: A is one (n, n, N) array, eliminated in place.
+        # lambda_min(Y) >= at_least, decided from the pivots of Y - at_least I
         P = np.asarray(P, dtype=float)
         A = np.empty((self.n, self.n, P.shape[0]))
         A[self._rows, self._cols] = P.T
         A[self._cols, self._rows] = P.T
-        diag = np.arange(self.n)
-        A[diag, diag] -= at_least
-        keep = np.ones(P.shape[0], dtype=bool)
-        # an overflowing update is a hugely negative Schur complement: rejected
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(self.n - 1):
-                piv, col = A[j, j], A[j + 1 :, j]
-                pos = piv > 0
-                keep &= pos | ((piv == 0) & ~col.any(axis=0))
-                ratio = np.divide(col, piv, out=np.zeros_like(col), where=pos)
-                A[j + 1 :, j + 1 :] -= ratio[:, np.newaxis] * col
-        return keep & (A[-1, -1] >= 0)
+        return min_eig_at_least(A, at_least)
 
     def _dual_matrix(self, a) -> np.ndarray:
         # <a, z>_flat = tr(A Z) when A carries half the off-diagonal

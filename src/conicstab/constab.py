@@ -41,15 +41,17 @@ contracted (one product with their weight rows) and solved together, in
 stacked solves of at most one block of rows; each member then confirms
 its own candidates.  Batch screening only selects candidates and can
 never flip a verdict on its own.  It runs in three stages: a root-free
-Bezoutian test clears rows of degree >= 4 that provably hold no root the
-probe keeps (stability-mode lines and fibers read as (Re p, Im p): no
-root above the axis; hyperbolicity-mode real lines read as (p, p'):
-real, simple roots); the remaining rows, and every row of degree <= 3,
-are solved by the batched root engine (closed forms, and closed-form
-cubic roots kept where their residuals verify at rounding level,
-polished where not); a vectorized yes/no margin test then filters the
-fiber roots (margin at least half the floor; on the PSD cone a Cholesky
-factorization, no eigensolver).  The candidate's coefficient row,
+Bezoutian test clears rows of degree >= 3 that provably hold no root the
+probe keeps (stability-mode lines and fibers read as (Re p, Im p), or as
+(p, p') for a block with no imaginary part: no root above the axis;
+hyperbolicity-mode real lines read as (p, p'): real, simple roots),
+decided by one pivot test per row (an LDL^T elimination of Bez - tau I,
+no eigensolver); the remaining rows, and every row of degree <= 2, are
+solved by the batched root engine (closed forms, and closed-form cubic
+roots kept where their residuals verify at rounding level, polished
+where not); a vectorized yes/no margin test then filters the fiber roots
+(margin at least half the floor; on the PSD cone the same pivot test of
+Y - tI, no eigensolver).  The candidate's coefficient row,
 contracted again from its basis rows, is re-solved at scalar precision
 and each kept root mapped to its zero as solved.  Every witness, the
 exact linear route's and ``stab --verify``'s included, passes one
@@ -272,10 +274,11 @@ def _screened_roots(coeffs: np.ndarray, pairs) -> np.ndarray:
 
     ``pairs`` maps the rows to the complex rows P + iQ that
     ``_clears_lower`` tests (None: no screen, or rows it cannot screen).
-    Rows of degree <= 3 are always solved: their closed forms (the
-    polished Cardano start at degree 3) cost less than the screen.
+    Rows of degree <= 2 are always solved: their closed forms cost less
+    than the screen.  From degree 3 every row is screened first, by one
+    pivot test per row, so only the rows it cannot clear are solved.
     """
-    rows = None if pairs is None or coeffs.shape[1] < 5 else pairs(coeffs)
+    rows = None if pairs is None or coeffs.shape[1] < 4 else pairs(coeffs)
     if rows is None:
         return _roots_batch(coeffs)
     keep = ~_clears_lower(rows)
@@ -503,6 +506,18 @@ def _signed_line_zero(x, e, t):
     return -z if t.imag < 0 else z
 
 
+def _below_pairs(c):
+    """The rows P + iQ whose clearing leaves rows ``c`` no root above the axis.
+
+    (Re p, Im p) clears p with every root below the axis.  A block with no
+    imaginary part has Bez(Re p, Im p) = 0, so it is read as (p, p')
+    instead (``_with_derivative``): a cleared real row is real-rooted and
+    simple, so it has no root above the axis either.
+    """
+    rows = _with_derivative(c)
+    return np.asarray(c) if rows is None else rows
+
+
 @dataclass(frozen=True)
 class _Probe:
     """How a search mode reads the roots of the shared line and fiber solves.
@@ -540,9 +555,8 @@ _STABILITY = _Probe(
     fiber_zero=_replace_coord,
     line_cert="zero on a sampled line with interior imaginary direction",
     fiber_cert="zero on the {var} coordinate fiber with interior imaginary part",
-    # (Re p, Im p) clears p with every root below the axis.
-    line_pairs=np.asarray,
-    fiber_pairs=np.asarray,
+    line_pairs=_below_pairs,
+    fiber_pairs=_below_pairs,
 )
 
 _HYPERBOLICITY = _Probe(
@@ -944,7 +958,9 @@ def specialize_stability_check(
     """Falsify stability of f after pinning a variable block to a + i b.
 
     ``fixed_vars`` are the indices being substituted; ``b`` must be
-    interior to ``K1`` (the cone of the pinned block) — stability of f
+    interior to ``K1`` (the cone of the pinned block), with interior margin
+    above ``tol.interior_tol * ||b||``, so the test does not depend on the
+    scale of ``b`` — stability of f
     relative to K1 x K2 then passes to the specialization relative to
     K2, so a falsified specialization of a presumed-stable f is a
     finding.  The remaining variables must match ``K2``.
@@ -963,7 +979,7 @@ def specialize_stability_check(
         raise ValueError("K1 dimension must match the fixed block")
     if K2.dim != f.nvars - len(fixed):
         raise ValueError("K2 dimension must match the remaining variables")
-    if not K1.contains_interior(b, tol.interior_tol):
+    if not K1.interior_margin(b) > tol.interior_tol * np.linalg.norm(b):
         raise ValueError("imaginary offset b must be interior to K1")
     sub = f.substitute_partial({k: complex(a[i], b[i]) for i, k in enumerate(fixed)})
     return falsify_k_stability(sub, K2, n_samples, rng, tol)

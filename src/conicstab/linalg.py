@@ -3,10 +3,14 @@
 The package's one Hermitian eigensolver and positive-semidefiniteness
 classification.  Matrices are plain numpy arrays (row-major complex
 entries); shape, finiteness and Hermitian symmetry are validated at the
-interfaces.  Eigenvalues come from LAPACK (``np.linalg.eigh``), the
-library the PSD cone's batched margin screen also calls, so screening and
-confirmation run on one solver; each decomposition is accepted only after
-its reconstruction residual is checked against ``tol.eig_tol``.
+interfaces.  Eigenvalues come from LAPACK (``np.linalg.eigh``); each
+decomposition is accepted only after its reconstruction residual is
+checked against ``tol.eig_tol``.
+
+The samplers' screens ask only whether a smallest eigenvalue reaches a
+threshold, and :func:`min_eig_at_least` answers that from the pivots of
+one elimination over a whole batch, with no eigensolve: the PSD cone's
+margin screen and the univariate Bezoutian screen both call it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "hermitian_eigenvalues",
     "psd_classify",
     "psd_class_of",
+    "min_eig_at_least",
 ]
 
 #: Classification labels returned by :func:`psd_classify`.
@@ -119,3 +124,29 @@ def psd_class_of(lam_min: float, m, tol: ToleranceProfile = DEFAULT_TOL) -> str:
     if lam_min < -band:
         return INDEFINITE
     return POSITIVE_SEMIDEFINITE
+
+
+def min_eig_at_least(A: np.ndarray, t) -> np.ndarray:
+    """Per matrix of a batch, whether ``lambda_min >= t``, from pivots alone.
+
+    ``A`` is a draws-last (n, n, B) stack of real symmetric matrices and is
+    overwritten; ``t`` is a scalar or one threshold per matrix.  lambda_min
+    >= t iff A - t I is positive semidefinite iff every pivot of its
+    square-root-free Cholesky (LDL^T) elimination is >= 0, a zero pivot
+    with a zero column below it.  Each elimination step is one operation on
+    whole rows of B matrices.  A matrix within rounding of the threshold
+    may fall either way; one with a NaN entry or threshold fails.
+    """
+    n = A.shape[0]
+    diag = np.arange(n)
+    A[diag, diag] -= t
+    keep = np.ones(A.shape[2], dtype=bool)
+    # an overflowing update is a hugely negative Schur complement: rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n - 1):
+            piv, col = A[j, j], A[j + 1 :, j]
+            pos = piv > 0
+            keep &= pos | ((piv == 0) & ~col.any(axis=0))
+            ratio = col / np.where(pos, piv, np.inf)  # no update below a rejected pivot
+            A[j + 1 :, j + 1 :] -= ratio[:, np.newaxis] * col
+    return keep & (A[-1, -1] >= 0)

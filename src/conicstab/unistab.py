@@ -25,10 +25,13 @@ Stability, real-rootedness and interlacing are decided without roots.  By
 Hermite's theorem (the Hermite–Biehler base of the conic theory) the
 inertia of the Bezoutian Bez(P, Q) counts the roots of P + iQ in the two
 open half-planes, and Bez(P, P') >= 0 iff the real P is real-rooted.  One
-kernel (``_bezout_eigs``) serves the predicates, which test semidefiniteness
-within rounding and ``tol.eig_tol`` (multiple roots need no slack), and the
-samplers' screen (``_clears_lower``), which skips the batch solve of a row
-of degree >= 4 whose Bez(P, Q) is clearly definite.
+builder (``_bezoutian``) forms the normalized Bez of each row, draws-last.
+The predicates read its eigenvalues (``_bezout_eigs``) and test
+semidefiniteness within rounding and ``tol.eig_tol`` (multiple roots need
+no slack).  The samplers' screen (``_clears_lower``) reads its pivots
+instead: one LDL^T elimination of Bez - tau I per row decides whether
+lambda_min reaches the band tau, and a row of degree >= 3 that passes is
+not solved at all.
 
 A :class:`UniPoly` stores coefficients in ascending degree order and is
 canonicalized on construction: trailing coefficients that
@@ -44,6 +47,7 @@ from math import comb
 
 import numpy as np
 
+from .linalg import min_eig_at_least
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
 __all__ = [
@@ -402,7 +406,7 @@ def _roots_batch(coeffs: np.ndarray) -> np.ndarray:
 
 
 # The Bezoutian screen clears a row only when its smallest eigenvalue
-# exceeds this multiple of m * max(m, M) (see :func:`_bezout_eigs`);
+# reaches this multiple of m * max(m, M) (see :func:`_bezoutian`);
 # forming Bez errs by about 1e-16 of it.
 _BEZOUT_BAND = 1e-8
 
@@ -412,7 +416,7 @@ _ROUNDING = 4 * np.finfo(float).eps
 
 @lru_cache(maxsize=None)
 def _bezout_tables(d: int) -> tuple[np.ndarray, ...]:
-    """Per-degree tables of :func:`_bezout_eigs`, read-only.
+    """Per-degree tables of :func:`_bezoutian`, read-only.
 
     Index pairs a > b and the 0/1 map from p_a q_b - p_b q_a to Bez entries
     (``(P(s)Q(t) - P(t)Q(s)) / (s - t)`` collects ``s^b t^b (s^(a-b) -
@@ -432,64 +436,110 @@ def _bezout_tables(d: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _bezout_eigs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of each row's normalized Bezoutian, and two masses.
+def _radius(c: np.ndarray, h: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root radius rho of the shifted monic rows ``c`` (d+1, B), and |h|."""
+    # max_j |c_j|^(1/(d-j)) lies between half and d times the largest |root|
+    rho = (np.abs(c[:-1]) ** inv[:, np.newaxis]).max(axis=0)
+    # below the shift's rounding, or where rho^-d overflows, a radius is noise
+    ah = np.abs(h)
+    return np.maximum(np.maximum(rho, np.finfo(float).eps * ah), np.finfo(float).tiny ** inv[0]), ah
+
+
+def _bezoutian(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's normalized Bezoutian, draws-last, two masses and a validity mask.
 
     Row p = P + iQ of ``coeffs`` (B, d+1), ascending, d >= 1.  Bez(P, Q) has
     one positive (negative) eigenvalue per root of p / gcd(P, Q) in the
     open lower (upper) half-plane (Hermite).  Each row is made monic,
     shifted by its real root centroid h and scaled by its root radius rho,
-    which keeps the inertia.  Returns the eigenvalues (B, d), the
-    coefficient mass ``m`` of the transformed row and ``M = sum_j |c_j| (|h|
-    + rho)^j / rho^d``, that of the monic row at the shifted radius, which
-    bounds the shift's rounding.  Bez is bilinear in the row, so by Weyl a
-    relative perturbation e of the monic row's coefficients moves each
-    eigenvalue by about e * m * max(m, M).  Rows with a zero leading
-    coefficient or a non-finite entry get NaN eigenvalues.  The bits of a
-    row's eigenvalues depend on the batch size (the shift takes another
-    path up to 8 rows), far inside that bound, so a row's decision does not.
+    which keeps the inertia.  Returns the real symmetric Bez as a fresh (d,
+    d, B) array, the coefficient mass ``m`` of the transformed row, ``M =
+    sum_j |c_j| (|h| + rho)^j / rho^d``, that of the monic row at the
+    shifted radius, which bounds the shift's rounding, and ``ok``, False on
+    rows with a zero leading coefficient or a non-finite entry (built from
+    a row of ones).  Bez is bilinear in the row, so by Weyl a relative
+    perturbation e of the monic row's coefficients moves each eigenvalue by
+    about e * m * max(m, M).
+
+    Up to 8 rows (the univariate predicates' calls) the shift is one
+    binomial product and the powers of rho come from ``**``; a batch (the
+    samplers' screen) shifts row by row and takes the powers as running
+    products, M by Horner's rule, since ``**`` costs more than the rest of
+    the transformation.  So the bits of a row's Bez depend on the batch
+    size, far inside the bound above, and a row's decision does not.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    b, d1 = c.shape
+    c = np.ascontiguousarray(np.asarray(coeffs, dtype=complex).T)
+    d1, b = c.shape
     d = d1 - 1
     hi, lo, T, C, gap, j, inv = _bezout_tables(d)
-    ok = np.isfinite(c).all(axis=1) & (c[:, -1] != 0)
+    ok = np.isfinite(c).all(axis=0) & (c[-1] != 0)
     if not ok.all():
-        c = np.where(ok[:, np.newaxis], c, 1.0)
-    c = c / c[:, -1:]
-    moduli = np.abs(c)
-    h = -c[:, d - 1].real / d
-    if b <= 8:  # Taylor shift c(t) -> c(t + h) as one binomial product
-        c = (c[:, :, np.newaxis] * (C * (h[:, np.newaxis] ** j)[:, gap])).sum(axis=1)
-    else:  # a batch: the O(d^2) column loop costs less than (B, d+1, d+1)
+        c[:, ~ok] = 1.0
+    if b <= 8:  # the predicates' arithmetic, bit for bit
+        c = c / c[-1]
+        moduli, h = np.abs(c), -c[d - 1].real / d
+        c = (c[:, np.newaxis] * (C[:, :, np.newaxis] * (h ** j[:, np.newaxis])[gap])).sum(axis=0)
+        rho, ah = _radius(c, h, inv)
+        c *= rho ** (j - d)[:, np.newaxis]
+        # sums over rows of (B, d+1) copies: NumPy adds 9 or more terms pairwise
+        M = (moduli * (ah + rho) ** j[:, np.newaxis]).T.copy().sum(axis=1) / rho**d
+        m = np.abs(c).T.copy().sum(axis=1)
+    else:  # the screen's: fewer passes over the batch
+        c *= 1.0 / c[-1]
+        moduli, h = np.abs(c), -c[d - 1].real / d
         for i in range(d):
             for k in range(d - 1, i - 1, -1):
-                c[:, k] += h * c[:, k + 1]
-    # max_j |c_j|^(1/(d-j)) lies between half and d times the largest |root|
-    rho = (np.abs(c[:, :-1]) ** inv).max(axis=1)
-    # below the shift's rounding, or where rho^-d overflows, a radius is noise
-    ah = np.abs(h)
-    rho = np.maximum(np.maximum(rho, np.finfo(float).eps * ah), np.finfo(float).tiny ** (1 / d))
-    c *= rho[:, np.newaxis] ** (j - d)
-    M = (moduli * (ah + rho)[:, np.newaxis] ** j).sum(axis=1) / rho**d
+                c[k] += h * c[k + 1]
+        rho, ah = _radius(c, h, inv)
+        s = 1.0 / rho
+        scale = s.copy()  # rho^(k - d) at row k
+        for k in range(d - 1, -1, -1):
+            c[k] *= scale
+            if k:
+                scale *= s
+        M, R = moduli[d].copy(), ah + rho
+        for k in range(d - 1, -1, -1):
+            M *= R
+            M += moduli[k]
+        M *= scale
+        m = np.abs(c).sum(axis=0)
     P, Q = c.real, c.imag
-    pairs = P[:, hi] * Q[:, lo] - P[:, lo] * Q[:, hi]
-    eigs = np.linalg.eigvalsh((pairs @ T).reshape(b, d, d))
+    pairs = P[hi] * Q[lo] - P[lo] * Q[hi]
+    # callers take max(m, M): M < m only by rounding, or by underflow of rho^d
+    return np.ascontiguousarray((pairs.T @ T).T).reshape(d, d, b), m, M, ok
+
+
+def _bezout_eigs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (B, d) of each row's :func:`_bezoutian`, and its masses m, M.
+
+    The univariate predicates read inertia from these; rows that are not
+    ``ok`` get NaN eigenvalues.
+    """
+    bez, m, M, ok = _bezoutian(coeffs)
+    eigs = np.linalg.eigvalsh(bez.transpose(2, 0, 1))
     if not ok.all():
         eigs[~ok] = np.nan
-    # callers take max(m, M): M < m only by rounding, or by underflow of rho^d
-    return eigs, np.abs(c).sum(axis=1), M
+    return eigs, m, M
 
 
 def _clears_lower(coeffs: np.ndarray) -> np.ndarray:
     """Root-free test that every root of a row lies strictly below the real axis.
 
-    A row is cleared iff ``lambda_min(Bez) > _BEZOUT_BAND * m * max(m, M)``
-    (:func:`_bezout_eigs`): Bez(P, Q) is definite, also under perturbations
-    well below the band.  A row of NaN eigenvalues is never cleared.
+    A row is cleared iff ``lambda_min(Bez) >= tau = _BEZOUT_BAND * m *
+    max(m, M)`` (:func:`_bezoutian`), decided by the pivots of Bez - tau I
+    (:func:`~conicstab.linalg.min_eig_at_least`), not by an eigensolve.
+    Since tau > 0, Bez(P, Q) is then definite, also under perturbations
+    well below the band.  A row that is not ``ok`` is never cleared.  Nor is
+    a row with Im(c_{d-1} / c_d) <= 0, and its Bezoutian is not built: that
+    is minus the sum of the roots' imaginary parts, and rho times Bez's
+    last diagonal entry up to rounding, which has to reach tau > 0.
     """
-    eigs, m, M = _bezout_eigs(coeffs)
-    return eigs[:, 0] > _BEZOUT_BAND * m * np.maximum(m, M)
+    maybe = (coeffs[:, -2] * np.conj(coeffs[:, -1])).imag > 0  # the sign of Im(c_{d-1} / c_d)
+    cleared = np.zeros(coeffs.shape[0], dtype=bool)
+    if maybe.any():
+        bez, m, M, ok = _bezoutian(coeffs if maybe.all() else coeffs[maybe])
+        cleared[maybe] = ok & min_eig_at_least(bez, _BEZOUT_BAND * m * np.maximum(m, M))
+    return cleared
 
 
 def _with_derivative(c):

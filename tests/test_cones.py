@@ -155,6 +155,12 @@ class TestPolyhedral:
         with pytest.raises(ValueError, match="zero generator"):
             Polyhedral([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_generator(self, bad):
+        for gens in ([[bad, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0], [1.0, bad]]):
+            with pytest.raises(ValueError, match="generators must be finite"):
+                Polyhedral(gens)
+
     @pytest.mark.parametrize("scale", [1e-13, 1e-11, 1.0, 1e11])
     def test_tiny_orthant_generators_are_accepted(self, scale):
         # The orthant at any scale: no zero generator, pointed.

@@ -977,6 +977,21 @@ class TestSpecialization:
                 parse("z1*z2"), [0], [0.0], [0.0], Orthant(1), Orthant(1)
             )
 
+    @pytest.mark.parametrize("b", [0.0, -1e-10])
+    def test_zero_or_negative_shift_is_rejected_at_any_scale(self, b):
+        with pytest.raises(ValueError, match="interior"):
+            specialize_stability_check(
+                parse("z1 + z2 + z3"), [0], [0.0], [b], Orthant(1), Orthant(2)
+            )
+
+    @pytest.mark.parametrize("b", [1e-10, 1e-13])
+    def test_small_interior_shift_is_accepted(self, b):
+        # Every b > 0 is interior to the orthant: the test is relative to ||b||.
+        v = specialize_stability_check(
+            parse("z1 + z2 + z3"), [0], [0.0], [b], Orthant(1), Orthant(2), n_samples=500, rng=0
+        )
+        assert v.status == NOT_FALSIFIED
+
     def test_rejects_duplicate_indices(self):
         with pytest.raises(ValueError):
             specialize_stability_check(
@@ -1178,11 +1193,14 @@ class TestBezoutScreen:
         z = constab._screened_roots(rows, np.asarray)
         assert np.all(np.isnan(z[0]))
         assert np.array_equal(z[1], _roots_batch(rows[1:])[0])
-        # Degree <= 3 rows, and probes without a screen, are always solved:
-        # the cubic below has every root under the axis, as row 0 does.
+        # From degree 3 rows are screened: the cubic below has every root
+        # under the axis, as row 0 does, and is cleared.  Degree <= 2 rows,
+        # and probes without a screen, are always solved.
         cubic = np.poly(planted[0][:3])[::-1][np.newaxis, :]
-        assert _clears_lower(cubic)[0]
-        assert np.array_equal(constab._screened_roots(cubic, np.asarray), _roots_batch(cubic))
+        assert np.all(np.isnan(constab._screened_roots(cubic, np.asarray)))
+        quadratic = np.poly(planted[0][:2])[::-1][np.newaxis, :]
+        assert _clears_lower(quadratic)[0]
+        assert np.array_equal(constab._screened_roots(quadratic, np.asarray), _roots_batch(quadratic))
         assert not np.any(np.isnan(constab._screened_roots(rows[:, 2:], np.asarray)))
         assert np.array_equal(constab._screened_roots(rows, None), _roots_batch(rows))
 
@@ -1200,6 +1218,17 @@ class TestBezoutScreen:
         f = parse(
             "(z1 + 2*z2 + i)*(3*z1 + z2 + 0.5 + 2*i)*(z1 + z2 - 1 + 0.5*i)*(2*z1 + z2 + 1 + i)"
         )
+        v = falsify_k_stability(f, Orthant(2), n_samples=4_096, rng=3)
+        assert (v.status, v.samples) == (NOT_FALSIFIED, 4_096)
+        assert sum(rows) < 8_192 // 2
+
+    def test_screen_spares_batched_roots_on_a_stable_cubic_product(self, monkeypatch):
+        # The cubic twin: each draw's line and fiber rows have degree 3,
+        # 8,192 rows for 4,096 draws unscreened, and every root below the axis.
+        rows = []
+        solve = constab._roots_batch
+        monkeypatch.setattr(constab, "_roots_batch", lambda c: rows.append(c.shape[0]) or solve(c))
+        f = parse("(z1 + 2*z2 + i)*(3*z1 + z2 + 0.5 + 2*i)*(z1 + z2 - 1 + 0.5*i)")
         v = falsify_k_stability(f, Orthant(2), n_samples=4_096, rng=3)
         assert (v.status, v.samples) == (NOT_FALSIFIED, 4_096)
         assert sum(rows) < 8_192 // 2

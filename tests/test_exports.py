@@ -157,3 +157,22 @@ def test_every_private_helper_is_used():
     # Delete kernels, wrappers and aliases that nothing in src/ calls: a
     # helper orphaned by a deletion fails here.
     assert _private_definitions_unreferenced() == []
+
+
+def test_eigensolves_stay_in_linalg_and_the_univariate_predicates():
+    # The samplers' screens decide "lambda_min >= t" from pivots
+    # (linalg.min_eig_at_least), so an eigensolve may appear only in linalg's
+    # one Hermitian solver and in the Bezoutian eigenvalues that the
+    # univariate predicates read inertia from (unistab._bezout_eigs).
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "conicstab"
+    homes = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                else:
+                    names = {getattr(node, "attr", None), getattr(node, "id", None)}
+                if names & {"eigvalsh", "eigh"}:
+                    homes.add((path.name, getattr(top, "name", None)))
+    assert {home for home in homes if home[0] != "linalg.py"} == {("unistab.py", "_bezout_eigs")}

@@ -154,3 +154,17 @@ class TestIsHermitian:
     def test_tiny_non_hermitian_matrix_is_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             linalg.psd_classify([[0.0, 1e-12], [0.0, 0.0]])
+
+
+class TestMinEigAtLeast:
+    def test_per_matrix_thresholds_on_a_draws_last_batch(self):
+        # Each matrix of a (n, n, B) stack against its own threshold, just
+        # below or just above its smallest eigenvalue.
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((50, 4, 4))
+        S = g + g.transpose(0, 2, 1)
+        lam = np.linalg.eigvalsh(S)[:, 0]
+        t = lam + rng.choice([-1e-6, 1e-6], lam.size) * (1.0 + np.abs(lam))
+        keep = linalg.min_eig_at_least(np.ascontiguousarray(S.transpose(1, 2, 0)), t)
+        assert keep.any() and not keep.all()
+        assert np.array_equal(keep, lam >= t)

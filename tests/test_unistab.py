@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conicstab import unistab
@@ -359,6 +359,27 @@ class TestBezoutScreen:
             broken[col] = bad
             with np.errstate(invalid="ignore", over="ignore"):
                 assert not unistab._clears_lower(broken[np.newaxis, :])[0]
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_pivot_test_agrees_with_the_smallest_eigenvalue(self, data):
+        # The screen clears a row iff lambda_min(Bez) >= tau, except within
+        # 1e-9 tau of the band, where rounding may decide either way.  One
+        # root of each row sits 10^[-8, 0] below the axis, so rows fall on
+        # both sides of the band, and a batch of 1 to 12 rows takes both
+        # arithmetic paths of the builder; a row may hold a root above the axis.
+        d = data.draw(st.integers(3, 8))
+        near = np.array(data.draw(st.lists(st.floats(-8.0, 0.0), min_size=1, max_size=12)))
+        upper = np.array(data.draw(st.lists(st.booleans(), min_size=near.size, max_size=near.size)))
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        r = gen.uniform(-1, 1, (near.size, d)) - 1j * gen.uniform(0.2, 1.5, (near.size, d))
+        r[:, 0] = r[:, 0].real - 1j * 10.0**near
+        r[upper, -1] = r[upper, -1].conj()
+        c = np.array([np.poly(row)[::-1] for row in r]) * np.exp(1j * gen.uniform(0, 2 * np.pi))
+        eigs, m, M = unistab._bezout_eigs(c)
+        tau = unistab._BEZOUT_BAND * m * np.maximum(m, M)
+        clear = np.abs(eigs[:, 0] - tau) > 1e-9 * tau
+        assert np.array_equal(unistab._clears_lower(c)[clear], (eigs[:, 0] >= tau)[clear])
 
 
 # Rows that Aberth leaves unconverged, so _roots_batch retries them from
