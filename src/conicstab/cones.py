@@ -8,7 +8,7 @@ flattened symmetric matrices, and finite products of those — behind one
 small interface:
 
 * ``interior_margin(p)`` — how far ``p`` lies inside ``K`` (> 0 exactly
-  on the interior); ``contains_interior(p, tol)`` tests it against ``tol``.
+  on the interior).
 * ``interior_margin_batch(P, t)`` — the keep-mask ``interior_margin(row)
   >= t`` over the rows of ``P``, a screen every cone answers.
 * ``dual_minimizer(a)`` — ``(margin, p)``: the minimum of ``<a, p>``
@@ -194,9 +194,6 @@ class Cone:
         the dual-ray dimension has no vectorized test and keeps every row.
         """
         raise NotImplementedError
-
-    def contains_interior(self, p, tol: float = DEFAULT_TOL.interior_tol) -> bool:
-        return self.interior_margin(p) > tol
 
     def dual_minimizer(self, a) -> tuple[float, np.ndarray]:
         """``(margin, p)`` with ``p`` in ``K`` and ``<a, p> = margin``.

@@ -336,6 +336,14 @@ def _det_cofactor(rows: list[list[MultiPoly]], names: tuple[str, ...], tol: Tole
     return total
 
 
+def _check_caps(A: BlockMatrix) -> None:
+    """Raise ``ValueError`` when the grid or block size exceeds the expansion caps."""
+    if A.n1 > _EXPAND_N_CAP or A.p > _EXPAND_D_CAP:
+        raise ValueError(
+            f"expansion capped at grid {_EXPAND_N_CAP}, block {_EXPAND_D_CAP} (got {A.n1}, {A.p})"
+        )
+
+
 def expand_det_polynomial(
     A: BlockMatrix,
     B,
@@ -348,13 +356,9 @@ def expand_det_polynomial(
     Sizes are capped because cofactor expansion is exponential in d.
     """
     b = _check_square(A, B)
-    n, d = A.n1, A.p
-    if n > _EXPAND_N_CAP or d > _EXPAND_D_CAP:
-        raise ValueError(
-            f"expansion capped at grid {_EXPAND_N_CAP}, block {_EXPAND_D_CAP} (got {n}, {d})"
-        )
+    _check_caps(A)
     entries = _entry_polynomials(A, b, tol)
-    names = MatrixVarIndex(n).names
+    names = MatrixVarIndex(A.n1).names
     return _det_cofactor(entries, names, tol)
 
 
@@ -485,11 +489,6 @@ class PerturbReport:
         return all(e.outcome == CERTIFIED_STABLE for e in self.entries)
 
 
-def _expansion(cert: DetCertificate, A: BlockMatrix, b: np.ndarray, tol: ToleranceProfile) -> MultiPoly:
-    """The certificate's expansion, or a fresh one (which raises above the caps)."""
-    return cert.polynomial if cert.polynomial is not None else expand_det_polynomial(A, b, tol)
-
-
 def perturbed_certify(
     A: BlockMatrix,
     B,
@@ -503,7 +502,8 @@ def perturbed_certify(
     blocks, certifies it, and tracks coefficientwise convergence of the
     expanded polynomials (each from its step's certificate) back to the
     unperturbed one.  Definite input needs no approximation and reports a
-    trivial pass; indefinite input is rejected.
+    trivial pass; indefinite input, and singular input above the expansion
+    caps, are rejected with ``ValueError``.
     """
     b = _check_square(A, B)
     n, d = A.n1, A.p
@@ -526,7 +526,8 @@ def perturbed_certify(
     if any(e <= 0 for e in eps_list):
         raise ValueError("schedule entries must be positive")
 
-    base_poly = _expansion(base, A, b, tol)
+    _check_caps(A)  # within the caps every certificate below carries its expansion
+    base_poly = base.polynomial
     flat = A.flatten()
     # A_ii + eps*I has eigenvalues lambda(A_ii) + eps: one solve per block.
     diag_min = [float(hermitian_eigenvalues(A.blocks[i, i], tol)[0]) for i in range(n)]
@@ -544,7 +545,7 @@ def perturbed_certify(
                 flat_class=cert.flat_class,
                 diagonal_definite=diag_def,
                 outcome=cert.outcome,
-                coeff_diff=_expansion(cert, Ak, b, tol).max_coeff_diff(base_poly),
+                coeff_diff=cert.polynomial.max_coeff_diff(base_poly),
             )
         )
 

@@ -35,7 +35,8 @@ class ToleranceProfile:
         Im(r) <= real_root_im_tol does not disprove stability, and a root
         with |Im(r)| <= real_root_im_tol * max(1, |r|) is read as real.
     sign_tol : float
-        Relative slack when testing nonpositivity of a sampled function.
+        Relative slack when testing nonpositivity of a Wronskian, at
+        sampled points or at its critical points.
     residual_tol : float
         Witness acceptance: |f(z)| <= residual_tol * sum|coeff| * max(1,|z|)^deg.
     interior_tol : float

@@ -6,8 +6,8 @@ engine, the half-plane stability test (no root with positive imaginary
 part; the zero polynomial counts as unstable by convention), real-rooted
 detection, the interlacing test for two real-rooted polynomials (roots
 that alternate are proper in one of two orientations, so the kinds are
-proper, reversed, identical roots and none), and a sampled nonpositivity
-test for the Wronskian ``f' g - g' f``.
+proper, reversed, identical roots and none), and the nonpositivity test
+for the Wronskian ``f' g - g' f``, read at its critical points.
 
 The root engine has one path per shape of input.  A single polynomial
 (:func:`roots`) is solved in closed form up to degree 2 and from
@@ -361,8 +361,12 @@ def _companion_polished(c: np.ndarray) -> np.ndarray:
 
     Companion-matrix eigenvalues (``np.roots``) are the start of an
     Aberth–Ehrlich polish, which keeps them as they are when every residual
-    is already at rounding level.  No ordering guarantee.
+    is already at rounding level.  No ordering guarantee.  A row whose monic
+    form overflows has roots beyond the float range and gets NaN roots.
     """
+    with np.errstate(all="ignore"):
+        if not np.isfinite(c / c[-1]).all():
+            return np.full(c.size - 1, np.nan, dtype=complex)
     start = np.roots(c[::-1])
     z, _ = _aberth_batch(c[np.newaxis, :].astype(complex), start=start[np.newaxis, :])
     return z[0]
@@ -468,13 +472,14 @@ def _bezoutian(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     the transformation.  So the bits of a row's Bez depend on the batch
     size, far inside the bound above, and a row's decision does not.
     """
+    # a view of the caller's array where coeffs.T is contiguous (one row): not written to
     c = np.ascontiguousarray(np.asarray(coeffs, dtype=complex).T)
     d1, b = c.shape
     d = d1 - 1
     hi, lo, T, C, gap, j, inv = _bezout_tables(d)
     ok = np.isfinite(c).all(axis=0) & (c[-1] != 0)
     if not ok.all():
-        c[:, ~ok] = 1.0
+        c = np.where(ok, c, 1.0)
     if b <= 8:  # the predicates' arithmetic, bit for bit
         c = c / c[-1]
         moduli, h = np.abs(c), -c[d - 1].real / d
@@ -485,6 +490,7 @@ def _bezoutian(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         M = (moduli * (ah + rho) ** j[:, np.newaxis]).T.copy().sum(axis=1) / rho**d
         m = np.abs(c).T.copy().sum(axis=1)
     else:  # the screen's: fewer passes over the batch
+        # in place: the transpose of C-ordered (B, d+1) rows, B > 8, was copied above
         c *= 1.0 / c[-1]
         moduli, h = np.abs(c), -c[d - 1].real / d
         for i in range(d):
@@ -727,42 +733,28 @@ def wronskian_uni(f: UniPoly, g: UniPoly) -> UniPoly:
     return f.derivative() * g - g.derivative() * f
 
 
-def wronskian_sign_leq0(
-    f: UniPoly,
-    g: UniPoly,
-    n_grid: int = 256,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> bool:
-    """Decide (numerically) whether ``f' g - g' f <= 0`` holds on all of R.
+def wronskian_sign_leq0(f: UniPoly, g: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
+    """Decide whether ``W = f' g - g' f <= 0`` holds on all of R.
 
-    The tail behaviour is read off the leading coefficient exactly: an odd
-    degree or a positive even-degree leading coefficient forces positive
-    values.  The interior is sampled on Chebyshev nodes over ``[-R, R]``
-    with ``R`` one plus the Wronskian's root bound, augmented with the
-    real critical points (roots of the derivative), so an interior
-    positive bump cannot hide between nodes.  Values are accepted while
-    ``W(x) <= tol.sign_tol * scale(x)`` with the coefficient-mass scale
-    ``sum_j |w_j| max(1, |x|)^j``: the band scales with W, with no floor.
+    The tails are read off the leading coefficient exactly: an odd degree
+    or a positive leading coefficient makes W positive somewhere.
+    Otherwise W tends to -inf both ways, so its largest value is at a real
+    root of W'; W is evaluated at Re r for every root r of W', which also
+    reads a real critical point that rounding moved off the axis.  Values
+    are accepted while ``W(x) <= tol.sign_tol * sum_j |w_j| max(1, |x|)^j``,
+    a band that scales with W, with no floor.  Raises ``ValueError`` for
+    complex input, and passes on the ``ArithmeticError`` of :func:`roots`.
     """
     if not f.is_real(tol) or not g.is_real(tol):
         raise ValueError("Wronskian sign test expects real polynomials")
     w = wronskian_uni(f, g)
     if not w:
         return True
-    lead = w.lead.real
-    if w.degree % 2 == 1 or lead > 0:
+    if w.degree % 2 == 1 or w.lead.real > 0:
         return False
     if w.degree == 0:
         return True
-
-    bound = 1.0 + max(abs(c) for c in w.coeffs[:-1]) / abs(lead)
-    nodes = np.cos(np.pi * (np.arange(n_grid) + 0.5) / n_grid) * bound
-    crit = roots(w.derivative(), tol)
-    crit_real = crit[np.abs(crit.imag) <= tol.real_root_im_tol].real
-    xs = np.concatenate([nodes, crit_real, [-bound, bound]])
-    vals = w(xs).real
-    scale = np.zeros_like(xs)
+    xs = roots(w.derivative(), tol).real
     ax = np.maximum(1.0, np.abs(xs))
-    for j, c in enumerate(w.coeffs):
-        scale += abs(c) * ax**j
-    return bool(np.all(vals <= tol.sign_tol * scale))
+    scale = sum(abs(c) * ax**j for j, c in enumerate(w.coeffs))
+    return bool(np.all(w(xs).real <= tol.sign_tol * scale))

@@ -21,7 +21,7 @@ from conicstab.cones import (
 from conicstab.tolerances import DEFAULT_TOL
 
 DELTA = 1e-3  # default interior sampling margin
-TOL = DEFAULT_TOL.interior_tol  # the dual tests below compare dual_margin with it
+TOL = DEFAULT_TOL.interior_tol  # the tests below compare dual and interior margins with it
 
 
 def sample_interior(cone, rng):
@@ -87,9 +87,9 @@ class TestSimplex:
 class TestOrthant:
     def test_interior_examples(self):
         k = Orthant(3)
-        assert k.contains_interior(np.array([0.5, 1.0, 0.5]))
-        assert not k.contains_interior(np.array([0.5, 0.0, 0.5]))
-        assert not k.contains_interior(np.array([0.5, -1.0, 0.5]))
+        assert k.interior_margin(np.array([0.5, 1.0, 0.5])) > TOL
+        assert not (k.interior_margin(np.array([0.5, 0.0, 0.5])) > TOL)
+        assert not (k.interior_margin(np.array([0.5, -1.0, 0.5])) > TOL)
 
     def test_dual_is_self(self):
         k = Orthant(2)
@@ -97,7 +97,7 @@ class TestOrthant:
         rng = np.random.default_rng(31)
         for _ in range(25):
             p = rng.normal(size=2)
-            assert (k.dual_margin(p) > TOL) == k.contains_interior(p)
+            assert (k.dual_margin(p) > TOL) == (k.interior_margin(p) > TOL)
 
     def test_boundary_vs_closed_dual(self):
         k = Orthant(2)
@@ -107,17 +107,17 @@ class TestOrthant:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not fit"):
-            Orthant(3).contains_interior(np.ones(2))
+            Orthant(3).interior_margin(np.ones(2))
 
 
 class TestPolyhedral:
     def test_wedge_membership(self):
         # cone{(1,0),(1,1)} = {(x, y) : 0 <= y <= x}
         k = Polyhedral([[1.0, 0.0], [1.0, 1.0]])
-        assert k.contains_interior(np.array([2.0, 1.0]))
-        assert not k.contains_interior(np.array([1.0, 2.0]))
-        assert not k.contains_interior(np.array([1.0, 0.0]))  # boundary
-        assert not k.contains_interior(np.array([-1.0, -2.0]))
+        assert k.interior_margin(np.array([2.0, 1.0])) > TOL
+        assert not (k.interior_margin(np.array([1.0, 2.0])) > TOL)
+        assert not (k.interior_margin(np.array([1.0, 0.0])) > TOL)  # boundary
+        assert not (k.interior_margin(np.array([-1.0, -2.0])) > TOL)
 
     def test_orthant_generators_match_orthant(self):
         rng = np.random.default_rng(32)
@@ -125,7 +125,7 @@ class TestPolyhedral:
         o = Orthant(3)
         for _ in range(30):
             p = rng.normal(size=3)
-            assert k.contains_interior(p) == o.contains_interior(p)
+            assert (k.interior_margin(p) > TOL) == (o.interior_margin(p) > TOL)
 
     def test_dual_examples(self):
         k = Polyhedral([[1.0, 0.0], [1.0, 1.0]])
@@ -166,7 +166,7 @@ class TestPolyhedral:
         # The orthant at any scale: no zero generator, pointed.
         k = Polyhedral(scale * np.eye(3))
         assert np.array_equal(k.generators, scale * np.eye(3))
-        assert k.contains_interior(np.ones(3))
+        assert k.interior_margin(np.ones(3)) > TOL
 
     @settings(max_examples=300)
     @given(st.data())
@@ -196,7 +196,7 @@ class TestPolyhedral:
         assert k._dual_rays is None
         for _ in range(10):
             p = rng.normal(size=7) + 0.8
-            assert k.contains_interior(p) == bool(np.min(p) > 1e-9)
+            assert (k.interior_margin(p) > TOL) == bool(np.min(p) > 1e-9)
             if np.min(p) > 0:
                 assert k.interior_margin(p) == pytest.approx(np.min(p), abs=1e-8)
 
@@ -211,8 +211,8 @@ class TestPolyhedral:
 class TestPSDCone:
     def test_interior_examples(self):
         k = PSD(2)
-        assert not k.contains_interior(np.array([1.0, 2.0, 1.0]))  # eigs {-1, 3}
-        assert k.contains_interior(np.array([1.0, 0.0, 1.0]))
+        assert not (k.interior_margin(np.array([1.0, 2.0, 1.0])) > TOL)  # eigs {-1, 3}
+        assert k.interior_margin(np.array([1.0, 0.0, 1.0])) > TOL
 
     def test_interior_margin_is_min_eigenvalue(self):
         k = PSD(2)
@@ -240,7 +240,7 @@ class TestPSDCone:
             mat = k.index.mat_from_flat(a)
             halved = (mat + np.diag(np.diag(mat))) / 2.0
             p = k.index.flat_from_mat(halved)
-            assert (k.dual_margin(a) > TOL) == k.contains_interior(p)
+            assert (k.dual_margin(a) > TOL) == (k.interior_margin(p) > TOL)
 
 
 class TestProduct:
@@ -251,14 +251,14 @@ class TestProduct:
         assert k.dim == 3
         for _ in range(25):
             p = rng.normal(size=3)
-            assert k.contains_interior(p) == o.contains_interior(p)
+            assert (k.interior_margin(p) > TOL) == (o.interior_margin(p) > TOL)
             assert (k.dual_margin(p) > TOL) == (o.dual_margin(p) > TOL)
 
     def test_halfline_extension(self):
         k = product(Polyhedral([[1.0, 0.0], [1.0, 1.0]]), Orthant(1))
-        assert k.contains_interior(np.array([2.0, 1.0, 0.5]))
-        assert not k.contains_interior(np.array([2.0, 1.0, 0.0]))
-        assert not k.contains_interior(np.array([1.0, 2.0, 0.5]))
+        assert k.interior_margin(np.array([2.0, 1.0, 0.5])) > TOL
+        assert not (k.interior_margin(np.array([2.0, 1.0, 0.0])) > TOL)
+        assert not (k.interior_margin(np.array([1.0, 2.0, 0.5])) > TOL)
 
     def test_psd_times_halfline_dim(self):
         k = product(PSD(2), Orthant(1))
@@ -332,7 +332,7 @@ class TestSampling:
         rng = np.random.default_rng(37)
         for _ in range(50):
             p = sample_interior(cone, rng)
-            assert cone.contains_interior(p, tol=DELTA / 2)
+            assert cone.interior_margin(p) > DELTA / 2
 
     def test_psd_sample_margin(self):
         rng = np.random.default_rng(38)
@@ -348,7 +348,7 @@ class TestSampling:
         assert np.array_equal(batch, again)
         assert batch.shape == (6, k.dim)
         for row in batch:
-            assert k.contains_interior(row, tol=DELTA / 2)
+            assert k.interior_margin(row) > DELTA / 2
 
     def test_rng_determinism(self):
         k = Polyhedral([[1.0, 0.0], [1.0, 1.0]])

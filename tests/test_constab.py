@@ -418,6 +418,23 @@ class TestFalsifier:
         scale = prod.coeff_norm1() * max(1.0, float(np.max(np.abs(z)))) ** prod.degree
         assert min(vals) <= 1e-4 * scale
 
+    # The expansion kernels overflow on these rows before any root is sought.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rows_whose_monic_form_overflows_do_not_raise(self):
+        # Such rows get NaN roots instead of reaching np.roots with infs.
+        K = Orthant(2)
+        f = parse("1e306*z1^3*z2 + 1e306*z2^4")
+        v = falsify_k_stability(f, K, n_samples=4096, rng=1)
+        assert (v.status, v.samples) == (FALSIFIED, 1)
+        z = np.asarray(v.witness)
+        floor = DEFAULT_TOL.sample_margin / 2
+        assert constab._witness_residual(K, z, floor, f, f.coeff_norm1(), f.degree, DEFAULT_TOL) is not None
+        # Stable, yet at scale 1 a split fourfold root falsifies it, as in
+        # test_monomial_of_degree_four_or_more_is_not_falsified: only the
+        # return type is pinned.
+        v = falsify_k_stability(parse("1e306*(z1+z2)^4"), K, n_samples=4096, rng=1)
+        assert isinstance(v, constab.Verdict)
+
     def test_rejects_generator_seeds(self):
         with pytest.raises(TypeError):
             falsify_k_stability(parse("z1"), Orthant(1), rng=np.random.default_rng(0))
@@ -1203,6 +1220,13 @@ class TestBezoutScreen:
         assert np.array_equal(constab._screened_roots(quadratic, np.asarray), _roots_batch(quadratic))
         assert not np.any(np.isnan(constab._screened_roots(rows[:, 2:], np.asarray)))
         assert np.array_equal(constab._screened_roots(rows, None), _roots_batch(rows))
+
+    def test_non_finite_row_is_kept_and_gets_nan_roots(self):
+        row = np.array([[np.inf, 3.0, 1j, 1.0]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            z = constab._screened_roots(row, constab._below_pairs)
+        assert np.array_equal(row, [[np.inf, 3.0, 1j, 1.0]])
+        assert np.all(np.isnan(z))
 
     def test_complex_rows_skip_the_real_rooted_screen(self):
         row = np.poly([1.0, 2.0, 3.0])[::-1].astype(complex)

@@ -360,6 +360,13 @@ class TestBezoutScreen:
             with np.errstate(invalid="ignore", over="ignore"):
                 assert not unistab._clears_lower(broken[np.newaxis, :])[0]
 
+    def test_screen_leaves_its_input_row_unchanged(self):
+        # One row transposes to a view of the caller's array; the non-finite
+        # row's stand-in of ones must not be written into it.
+        row = np.array([[np.inf, 1j, 1.0]])
+        assert not unistab._clears_lower(row)[0]
+        assert np.array_equal(row, [[np.inf, 1j, 1.0]])
+
     @settings(max_examples=200)
     @given(st.data())
     def test_pivot_test_agrees_with_the_smallest_eigenvalue(self, data):
@@ -705,6 +712,24 @@ class TestInterlacing:
         assert (kind != "none") == (_alternate(rf, rg) or _alternate(rg, rf))
 
 
+def _dense_wronskian_margin(w):
+    """Reference max of (W - band) / scale on R, ``scale = sum_j |w_j| max(1, |x|)^j``.
+
+    W is read at 4,096 Chebyshev nodes over its root bound R, at the real
+    parts of all critical points, and at +-2R, where the lead dominates, so
+    the tails show.  The band is ``sign_tol * scale``.
+    """
+    c = np.array(w.coeffs).real
+    if c.size == 1:
+        return c[0] / abs(c[0]) - DEFAULT_TOL.sign_tol
+    bound = 1.0 + np.max(np.abs(c[:-1])) / abs(c[-1])
+    nodes = np.cos(np.pi * (np.arange(4096) + 0.5) / 4096) * bound
+    crit = np.roots((c[1:] * np.arange(1, c.size))[::-1]).real
+    xs = np.concatenate([nodes, crit, [-2.0 * bound, 2.0 * bound]])
+    scale = np.polyval(np.abs(c)[::-1], np.maximum(1.0, np.abs(xs)))
+    return float(np.max(np.polyval(c[::-1], xs) / scale)) - DEFAULT_TOL.sign_tol
+
+
 class TestWronskian:
     def test_hand_values(self):
         t = poly(0.0, 1.0)
@@ -754,3 +779,30 @@ class TestWronskian:
         for k in range(-5, 6):
             c = 10.0**k
             assert unistab.wronskian_sign_leq0(f.scale(c), g.scale(c)) == verdict, k
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_decision_matches_a_dense_reference(self, data):
+        # Grid roots with repeats (degrees 0-6, differing by at most 1),
+        # alternating grid roots with one root sometimes moved, or random real
+        # coefficients, at scales 10^[-4, 4].  Only a reference maximum
+        # within 1e-6 of zero may go either way.
+        kind = data.draw(st.sampled_from(["grid", "interleaved", "random"]))
+        if kind == "grid":
+            deg_f = data.draw(st.integers(0, 6))
+            f = _grid_poly(data, deg_f)
+            g = _grid_poly(data, data.draw(st.integers(max(0, deg_f - 1), min(6, deg_f + 1))))
+        elif kind == "interleaved":
+            rts = np.sort(data.draw(st.lists(st.integers(-32, 32), min_size=2, max_size=12, unique=True))) / 8.0
+            rts[data.draw(st.integers(0, rts.size - 1))] += data.draw(st.sampled_from([0.0, 0.0, 0.0625, -0.3]))
+            leads = st.sampled_from([-1.0, 1.0])
+            f, g = (UniPoly.from_roots(rts[k::2], lead=data.draw(leads)) for k in (0, 1))
+        else:
+            coeffs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=7)
+            f, g = UniPoly(data.draw(coeffs)), UniPoly(data.draw(coeffs))
+        c = 10.0 ** data.draw(st.floats(-4.0, 4.0))
+        f, g = f.scale(c), g.scale(c)
+        w = unistab.wronskian_uni(f, g)
+        margin = _dense_wronskian_margin(w) if w else 0.0
+        if abs(margin) > 1e-6:
+            assert unistab.wronskian_sign_leq0(f, g) == (margin <= 0.0)
