@@ -32,14 +32,20 @@ base points.
 A search runs one family: basis polynomials and a weight matrix whose
 rows are the members (a falsifier's f is the basis [f] at weight 1; the
 pencil's members are weight rows on the monomials of f and g, never
-built as polynomials).  Each block is drawn and the basis expanded once:
-the line rows from `MultiPoly.restrict_line` on the whole block, the
-fiber rows from `MultiPoly.as_univariate_in` on the base points of each
-solved coordinate; both run each basis polynomial's own compiled Horner
-program.  Members whose rows share a probe and a degree are
-contracted (one product with their weight rows) and solved together, in
-stacked solves of at most one block of rows; each member then confirms
-its own candidates.  Batch screening only selects candidates and can
+built as polynomials).  The draws are searched in batches: the first
+`_PROBE` draws of block 0, the rest of block 0, then one batch per
+block, so a witness among the first draws (the common case) is confirmed
+before the rest of the block is solved.  In each batch the basis is
+expanded once per probe, lines before fibers: the line rows from
+`MultiPoly.restrict_line` on the whole batch are solved and each member
+confirms its line candidates first; the fiber rows, from
+`MultiPoly.as_univariate_in` on the base points of each solved
+coordinate, are expanded only for the draws below the last member's
+first line witness, since a fiber witness must come before it to count.
+Both run each basis polynomial's own compiled Horner program.  Members
+whose rows share a probe and a degree are contracted (one product with
+their weight rows) and solved together, in stacked solves of at most one
+block of rows.  Batch screening only selects candidates and can
 never flip a verdict on its own.  It runs in three stages: a root-free
 Bezoutian test clears rows of degree >= 3 that provably hold no root the
 probe keeps (stability-mode lines and fibers read as (Re p, Im p), or as
@@ -65,7 +71,9 @@ are generated from per-block generators seeded by (seed, block index) —
 so enlarging the budget replays the same prefix, parallel evaluation
 cannot reorder draws, and the first confirmed witness (lowest draw index,
 line probe before fiber probe, roots in lexicographic order) is the same
-on every run.
+on every run.  The search batches only decide when a draw is solved: the
+kernels run draws-last, so a draw's rows do not depend on its batch-mates,
+and the first witness does not depend on the batches.
 
 The zero polynomial is unstable by convention everywhere in this module.
 """
@@ -112,6 +120,7 @@ FALSIFIED = "falsified"
 NOT_FALSIFIED = "not_falsified"
 
 _BLOCK = 2048
+_PROBE = 64  # leading draws of block 0 searched as a batch of their own
 # Near-real slack of the hyperbolic fiber screen, relative to max(1, |r|).
 # It only selects candidates for confirmation, which applies the tighter
 # ``real_root_im_tol``; a generous screen keeps borderline roots in play.
@@ -289,7 +298,7 @@ def _screened_roots(coeffs: np.ndarray, pairs) -> np.ndarray:
 
 
 def _fiber_rows(basis, active, lo: int, V: np.ndarray):
-    """Coefficient rows of the coordinate fibers at one block of base points ``V``.
+    """Coefficient rows of the coordinate fibers at one batch of base points ``V``.
 
     Draw ``lo + row`` solves coordinate ``active[(lo + row) mod #active]``.
     Yields ``(k, rows, F)``: ``F[j, i]`` are the ascending coefficients of
@@ -313,10 +322,10 @@ def _fiber_rows(basis, active, lo: int, V: np.ndarray):
 def _stacked(rows: np.ndarray, W: np.ndarray, members: list, width: int):
     """Yield (chunk, coefficient rows) of the ``members`` (rows of ``W``) on basis rows ``rows``.
 
-    ``rows`` (nb, n, d) are the basis rows of one probe.  A chunk of
-    members stacks each member's n rows of ``width`` columns in turn, at
-    most ``_BLOCK`` rows (``_BLOCK // n`` members), so a stacked solve is
-    no larger than a lone member's full block.  A chunk is one product
+    ``rows`` (nb, n, d) are the basis rows of one probe on the n draws of
+    a batch.  A chunk of members stacks each member's n rows of ``width``
+    columns in turn, at most ``_BLOCK`` rows (``_BLOCK // n`` members), so
+    a stacked solve is no larger than a lone member's full block.  A chunk is one product
     ``np.dot(W[chunk], rows)``, the ``@`` operator's bits at a third of its
     cost on a one-polynomial basis.
     """
@@ -574,20 +583,41 @@ _HYPERBOLICITY = _Probe(
 )
 
 
+def _batches(seed: int, n: int, K: Cone, sigma: float, n_samples: int, margin: float):
+    """Yield the (start_index, x, y) batches of a search over the draws of ``_blocks``.
+
+    The first ``_PROBE`` draws of block 0 are a batch of their own, the rest
+    of block 0 is the next, and each later block is one batch.  A witness
+    among the first draws, the common case, is then confirmed before the
+    rest of the block is solved, and no batch is larger than a block.
+    """
+    for lo, x, y in _blocks(seed, n, K, sigma, n_samples, margin):
+        cut = min(_PROBE, x.shape[0]) if lo == 0 else 0
+        for a, b in ((0, cut), (cut, x.shape[0])):
+            if a < b:
+                yield lo + a, x[a:b], y[a:b]
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
     """Run both probes for each member ``W[m] @ basis`` over the draws of seed ``rng``.
 
     The members are rows of weights ``W`` on ``basis``, polynomials over one
     variable tuple: ``[f]`` at weight 1 for a falsifier, the monomials of the
-    support for the pencil.  Each block is drawn, and the line and fiber
-    rows of the basis expanded, once.  The live members are grouped by
-    probe (the line, or the fiber of coordinate k over their active
-    coordinates) and row degree; each group's rows are contracted and
-    solved in stacked chunks (``_stacked``).  A member books its candidates
-    as (draw row, k), k = -1 for the line probe (a row's fiber solves one
-    coordinate), and confirms them in draw order, the line before the
-    fiber, each row contracted again from its basis row, until its first
-    witness, where it leaves the family.
+    support for the pencil.  The draws come in the batches of ``_batches``.
+    In each batch the line rows are expanded and solved first, the live
+    members grouped by row degree and their rows contracted and solved in
+    stacked chunks (``_stacked``); each member confirms its line candidates
+    in draw order up to its first line witness, at row j_m (the batch size
+    if none).  Fiber rows are then expanded and solved only for the draws
+    below the largest j_m, the members grouped by coordinate k over their
+    active coordinates and by row degree, and each member confirms its
+    fiber candidates below its own j_m in draw order.  The first that
+    confirms is the member's witness, else the line witness at j_m: the
+    first witness in draw order, the line before the fiber at one draw.  A
+    candidate row is contracted again from its basis rows to be confirmed;
+    a member with a witness leaves the family.  Overflow in the kernels is
+    not an error: non-finite rows fail the screen and get NaN roots.
     """
     bdeg = [[b.degree] + [b.degree_in(k) for k in range(K.dim)] for b in basis]
     # deg[m][1 + k]: member m's degree in z_k, its total degree at k = -1 (-1: zero member)
@@ -603,42 +633,33 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
     width = max(b.degree for b in basis) + 1
     floor = tol.sample_margin / 2
 
-    for lo, x, y in _blocks(rng, K.dim, K, tol.sample_sigma, n_samples, tol.sample_margin):
+    for lo, x, y in _batches(rng, K.dim, K, tol.sample_sigma, n_samples, tol.sample_margin):
         V = probe.base(x, y)
         lines = np.stack([np.pad(r, ((0, 0), (0, width - r.shape[1])))
                           for r in (b.restrict_line(x, y) for b in basis)])
         expanded = {(-1, ()): (np.arange(x.shape[0]), lines)}
-        for a in {active[m] for m in live}:
-            expanded.update({(k, a): (rows, F) for k, rows, F in _fiber_rows(basis, a, lo, V)})
-        groups = {}
-        for m in live:
-            groups.setdefault((-1, (), deg[m][0]), []).append(m)
-            for k in active[m]:
-                groups.setdefault((k, active[m], deg[m][1 + k]), []).append(m)
-        # hits[m][row] holds the k of the row's line (-1) and fiber candidates, -2 for none
-        hits = {m: np.full((x.shape[0], 2), -2) for m in live}
-        for (k, a, d), members in groups.items():
-            if (k, a) not in expanded:
-                continue
-            rows, basis_rows = expanded[k, a]
-            n = rows.size
-            for chunk, coeffs in _stacked(basis_rows, W, members, d + 1):
-                r = _screened_roots(coeffs, probe.line_pairs if k < 0 else probe.fiber_pairs)
-                if k < 0:
-                    hit = np.nonzero(np.any(probe.line_ok(r, tol), axis=1))[0]
-                else:
-                    i, j = np.nonzero(probe.fiber_screen(r, tol))
-                    comp = probe.fiber_zero(V[rows[i % n]], k, r[i, j]).imag
-                    # generous: margin >= floor / 2
-                    hit = i[K.interior_margin_batch(comp, floor / 2)] if i.size else i
-                ends = np.searchsorted(hit, n * np.arange(len(chunk) + 1))
-                for s, m in enumerate(chunk):
-                    hits[m][rows[hit[ends[s] : ends[s + 1]] - s * n], int(k >= 0)] = k
 
-        for m in live:
-            # Row-major: draw order, the line before the fiber.
-            for row, col in zip(*np.nonzero(hits[m] > -2)):
-                k = int(hits[m][row, col])
+        def candidates(k, rows, basis_rows, groups):
+            """Each member's rows with a probe-k candidate; ``groups`` maps row degrees to members."""
+            n, found = rows.size, {}
+            for d, members in groups.items():
+                for chunk, coeffs in _stacked(basis_rows, W, members, d + 1):
+                    r = _screened_roots(coeffs, probe.line_pairs if k < 0 else probe.fiber_pairs)
+                    if k < 0:
+                        hit = np.nonzero(np.any(probe.line_ok(r, tol), axis=1))[0]
+                    else:
+                        i, j = np.nonzero(probe.fiber_screen(r, tol))
+                        comp = probe.fiber_zero(V[rows[i % n]], k, r[i, j]).imag
+                        # generous: margin >= floor / 2
+                        hit = i[K.interior_margin_batch(comp, floor / 2)] if i.size else i
+                    ends = np.searchsorted(hit, n * np.arange(len(chunk) + 1))
+                    for s, m in enumerate(chunk):
+                        found[m] = rows[hit[ends[s] : ends[s + 1]] - s * n]
+            return found
+
+        def first(m, cands):
+            """(row, verdict) of m's first confirmed (k, row) candidate, else (batch size, None)."""
+            for k, row in cands:
                 rows, basis_rows = expanded[k, active[m] if k >= 0 else ()]
                 at = np.searchsorted(rows, row)
                 if k < 0:
@@ -652,9 +673,32 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
                 got = _confirm(basis, W[m], mass[m], deg[m][0], K, p, ok, zero, tol, floor)
                 if got is not None:
                     z, res = got
-                    out[m] = Verdict(FALSIFIED, witness=z, certificate=cert,
-                                     samples=lo + int(row) + 1, seed=rng, residual=res)
-                    break
+                    return row, Verdict(FALSIFIED, witness=z, certificate=cert,
+                                        samples=lo + int(row) + 1, seed=rng, residual=res)
+            return x.shape[0], None
+
+        groups = {}
+        for m in live:
+            groups.setdefault(deg[m][0], []).append(m)
+        stop, line = {}, {}
+        for m, rows in candidates(-1, *expanded[-1, ()], groups).items():
+            stop[m], line[m] = first(m, ((-1, row) for row in rows))
+        # A fiber witness counts only below its member's first line witness.
+        J = max(stop.values())
+        fiber_k = {m: np.full(J, -2) for m in live}  # the k of each row's fiber candidate
+        for a in {active[m] for m in live if stop[m] > 0}:
+            for k, rows, F in _fiber_rows(basis, a, lo, V[:J]):
+                expanded[k, a] = rows, F
+                groups = {}
+                for m in live:
+                    if stop[m] > 0 and active[m] == a:
+                        groups.setdefault(deg[m][1 + k], []).append(m)
+                for m, hit in candidates(k, rows, F, groups).items():
+                    fiber_k[m][hit] = k
+        for m in live:
+            rows = np.nonzero(fiber_k[m][: stop[m]] > -2)[0]
+            _, v = first(m, ((int(fiber_k[m][row]), row) for row in rows))
+            out[m] = line[m] if v is None else v
         live = [m for m in live if out[m] is None]
         if not live:
             break
@@ -772,7 +816,7 @@ def pencil_hko_check(
     coefficients there), trimmed by ``negligible`` of the default profile
     as ``f.scale(lam) + g.scale(mu)`` trims, term by term and then the sum,
     never built as a polynomial.  The nonzero rows are one family of the
-    sampling engine, so each block is drawn and expanded once for all of
+    sampling engine, so each batch of draws is expanded once for all of
     them, and members of one row degree share stacked, block-sized root
     solves.  The report records each verdict and the flags.
     """
@@ -901,6 +945,7 @@ def decompose_check(
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def imaginary_projection_sample(
     f: MultiPoly,
     n_points: int = 2_000,
@@ -914,7 +959,7 @@ def imaginary_projection_sample(
     real and imaginary parts uniform in ``box``, solves the remaining
     univariate fiber, and records Im(z) of every verified solution.
     Returns an (m, nvars) float array with m <= n_points (fibers that
-    degenerate or fail verification contribute nothing).
+    degenerate, overflow or fail verification contribute nothing).
     """
     seed = _as_seed(rng)
     if f.degree < 1:

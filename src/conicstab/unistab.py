@@ -356,6 +356,12 @@ def _closed_form(coeffs: np.ndarray) -> np.ndarray:
     return _batch_quadratic(coeffs)
 
 
+def _monic_overflows(c: np.ndarray) -> bool:
+    """Whether the monic form of the ascending row ``c`` is not finite (roots beyond the float range)."""
+    with np.errstate(all="ignore"):
+        return not np.isfinite(c / c[-1]).all()
+
+
 def _companion_polished(c: np.ndarray) -> np.ndarray:
     """Roots of one ascending coefficient row, shape (d,).
 
@@ -364,9 +370,8 @@ def _companion_polished(c: np.ndarray) -> np.ndarray:
     is already at rounding level.  No ordering guarantee.  A row whose monic
     form overflows has roots beyond the float range and gets NaN roots.
     """
-    with np.errstate(all="ignore"):
-        if not np.isfinite(c / c[-1]).all():
-            return np.full(c.size - 1, np.nan, dtype=complex)
+    if _monic_overflows(c):
+        return np.full(c.size - 1, np.nan, dtype=complex)
     start = np.roots(c[::-1])
     z, _ = _aberth_batch(c[np.newaxis, :].astype(complex), start=start[np.newaxis, :])
     return z[0]
@@ -589,8 +594,9 @@ def roots(p: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     ValueError
         If ``p`` is the zero polynomial (its root set is all of C).
     ArithmeticError
-        If ``p`` is nonconstant with a non-finite coefficient, or a
-        residual is still above the bound (or NaN) after the retry.
+        If ``p`` is nonconstant with a non-finite coefficient, of degree
+        3 or more with a monic form that overflows, or a residual is
+        still above the bound (or NaN) after the retry.
     """
     if not p:
         raise ValueError("the zero polynomial does not have a root list")
@@ -599,6 +605,8 @@ def roots(p: UniPoly, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     c = np.array(p.coeffs, dtype=complex)
     if not np.all(np.isfinite(c)):
         raise ArithmeticError("polynomial has a non-finite coefficient")
+    if p.degree > 2 and _monic_overflows(c):
+        raise ArithmeticError("monic form overflows: the roots lie beyond the float range")
     z = _closed_form(c[np.newaxis, :])[0] if p.degree <= 2 else np.roots(c[::-1])
     if not _within_bound(p, z, tol):
         z = _companion_polished(c)

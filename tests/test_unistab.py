@@ -93,6 +93,11 @@ class TestRoots:
         with pytest.raises(ArithmeticError):
             unistab.roots(UniPoly(coeffs))
 
+    def test_finite_row_whose_monic_form_overflows_raises(self):
+        # Finite coefficients, but the roots lie near -1e310, beyond the float range.
+        with pytest.raises(ArithmeticError):
+            unistab.roots(poly(1e300, 1e300, 1e300, 1e-10))
+
     def test_failed_bound_retries_once_then_raises(self, monkeypatch):
         p = poly(2.0, -3.0, 1.0)  # (t-1)(t-2)
         monkeypatch.setattr(unistab, "_closed_form", lambda c: np.full((1, 2), 5.0 + 0j))
@@ -761,6 +766,13 @@ class TestWronskian:
     def test_rejects_complex_input(self):
         with pytest.raises(ValueError):
             unistab.wronskian_sign_leq0(poly(1j, 1.0), poly(0.0, 1.0))
+
+    def test_critical_points_beyond_the_float_range_raise(self):
+        # W(1, g) = -g' is of degree 4 with a negative lead, and its derivative
+        # -g'' = -(1e300 + 1e300 t + 1e300 t^2 + 1e-10 t^3) has roots near -1e310.
+        g = poly(0.0, 0.0, 5e299, 1e300 / 6, 1e300 / 12, 1e-10 / 20)
+        with pytest.raises(ArithmeticError):
+            unistab.wronskian_sign_leq0(poly(1.0), g)
 
     def test_scaled_down_pair_keeps_its_verdict(self):
         # roots 3/4, 7/8 against 9/8: not interlaced, max W = 3/32 > 0, and
