@@ -37,16 +37,16 @@ built as polynomials).  The draws are searched in batches: the first
 block, so a witness among the first draws (the common case) is confirmed
 before the rest of the block is solved.  In each batch the basis is
 expanded once per probe, lines before fibers: the line rows from
-`MultiPoly.restrict_line` on the whole batch are solved and each member
-confirms its line candidates first; the fiber rows, from
+`MultiPoly.restrict_line` on the whole batch are solved first and set the
+cut, the latest of the members' first line candidates; the fiber rows, from
 `MultiPoly.as_univariate_in` on the base points of each solved
-coordinate, are expanded only for the draws below the last member's
-first line witness, since a fiber witness must come before it to count.
-Both run each basis polynomial's own compiled Horner program.  Members
-whose rows share a probe and a degree are contracted (one product with
-their weight rows) and solved together, in stacked solves of at most one
-block of rows.  Batch screening only selects candidates and can
-never flip a verdict on its own.  It runs in three stages: a root-free
+coordinate, are expanded for the draws below the cut, and for the draws
+from the cut on only while a member has no witness.  Both run each basis
+polynomial's own compiled Horner program.  Members whose rows share a
+probe and a degree are contracted (one product with their weight rows)
+and solved together, in stacked solves of at most one block of rows.
+Batch screening only selects candidates and can never flip a verdict on
+its own.  It runs in three stages: a root-free
 Bezoutian test clears rows of degree >= 3 that provably hold no root the
 probe keeps (stability-mode lines and fibers read as (Re p, Im p), or as
 (p, p') for a block with no imaginary part: no root above the axis;
@@ -55,9 +55,11 @@ decided by one pivot test per row (an LDL^T elimination of Bez - tau I,
 no eigensolver); the remaining rows, and every row of degree <= 2, are
 solved by the batched root engine (closed forms, and closed-form cubic
 roots kept where their residuals verify at rounding level, polished
-where not); a vectorized yes/no margin test then filters the fiber roots
-(margin at least half the floor; on the PSD cone the same pivot test of
-Y - tI, no eigensolver).  The candidate's coefficient row,
+where not); a vectorized yes/no margin test then maps each kept line or
+fiber root to its zero and keeps it when Im(z) has margin at least half
+the floor (on the PSD cone the same pivot test of Y - tI, no
+eigensolver).  Each member confirms its candidates in one draw order,
+the line before the fiber at one draw.  The candidate's coefficient row,
 contracted again from its basis rows, is re-solved at scalar precision
 and each kept root mapped to its zero as solved.  Every witness, the
 exact linear route's and ``stab --verify``'s included, passes one
@@ -231,6 +233,13 @@ def _as_seed(rng) -> int:
     if rng < 0:
         raise ValueError("seed must be nonnegative")
     return int(rng)
+
+
+def _as_count(n, name: str) -> int:
+    """``n`` as a count: an integer >= 1 (not a bool), else ``ValueError``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+    return int(n)
 
 
 def _check_fit(f: MultiPoly, K: Cone) -> None:
@@ -510,9 +519,9 @@ def _imaginary_real_point(w, k, r):
 
 
 def _signed_line_zero(x, e, t):
-    """x + t e, negated when Im t < 0 (f(-z) = ±f(z) for homogeneous f)."""
+    """x + t e, negated where Im t < 0 (f(-z) = ±f(z) for homogeneous f); rows or a scalar."""
     z = x + t * e.astype(complex)
-    return -z if t.imag < 0 else z
+    return np.where(np.imag(t) < 0, -z, z)
 
 
 def _below_pairs(c):
@@ -533,10 +542,12 @@ class _Probe:
 
     ``base(x, y)`` gives the complex points whose coordinate fibers are
     solved.  ``line_ok``/``fiber_ok`` are the root predicates applied at
-    confirmation (``line_ok`` also screens the batch); ``fiber_screen``
-    selects batch fiber roots and may be more generous than ``fiber_ok``.
-    ``line_zero(x, y, t)`` and ``fiber_zero(w, k, r)`` map a root to the
-    zero of f it stands for; ``fiber_zero`` also works on rows.
+    confirmation (``line_ok`` also keeps the batch line roots);
+    ``fiber_screen`` keeps the batch fiber roots and may be more generous
+    than ``fiber_ok``.  ``line_zero(x, y, t)`` and ``fiber_zero(w, k, r)``
+    map a root to the zero of f it stands for, on rows too: a kept root of
+    either probe is a candidate when its zero's imaginary part has interior
+    margin at least half the floor, one rule for both.
     ``line_pairs``/``fiber_pairs`` map a block of coefficient rows to the
     rows P + iQ of ``_screened_roots``: a row cleared there has no root
     passing ``line_ok``, respectively ``fiber_screen``.  None screens
@@ -605,20 +616,22 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
     The members are rows of weights ``W`` on ``basis``, polynomials over one
     variable tuple: ``[f]`` at weight 1 for a falsifier, the monomials of the
     support for the pencil.  The draws come in the batches of ``_batches``.
-    In each batch the line rows are expanded and solved first, the live
-    members grouped by row degree and their rows contracted and solved in
-    stacked chunks (``_stacked``); each member confirms its line candidates
-    in draw order up to its first line witness, at row j_m (the batch size
-    if none).  Fiber rows are then expanded and solved only for the draws
-    below the largest j_m, the members grouped by coordinate k over their
-    active coordinates and by row degree, and each member confirms its
-    fiber candidates below its own j_m in draw order.  The first that
-    confirms is the member's witness, else the line witness at j_m: the
-    first witness in draw order, the line before the fiber at one draw.  A
-    candidate row is contracted again from its basis rows to be confirmed;
+    Both probes book candidates by one rule (``book``): the live members are
+    grouped by row degree, their rows contracted and solved in stacked chunks
+    (``_stacked``), and a root the probe keeps is a candidate when the
+    imaginary part of its zero has interior margin at least half the floor.
+    In each batch the line rows are booked first; the cut is the latest of
+    the members' first line-candidate rows (the batch size if a member has
+    none).  Fiber rows are booked for the draws below the cut, and each
+    member confirms its candidates in draw order, the line before the fiber
+    at one draw, up to and including the line at the cut; the members still
+    live then book the fibers from the cut on and confirm the rest.  The
+    first that confirms is the member's witness: the first in draw order.
+    A candidate row is contracted again from its basis rows to be confirmed;
     a member with a witness leaves the family.  Overflow in the kernels is
     not an error: non-finite rows fail the screen and get NaN roots.
     """
+    n_samples = _as_count(n_samples, "n_samples")
     bdeg = [[b.degree] + [b.degree_in(k) for k in range(K.dim)] for b in basis]
     # deg[m][1 + k]: member m's degree in z_k, its total degree at k = -1 (-1: zero member)
     deg = np.where((W != 0)[:, :, None], bdeg, -1).max(axis=1, initial=-1).tolist()
@@ -634,72 +647,56 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
     floor = tol.sample_margin / 2
 
     for lo, x, y in _batches(rng, K.dim, K, tol.sample_sigma, n_samples, tol.sample_margin):
-        V = probe.base(x, y)
-        lines = np.stack([np.pad(r, ((0, 0), (0, width - r.shape[1])))
-                          for r in (b.restrict_line(x, y) for b in basis)])
-        expanded = {(-1, ()): (np.arange(x.shape[0]), lines)}
+        n, V = x.shape[0], probe.base(x, y)
+        todo = {m: [] for m in live}  # m's candidates: (row, k, basis rows, column there)
 
-        def candidates(k, rows, basis_rows, groups):
-            """Each member's rows with a probe-k candidate; ``groups`` maps row degrees to members."""
-            n, found = rows.size, {}
-            for d, members in groups.items():
-                for chunk, coeffs in _stacked(basis_rows, W, members, d + 1):
+        def book(k, rows, basis_rows, members):
+            """Add the probe-k candidates of ``members`` on the draws ``rows`` to ``todo``."""
+            groups = {}
+            for m in members:
+                groups.setdefault(deg[m][1 + k], []).append(m)
+            for d, group in groups.items():
+                for chunk, coeffs in _stacked(basis_rows, W, group, d + 1):
                     r = _screened_roots(coeffs, probe.line_pairs if k < 0 else probe.fiber_pairs)
-                    if k < 0:
-                        hit = np.nonzero(np.any(probe.line_ok(r, tol), axis=1))[0]
-                    else:
-                        i, j = np.nonzero(probe.fiber_screen(r, tol))
-                        comp = probe.fiber_zero(V[rows[i % n]], k, r[i, j]).imag
-                        # generous: margin >= floor / 2
-                        hit = i[K.interior_margin_batch(comp, floor / 2)] if i.size else i
-                    ends = np.searchsorted(hit, n * np.arange(len(chunk) + 1))
-                    for s, m in enumerate(chunk):
-                        found[m] = rows[hit[ends[s] : ends[s + 1]] - s * n]
-            return found
+                    i, j = np.nonzero((probe.line_ok if k < 0 else probe.fiber_screen)(r, tol))
+                    if i.size == 0:
+                        continue
+                    at, t = rows[i % rows.size], r[i, j]
+                    z = (probe.line_zero(x[at], y[at], t[:, None]) if k < 0
+                         else probe.fiber_zero(V[at], k, t))
+                    # generous (confirmation asks the floor); a mask, as np.unique imports numpy.ma
+                    hit = np.zeros(r.shape[0], dtype=bool)
+                    hit[i[K.interior_margin_batch(z.imag, floor / 2)]] = True
+                    s, col = np.divmod(np.flatnonzero(hit), rows.size)
+                    for m, row, c in zip(np.take(chunk, s).tolist(), rows[col].tolist(), col.tolist()):
+                        todo[m].append((row, k, basis_rows, c))
 
-        def first(m, cands):
-            """(row, verdict) of m's first confirmed (k, row) candidate, else (batch size, None)."""
-            for k, row in cands:
-                rows, basis_rows = expanded[k, active[m] if k >= 0 else ()]
-                at = np.searchsorted(rows, row)
-                if k < 0:
-                    ok = probe.line_ok
-                    zero, cert = partial(probe.line_zero, x[row], y[row]), probe.line_cert
-                else:
-                    ok = probe.fiber_ok
-                    zero = partial(probe.fiber_zero, V[row], k)
-                    cert = probe.fiber_cert.format(var=basis[0].var_names[k])
-                p = UniPoly((W[m] @ basis_rows[:, at])[: deg[m][1 + k] + 1], tol=tol)
-                got = _confirm(basis, W[m], mass[m], deg[m][0], K, p, ok, zero, tol, floor)
-                if got is not None:
-                    z, res = got
-                    return row, Verdict(FALSIFIED, witness=z, certificate=cert,
-                                        samples=lo + int(row) + 1, seed=rng, residual=res)
-            return x.shape[0], None
+        def confirm(m, row, k, basis_rows, col):
+            """m's verdict when its probe-k candidate at ``row`` confirms, else None."""
+            if k < 0:
+                ok, zero, cert = probe.line_ok, partial(probe.line_zero, x[row], y[row]), probe.line_cert
+            else:
+                ok, zero = probe.fiber_ok, partial(probe.fiber_zero, V[row], k)
+                cert = probe.fiber_cert.format(var=basis[0].var_names[k])
+            p = UniPoly((W[m] @ basis_rows[:, col])[: deg[m][1 + k] + 1], tol=tol)
+            got = _confirm(basis, W[m], mass[m], deg[m][0], K, p, ok, zero, tol, floor)
+            return got and Verdict(FALSIFIED, witness=got[0], certificate=cert,
+                                   samples=lo + row + 1, seed=rng, residual=got[1])
 
-        groups = {}
-        for m in live:
-            groups.setdefault(deg[m][0], []).append(m)
-        stop, line = {}, {}
-        for m, rows in candidates(-1, *expanded[-1, ()], groups).items():
-            stop[m], line[m] = first(m, ((-1, row) for row in rows))
-        # A fiber witness counts only below its member's first line witness.
-        J = max(stop.values())
-        fiber_k = {m: np.full(J, -2) for m in live}  # the k of each row's fiber candidate
-        for a in {active[m] for m in live if stop[m] > 0}:
-            for k, rows, F in _fiber_rows(basis, a, lo, V[:J]):
-                expanded[k, a] = rows, F
-                groups = {}
-                for m in live:
-                    if stop[m] > 0 and active[m] == a:
-                        groups.setdefault(deg[m][1 + k], []).append(m)
-                for m, hit in candidates(k, rows, F, groups).items():
-                    fiber_k[m][hit] = k
-        for m in live:
-            rows = np.nonzero(fiber_k[m][: stop[m]] > -2)[0]
-            _, v = first(m, ((int(fiber_k[m][row]), row) for row in rows))
-            out[m] = line[m] if v is None else v
-        live = [m for m in live if out[m] is None]
+        book(-1, np.arange(n), np.stack([np.pad(r, ((0, 0), (0, width - r.shape[1])))
+                                         for r in (b.restrict_line(x, y) for b in basis)]), live)
+        cut = max(todo[m][0][0] if todo[m] else n for m in live)
+        for start, stop in ((0, cut), (cut, n)):
+            for act in {active[m] for m in live}:
+                for k, rows, F in _fiber_rows(basis, act, lo + start, V[start:stop]):
+                    book(k, start + rows, F, [m for m in live if active[m] == act])
+            for m in live:
+                # draw order, the line before the fiber; the first span ends with the line at the cut
+                todo[m].sort(key=lambda c: c[:2])
+                now = sum(c[:2] <= (stop, -1) for c in todo[m])
+                out[m] = next(filter(None, (confirm(m, *c) for c in todo[m][:now])), None)
+                del todo[m][:now]
+            live = [m for m in live if out[m] is None]
         if not live:
             break
     for m in live:
@@ -880,6 +877,7 @@ def wronskian_certificate(
     direction set is complete (the sample points still make it a probe).
     """
     seed = _as_seed(rng)
+    n_points, n_directions = _as_count(n_points, "n_points"), _as_count(n_directions, "n_directions")
     _require_real_pair(f, g, tol)
     _check_fit(f, K)
     n = f.nvars
@@ -962,6 +960,7 @@ def imaginary_projection_sample(
     degenerate, overflow or fail verification contribute nothing).
     """
     seed = _as_seed(rng)
+    n_points = _as_count(n_points, "n_points")
     if f.degree < 1:
         raise ValueError("imaginary projection needs a nonconstant polynomial")
     lo, hi = float(box[0]), float(box[1])

@@ -1367,3 +1367,47 @@ class TestHornerPlanPerSearch:
 
         one_block, three_blocks = search(constab._BLOCK), search(3 * constab._BLOCK)
         assert one_block == three_blocks == 1
+
+
+class TestBudgets:
+    """A draw or point budget is an integer of at least 1 at every sampling entry point."""
+
+    BAD = [-5, -1, 0, True, 2.0]
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_falsifier_rejects_budget_below_one(self, n):
+        with pytest.raises(ValueError, match="n_samples"):
+            falsify_k_stability(parse("z1 - z2"), Orthant(2), n_samples=n, rng=0)
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_hyperbolicity_rejects_budget_below_one(self, n):
+        with pytest.raises(ValueError, match="n_samples"):
+            hyperbolicity_check(parse("z1^2 + z2^2"), Orthant(2), n_samples=n, rng=0)
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_pencil_rejects_budget_below_one(self, n):
+        f, g = parse("z1 - z2"), parse("z1 + 3*z2")
+        with pytest.raises(ValueError, match="n_samples"):
+            pencil_hko_check(f, g, Orthant(2), n_samples=n, rng=0)
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_wronskian_rejects_point_and_direction_counts_below_one(self, n):
+        # 500 points disprove W(z1 - z2, z1 + 3 z2) <= 0; no points must not certify it
+        f, g = parse("z1 - z2"), parse("z1 + 3*z2")
+        assert not wronskian_certificate(f, g, Orthant(2), n_points=500, rng=0).holds_all
+        with pytest.raises(ValueError, match="n_points"):
+            wronskian_certificate(f, g, Orthant(2), n_points=n, rng=0)
+        names = ("z11", "z12", "z22")
+        f, g = parse("z11 - z22", var_names=names), parse("z11 + 3*z22", var_names=names)
+        with pytest.raises(ValueError, match="n_directions"):
+            wronskian_certificate(f, g, PSD(2), rng=0, n_directions=n)
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_imaginary_projection_rejects_point_count_below_one(self, n):
+        with pytest.raises(ValueError, match="n_points"):
+            imaginary_projection_sample(parse("z1 + z2 + 1"), n_points=n, rng=0)
+
+    def test_budget_of_one_draw_is_spent(self):
+        v = falsify_k_stability(parse("z1 + z2 + i"), Orthant(2), n_samples=1, rng=0)
+        assert (v.status, v.samples) == (NOT_FALSIFIED, 1)
+        assert imaginary_projection_sample(parse("z1 + z2 + 1"), n_points=1, rng=0).shape == (1, 2)

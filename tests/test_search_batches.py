@@ -1,8 +1,11 @@
 """The search batches of the sampling engine: verdicts, cost and order.
 
 A search solves the first ``constab._PROBE`` draws of block 0 as a batch of
-their own, and in every batch the line rows before the fiber rows, expanding
-fibers only below the first line witness.  Neither may move a verdict:
+their own.  In every batch the line rows come first and set the cut, the
+latest of the members' first line candidates; fibers are expanded below the
+cut, and past it only for members still without a witness, and each member
+confirms its candidates in one draw order, the line before the fiber.  None
+of this may move a verdict:
 
 * ``TestGoldenVerdicts`` pins (status, samples, certificate) of fixed
   searches, as the engine gave them with one batch per block and every
@@ -11,7 +14,9 @@ fibers only below the first line witness.  Neither may move a verdict:
   witness bits included, with the same search at ``_PROBE = 0`` (one batch
   per block);
 * ``TestBatchCostAndOrder`` pins what the batches save and the order in
-  which draws reach the probes.
+  which draws reach the probes;
+* ``TestWitnessOrder`` pins the scalar confirmations that one witness order
+  makes, and that a fiber witness past the cut is still reached.
 """
 
 import dataclasses
@@ -309,3 +314,57 @@ class TestBatchCostAndOrder:
         assert sorted(fibers) == [0, 1, 2]
         for k, bases in fibers.items():
             assert np.array_equal(np.concatenate(bases), (x + 1j * y)[k::3])
+
+
+# ---------------------------------------------------------------------------
+# One witness order
+# ---------------------------------------------------------------------------
+
+# the fixed common-factor pair of the benchmark's hko workload
+COMMON_FACTOR = ("- 0.06072674332997452*z1^2*z2",
+                 "0.30261774436712935*z1*z2^2 + 1.1688513064536212*z1^2*z2")
+
+
+def _counted(monkeypatch):
+    """Count the scalar confirmations a search makes."""
+    calls = []
+    confirm = constab._confirm
+    monkeypatch.setattr(constab, "_confirm", lambda *a: calls.append(a) or confirm(*a))
+    return calls
+
+
+class TestWitnessOrder:
+    def test_fiber_witness_below_the_cut_confirms_alone(self, monkeypatch):
+        # the first line candidate lies past the fiber witness at draw 10,
+        # so the fiber is confirmed first and ends the search
+        calls = _counted(monkeypatch)
+        v = falsify_k_stability(parse(*_sliver(0.2)), PSD(2), n_samples=2_048, rng=2)
+        assert _row(v) == (F, 10, "fiber z11")
+        assert len(calls) == 1
+
+    def test_common_factor_pencil_confirms_three_candidates(self, monkeypatch):
+        calls = _counted(monkeypatch)
+        f, g = (parse(t, var_names=("z1", "z2")) for t in COMMON_FACTOR)
+        rep = pencil_hko_check(f, g, Orthant(2), n_samples=600, rng=0)
+        assert [_row(e.verdict) for e in rep.entries] == [(NF, 600, None)] * 32
+        assert not any(e.zero for e in rep.entries)
+        assert (_row(rep.f_plus_ig), _row(rep.g_plus_if)) == ((F, 5, "line"), (F, 1, "line"))
+        assert len(calls) == 3
+
+    def test_fiber_at_the_cut_is_reached_past_a_failed_line(self, monkeypatch):
+        # Every line candidate fails: the first, at draw 1, sets the cut at
+        # row 0, so the z1 fiber witness there is booked in the span past the cut.
+        confirm = constab._confirm
+
+        def no_line(basis, w, mass, degree, K, p, ok, zero, tol, floor):
+            if zero.func is _STABILITY.line_zero:
+                return None
+            return confirm(basis, w, mass, degree, K, p, ok, zero, tol, floor)
+
+        monkeypatch.setattr(constab, "_confirm", no_line)
+        f, K = parse("z1^2 + z2^2"), Orthant(2)
+        v = falsify_k_stability(f, K, n_samples=2_048, rng=0)
+        fibers_only = dataclasses.replace(_STABILITY, line_ok=_never)
+        want = constab._search([f], np.ones((1, 1)), K, 2_048, 0, DEFAULT_TOL, fibers_only)[0]
+        assert _row(v) == (F, 1, "fiber z1")
+        assert _fields(v) == _fields(want)
