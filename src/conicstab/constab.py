@@ -42,9 +42,10 @@ cut, the latest of the members' first line candidates; the fiber rows, from
 `MultiPoly.as_univariate_in` on the base points of each solved
 coordinate, are expanded for the draws below the cut, and for the draws
 from the cut on only while a member has no witness.  Both run each basis
-polynomial's own compiled Horner program.  Members whose rows share a
-probe and a degree are contracted (one product with their weight rows)
-and solved together, in stacked solves of at most one block of rows.
+polynomial's own compiled Horner program, and both lay out their basis
+rows one way (`_laid_out`, zero-padded to the widest).  Members whose rows
+share a probe and a degree are contracted (one product with their weight
+rows) and solved together, in stacked solves of at most one block of rows.
 Batch screening only selects candidates and can never flip a verdict on
 its own.  It runs in three stages: a root-free
 Bezoutian test clears rows of degree >= 3 that provably hold no root the
@@ -306,6 +307,14 @@ def _screened_roots(coeffs: np.ndarray, pairs) -> np.ndarray:
     return z
 
 
+def _laid_out(rows: list) -> np.ndarray:
+    """Basis rows ``rows[j]`` of shape (n, d_j + 1) as one zero-padded (nb, n, w) array, w the widest."""
+    out = np.zeros((len(rows), rows[0].shape[0], max(r.shape[1] for r in rows)), dtype=complex)
+    for o, r in zip(out, rows):
+        o[:, : r.shape[1]] = r
+    return out
+
+
 def _fiber_rows(basis, active, lo: int, V: np.ndarray):
     """Coefficient rows of the coordinate fibers at one batch of base points ``V``.
 
@@ -313,19 +322,14 @@ def _fiber_rows(basis, active, lo: int, V: np.ndarray):
     Yields ``(k, rows, F)``: ``F[j, i]`` are the ascending coefficients of
     basis polynomial j's z_k-fiber at ``V[rows[i]]``, from
     ``MultiPoly.as_univariate_in`` on the base points ``V[rows]``, taken
-    once per k; columns above a polynomial's degree in z_k stay zero.
+    once per k and laid out by ``_laid_out``.
     """
     ks_local = (lo + np.arange(V.shape[0])) % len(active)
     for ki, k in enumerate(active):
         rows = np.nonzero(ks_local == ki)[0]
-        if rows.size == 0:
-            continue
-        Vk = V[rows]
-        F = np.zeros((len(basis), rows.size, 1 + max(b.degree_in(k) for b in basis)), dtype=complex)
-        for j, b in enumerate(basis):
-            c = b.as_univariate_in(k, Vk)
-            F[j, :, : c.shape[1]] = c
-        yield k, rows, F
+        if rows.size:
+            Vk = V[rows]
+            yield k, rows, _laid_out([b.as_univariate_in(k, Vk) for b in basis])
 
 
 def _stacked(rows: np.ndarray, W: np.ndarray, members: list, width: int):
@@ -643,7 +647,6 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
     if not live:
         return out
     active = {m: tuple(k for k, d in enumerate(deg[m][1:]) if d >= 1) for m in live}
-    width = max(b.degree for b in basis) + 1
     floor = tol.sample_margin / 2
 
     for lo, x, y in _batches(rng, K.dim, K, tol.sample_sigma, n_samples, tol.sample_margin):
@@ -683,8 +686,7 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
             return got and Verdict(FALSIFIED, witness=got[0], certificate=cert,
                                    samples=lo + row + 1, seed=rng, residual=got[1])
 
-        book(-1, np.arange(n), np.stack([np.pad(r, ((0, 0), (0, width - r.shape[1])))
-                                         for r in (b.restrict_line(x, y) for b in basis)]), live)
+        book(-1, np.arange(n), _laid_out([b.restrict_line(x, y) for b in basis]), live)
         cut = max(todo[m][0][0] if todo[m] else n for m in live)
         for start, stop in ((0, cut), (cut, n)):
             for act in {active[m] for m in live}:
@@ -787,12 +789,9 @@ def hb_lift_check(
     return HbLiftReport(direct=direct, lifted=lifted, consistent=consistent)
 
 
-def _default_pencil_grid() -> list[tuple[float, float]]:
-    # 32 directions through the upper half of the unit circle; includes
-    # both axes (k = 0 and k = 16).
-    return [
-        (float(np.cos(np.pi * k / 32)), float(np.sin(np.pi * k / 32))) for k in range(32)
-    ]
+# 32 directions through the upper half of the unit circle; includes both
+# axes (k = 0 and k = 16).
+_PENCIL_GRID = tuple((float(np.cos(np.pi * k / 32)), float(np.sin(np.pi * k / 32))) for k in range(32))
 
 
 def pencil_hko_check(
@@ -815,16 +814,20 @@ def pencil_hko_check(
     never built as a polynomial.  The nonzero rows are one family of the
     sampling engine, so each batch of draws is expanded once for all of
     them, and members of one row degree share stacked, block-sized root
-    solves.  The report records each verdict and the flags.
+    solves.  The report records each verdict and the flags.  A grid that is
+    empty, holds a non-finite entry or an entry that is not a (lam, mu)
+    pair raises ``ValueError``.
     """
     _require_real_pair(f, g, tol)
     _check_fit(f, K)
     if not f and not g:
         raise ValueError("pencil of two zero polynomials")
-    pts = _default_pencil_grid() if grid is None else list(grid)
+    pts = list(_PENCIL_GRID if grid is None else grid)
+    if not pts or any(np.shape(p) != (2,) for p in pts) or not np.isfinite(pts).all():
+        raise ValueError("grid must be a nonempty list of finite (lam, mu) pairs")
     support = sorted(set(f.terms) | set(g.terms))
     basis = [MultiPoly(f.var_names, {e: 1.0}) for e in support]
-    lam, mu = np.array(pts, dtype=float).reshape(-1, 2).T[..., None]
+    lam, mu = np.array(pts, dtype=float).T[..., None]
     F, G = (np.array([p.coefficient(e) for e in support]) for p in (f, g))
     trim = lambda c: np.where(DEFAULT_TOL.negligible(c), 0, c)  # noqa: E731
     W = trim(trim(lam * F) + trim(mu * G))

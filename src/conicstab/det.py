@@ -321,7 +321,7 @@ def _entry_polynomials(A: BlockMatrix, B: np.ndarray, tol: ToleranceProfile) -> 
     return entries
 
 
-def _det_cofactor(rows: list[list[MultiPoly]], names: tuple[str, ...], tol: ToleranceProfile) -> MultiPoly:
+def _det_cofactor(rows: list[list[MultiPoly]], names: tuple[str, ...]) -> MultiPoly:
     d = len(rows)
     if d == 1:
         return rows[0][0]
@@ -331,7 +331,7 @@ def _det_cofactor(rows: list[list[MultiPoly]], names: tuple[str, ...], tol: Tole
         if not entry:
             continue
         minor = [[rows[r][c] for c in range(d) if c != col] for r in range(1, d)]
-        term = entry * _det_cofactor(minor, names, tol)
+        term = entry * _det_cofactor(minor, names)
         total = total + (term if col % 2 == 0 else -term)
     return total
 
@@ -359,7 +359,7 @@ def expand_det_polynomial(
     _check_caps(A)
     entries = _entry_polynomials(A, b, tol)
     names = MatrixVarIndex(A.n1).names
-    return _det_cofactor(entries, names, tol)
+    return _det_cofactor(entries, names)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +502,13 @@ def perturbed_certify(
     blocks, certifies it, and tracks coefficientwise convergence of the
     expanded polynomials (each from its step's certificate) back to the
     unperturbed one.  Definite input needs no approximation and reports a
-    trivial pass; indefinite input, and singular input above the expansion
-    caps, are rejected with ``ValueError``.
+    trivial pass; indefinite input, singular input above the expansion
+    caps, and a ``schedule`` that is empty or holds an entry that is not
+    positive and finite are rejected with ``ValueError``.
     """
+    eps_list = [2.0 ** -k for k in range(1, 21)] if schedule is None else [float(e) for e in schedule]
+    if not eps_list or not all(0 < e < np.inf for e in eps_list):
+        raise ValueError("schedule must be a nonempty list of positive finite entries")
     b = _check_square(A, B)
     n, d = A.n1, A.p
     base = thm54_certify(A, b, tol)
@@ -519,12 +523,6 @@ def perturbed_certify(
             coeff_diff=0.0,
         )
         return PerturbReport(entries=(entry,), trivial=True, converged=True)
-
-    if schedule is None:
-        schedule = [2.0 ** -k for k in range(1, 21)]
-    eps_list = [float(e) for e in schedule]
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("schedule entries must be positive")
 
     _check_caps(A)  # within the caps every certificate below carries its expansion
     base_poly = base.polynomial

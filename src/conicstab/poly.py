@@ -54,8 +54,9 @@ def _natural_key(name: str):
 class MultiPoly:
     """Polynomial in C[z_1, ..., z_n] as {exponent tuple: coefficient}.
 
-    Construction canonicalizes: coefficients that ``tol.negligible`` holds
-    are dropped, so the zero polynomial has an empty
+    Exponents are nonnegative integers; a fractional one raises
+    ``ValueError``.  Construction canonicalizes: coefficients that
+    ``tol.negligible`` holds are dropped, so the zero polynomial has an empty
     term map and ``bool(p)`` is its nonzeroness test.  All binary
     operations require identical variable tuples — aligning different
     variable universes is the caller's job, not a silent guess.  The first
@@ -72,9 +73,9 @@ class MultiPoly:
         clean: dict[tuple[int, ...], complex] = {}
         n = len(names)
         for exp, coeff in terms.items():
-            e = tuple(int(k) for k in exp)
-            if len(e) != n or any(k < 0 for k in e):
-                raise ValueError(f"bad exponent tuple {e} for {n} variables")
+            e = tuple(map(int, exp))
+            if len(e) != n or e != exp or any(k < 0 for k in e):  # e != exp: a fractional exponent
+                raise ValueError(f"bad exponent tuple {exp} for {n} variables")
             c = clean.get(e, 0j) + complex(coeff)
             clean[e] = c
         self.var_names = names
@@ -246,16 +247,16 @@ class MultiPoly:
             return out
         return complex(val)
 
-    def restrict_line(self, x, y, tol: ToleranceProfile = DEFAULT_TOL) -> UniPoly | np.ndarray:
+    def restrict_line(self, x, y) -> UniPoly | np.ndarray:
         """The univariate restriction ``t -> f(x + t y)``, expanded exactly.
 
         ``x`` and ``y`` are real vectors (shape (n,)), giving a
-        :class:`UniPoly` trimmed at ``tol``, or batches (shape (B, n)),
-        giving the untrimmed ascending coefficient rows, a new (B, deg+1)
-        array.  The grouped Horner program (``_horner``) runs draws-last,
-        on (rows, B) coefficient columns that hold only a value's live
-        rows, one per degree: a leaf is the one row c, a step by
-        ``x_k + t y_k`` appends one row by shift-and-add over whole rows
+        :class:`UniPoly` trimmed at the default profile, or batches (shape
+        (B, n)), giving the untrimmed ascending coefficient rows, a new (B,
+        deg+1) array.  The grouped Horner program (``_horner``) runs
+        draws-last, on (rows, B) coefficient columns that hold only a
+        value's live rows, one per degree: a leaf is the one row c, a step
+        by ``x_k + t y_k`` appends one row by shift-and-add over whole rows
         of B draws, and an add adds the shorter value into the longer.
         The result is padded to deg+1 rows once, at the end.
         """
@@ -289,7 +290,7 @@ class MultiPoly:
         out = np.zeros((n_draws, max(self.degree, 0) + 1), dtype=complex)
         val = _horner(self._horner_program(), lambda c: np.array([[c]], dtype=complex), step, add)
         out.T[: len(val)] += val  # filled through the draws-last view
-        return out if batch else UniPoly(out[0], tol=tol)
+        return out if batch else UniPoly(out[0])
 
     def substitute_partial(self, assignments: dict[int, complex]) -> "MultiPoly":
         """Fix some variables to complex values; returns a polynomial in the rest.

@@ -402,8 +402,7 @@ def _roots_batch(coeffs: np.ndarray) -> np.ndarray:
         z[lead & ~low] = _roots_batch(coeffs[lead & ~low])
         z[low, 0] = 0.0
         z[low, 1:] = _roots_batch(coeffs[low, 1:])
-        for row in np.flatnonzero(~lead):
-            z[row, :-1] = _roots_batch(coeffs[row : row + 1, :-1])[0]
+        z[~lead, :-1] = _roots_batch(coeffs[~lead, :-1])
         return z
     if d <= 2:
         return _closed_form(coeffs.astype(complex))

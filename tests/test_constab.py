@@ -610,6 +610,12 @@ class TestPencil:
         assert v.status == FALSIFIED
         assert np.array_equal(rep.entries[0].verdict.witness, v.witness)
 
+    @pytest.mark.parametrize("grid", [[], [(float("nan"), 1.0)], [(1.0, float("inf"))],
+                                      [(1.0, 0.0, 0.5)], [(1.0, 0.0), (1.0,)]])
+    def test_degenerate_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            pencil_hko_check(parse("z1 + z2"), parse("z1 - z2"), Orthant(2), grid=grid, n_samples=50)
+
 
 @st.composite
 def _real_pencil_pairs(draw, top=3, low=0):
@@ -1367,6 +1373,31 @@ class TestHornerPlanPerSearch:
 
         one_block, three_blocks = search(constab._BLOCK), search(3 * constab._BLOCK)
         assert one_block == three_blocks == 1
+
+
+class TestBasisLayout:
+    """Both probes lay out their basis rows by one helper, ``_laid_out``."""
+
+    def test_rows_are_zero_padded_to_the_widest(self):
+        gen = np.random.default_rng(5)
+        rows = [gen.normal(size=(7, w)) + 1j * gen.normal(size=(7, w)) for w in (3, 1, 4, 2)]
+        out = constab._laid_out(rows)
+        assert out.shape == (4, 7, 4) and out.dtype == complex
+        for o, r in zip(out, rows):
+            assert np.array_equal(_bits(o[:, : r.shape[1]]), _bits(r))
+            assert not _bits(o[:, r.shape[1] :]).any()  # +0.0, bit for bit
+
+    def test_line_and_fiber_rows_are_laid_out_alike(self, monkeypatch):
+        # Member z1*z2 (stable on the orthant) on the basis [z1*z2, z2^3]:
+        # line rows of widths 3 and 4; z1-fiber rows of widths 2 and 1,
+        # z2-fiber rows of widths 2 and 4, 32 draws each.
+        shapes, orig = [], constab._laid_out
+        monkeypatch.setattr(constab, "_laid_out",
+                            lambda rows: shapes.append([r.shape for r in rows]) or orig(rows))
+        basis = [parse("z1*z2"), parse("z2^3", var_names=("z1", "z2"))]
+        v, = constab._search(basis, np.array([[1.0, 0.0]]), Orthant(2), 64, 0, DEFAULT_TOL, _STABILITY)
+        assert (v.status, v.samples) == (NOT_FALSIFIED, 64)
+        assert shapes == [[(64, 3), (64, 4)], [(32, 2), (32, 1)], [(32, 2), (32, 4)]]
 
 
 class TestBudgets:

@@ -551,6 +551,11 @@ class TestPerturbation:
                 BlockMatrix.scalar(np.ones((2, 2))), np.zeros((1, 1)), schedule=[0.0]
             )
 
+    @pytest.mark.parametrize("schedule", [[], [float("nan")], [0.5, float("inf")]])
+    def test_degenerate_schedule_rejected(self, schedule):
+        with pytest.raises(ValueError, match="schedule"):
+            perturbed_certify(BlockMatrix.scalar(np.ones((2, 2))), np.zeros((1, 1)), schedule=schedule)
+
 
 # ---------------------------------------------------------------------------
 # Diagonal-block reduction

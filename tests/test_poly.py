@@ -500,6 +500,24 @@ class TestJson:
         }
 
 
+class TestExponents:
+    """Exponents are nonnegative integers; a fractional one raises, not truncates."""
+
+    def test_fractional_exponent_rejected(self):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            MultiPoly(("z",), {(1.5,): 1.0, (1,): 2.0})
+
+    def test_fractional_json_exponent_rejected(self):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            MultiPoly.from_json('{"vars": ["z"], "terms": [{"exp": [2.7], "re": 1.0}]}')
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        p = MultiPoly(("z1", "z2"), {(2.0, np.int64(1)): 1.0, (np.int32(0), 1): 2.0})
+        assert p == parse("z1^2*z2 + 2*z2")
+        q = MultiPoly.from_json('{"vars": ["z"], "terms": [{"exp": [2.0], "re": 1.0}]}')
+        assert q == parse("z^2", var_names=("z",))
+
+
 class TestText:
     def test_str_is_a_parseable_expression(self):
         p = parse("(1+2i)*z1^2*z2 - z2^3 + 0.5")

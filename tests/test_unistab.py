@@ -450,6 +450,25 @@ class TestBatchRowIndependence:
             assert np.array_equal(np.concatenate(parts), full)
 
 
+class TestZeroLeadRows:
+    """Rows with a zero leading coefficient are solved together, each as alone."""
+
+    @pytest.mark.parametrize("deg", range(1, 7))
+    def test_batch_matches_each_row_alone(self, deg):
+        gen = np.random.default_rng(90 + deg)
+        c = gen.standard_normal((40, deg + 1)) + 1j * gen.standard_normal((40, deg + 1))
+        c[::3, -1] = 0.0  # zero leads
+        c[::6, -2:] = 0.0  # two zero top coefficients (a zero row at degree 1)
+        c[1::4, 0] = 0.0  # zero constants
+        c[5] = 0.0  # a zero row
+        full = unistab._roots_batch(c)
+        alone = np.concatenate([unistab._roots_batch(c[i : i + 1]) for i in range(len(c))])
+        assert np.array_equal(full, alone, equal_nan=True)
+        for i in np.flatnonzero(c[:, -1] == 0):
+            assert np.isnan(full[i, -1])
+            assert np.array_equal(full[i, :-1], unistab._roots_batch(c[i : i + 1, :-1])[0], equal_nan=True)
+
+
 class TestStability:
     def test_lower_root_is_stable(self):
         assert unistab.is_stable_univariate(poly(1j, 1.0))  # t + i, root -i
