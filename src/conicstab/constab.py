@@ -43,9 +43,11 @@ cut, the latest of the members' first line candidates; the fiber rows, from
 coordinate, are expanded for the draws below the cut, and for the draws
 from the cut on only while a member has no witness.  Both run each basis
 polynomial's own compiled Horner program, and both lay out their basis
-rows one way (`_laid_out`, zero-padded to the widest).  Members whose rows
-share a probe and a degree are contracted (one product with their weight
-rows) and solved together, in stacked solves of at most one block of rows.
+rows one way (`_laid_out`, zero-padded to the widest), the fibers in one
+array per group of coordinates on which the members have equal degrees
+(`_fiber_rows`).  Members whose rows share a probe or fiber group and a
+degree are contracted (one product with their weight rows) and solved
+together, in stacked solves of at most one block of rows.
 Batch screening only selects candidates and can never flip a verdict on
 its own.  It runs in three stages: a root-free
 Bezoutian test clears rows of degree >= 3 that provably hold no root the
@@ -61,7 +63,8 @@ fiber root to its zero and keeps it when Im(z) has margin at least half
 the floor (on the PSD cone the same pivot test of Y - tI, no
 eigensolver).  Each member confirms its candidates in one draw order,
 the line before the fiber at one draw.  The candidate's coefficient row,
-contracted again from its basis rows, is re-solved at scalar precision
+contracted again from its basis rows (only exact zeros dropped from its
+top), is re-solved at scalar precision
 and each kept root mapped to its zero as solved.  Every witness, the
 exact linear route's and ``stab --verify``'s included, passes one
 acceptance check (`_witness_residual`): Im(z) clears the interior margin
@@ -128,6 +131,9 @@ _PROBE = 64  # leading draws of block 0 searched as a batch of their own
 # It only selects candidates for confirmation, which applies the tighter
 # ``real_root_im_tol``; a generous screen keeps borderline roots in play.
 _NEAR_REAL_SCREEN = 1e-4
+# UniPoly drops only exact zeros under it: the candidate rows keep top
+# coefficients that an absolute trim would cut, as on a short line direction.
+_EXACT_ZEROS = ToleranceProfile(coeff_zero_tol=0.0)
 _DIR_SALT = 0x5EED_D12  # sub-stream tags for derived generators
 _PTS_SALT = 0x5EED_901
 
@@ -307,29 +313,43 @@ def _screened_roots(coeffs: np.ndarray, pairs) -> np.ndarray:
     return z
 
 
-def _laid_out(rows: list) -> np.ndarray:
-    """Basis rows ``rows[j]`` of shape (n, d_j + 1) as one zero-padded (nb, n, w) array, w the widest."""
-    out = np.zeros((len(rows), rows[0].shape[0], max(r.shape[1] for r in rows)), dtype=complex)
-    for o, r in zip(out, rows):
-        o[:, : r.shape[1]] = r
+def _laid_out(parts: list) -> np.ndarray:
+    """Basis rows as one zero-padded (nb, n, w) array, w the widest row.
+
+    ``parts[j]`` lists basis polynomial j's blocks of rows, each (n_i, d + 1),
+    written in turn down the draw axis (n = sum n_i, one order for every j).
+    """
+    n = sum(p.shape[0] for p in parts[0])
+    out = np.zeros((len(parts), n, max(p.shape[1] for ps in parts for p in ps)), dtype=complex)
+    for o, ps in zip(out, parts):
+        at = 0
+        for p in ps:
+            o[at : at + p.shape[0], : p.shape[1]] = p
+            at += p.shape[0]
     return out
 
 
-def _fiber_rows(basis, active, lo: int, V: np.ndarray):
+def _fiber_rows(basis, active, keys, lo: int, V: np.ndarray):
     """Coefficient rows of the coordinate fibers at one batch of base points ``V``.
 
     Draw ``lo + row`` solves coordinate ``active[(lo + row) mod #active]``.
-    Yields ``(k, rows, F)``: ``F[j, i]`` are the ascending coefficients of
-    basis polynomial j's z_k-fiber at ``V[rows[i]]``, from
-    ``MultiPoly.as_univariate_in`` on the base points ``V[rows]``, taken
-    once per k and laid out by ``_laid_out``.
+    Active coordinates of equal ``keys`` (their degrees) form a group, which
+    yields one ``(ks, rows, F)``: row i is draw ``rows[i]`` on coordinate
+    ``ks[i]``, coordinate-major, and ``F[j, i]`` are the ascending
+    coefficients of basis polynomial j's z_ks[i]-fiber at ``V[rows[i]]``,
+    from ``MultiPoly.as_univariate_in`` once per coordinate, laid out by
+    ``_laid_out`` straight into the group's array.
     """
-    ks_local = (lo + np.arange(V.shape[0])) % len(active)
-    for ki, k in enumerate(active):
-        rows = np.nonzero(ks_local == ki)[0]
+    ki_of = (lo + np.arange(V.shape[0])) % len(active)
+    groups = {}  # key -> [(coordinate, its rows)]
+    for ki, key in enumerate(keys):
+        rows = np.flatnonzero(ki_of == ki)
         if rows.size:
-            Vk = V[rows]
-            yield k, rows, _laid_out([b.as_univariate_in(k, Vk) for b in basis])
+            groups.setdefault(key, []).append((active[ki], rows))
+    for per in groups.values():
+        ks = np.repeat([k for k, _ in per], [rows.size for _, rows in per])
+        yield ks, np.concatenate([rows for _, rows in per]), _laid_out(
+            [[b.as_univariate_in(k, V[rows]) for k, rows in per] for b in basis])
 
 
 def _stacked(rows: np.ndarray, W: np.ndarray, members: list, width: int):
@@ -509,17 +529,16 @@ def _near_real(t, slack):
 
 
 def _replace_coord(w, k, r):
-    """The base point(s) w with coordinate k replaced by r."""
+    """The base point w with coordinate k replaced by r; on rows, k and r are per row."""
     z = w.copy()
-    z[..., k] = r
+    # the flat index of coordinate k in each row
+    z.reshape(-1)[np.arange(0, z.size, z.shape[-1]) + k] = r
     return z
 
 
 def _imaginary_real_point(w, k, r):
-    """i * e' with e' the real base point(s) w with coordinate k set to Re r."""
-    e = w.real.copy()
-    e[..., k] = np.real(r)
-    return 1j * e.astype(complex)
+    """i * e' with e' the real base point w with coordinate k set to Re r (on rows, per row)."""
+    return 1j * _replace_coord(w.real, k, np.real(r)).astype(complex)
 
 
 def _signed_line_zero(x, e, t):
@@ -620,7 +639,8 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
     The members are rows of weights ``W`` on ``basis``, polynomials over one
     variable tuple: ``[f]`` at weight 1 for a falsifier, the monomials of the
     support for the pencil.  The draws come in the batches of ``_batches``.
-    Both probes book candidates by one rule (``book``): the live members are
+    Both probes book candidates by one rule (``book``), on the line rows and
+    on each fiber group of ``_fiber_rows``: the live members are
     grouped by row degree, their rows contracted and solved in stacked chunks
     (``_stacked``), and a root the probe keeps is a candidate when the
     imaginary part of its zero has interior margin at least half the floor.
@@ -647,31 +667,38 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
     if not live:
         return out
     active = {m: tuple(k for k, d in enumerate(deg[m][1:]) if d >= 1) for m in live}
+    by_k = list(zip(*deg))[1:]  # by_k[k]: the members' degrees in z_k, a fiber group's key
     floor = tol.sample_margin / 2
 
     for lo, x, y in _batches(rng, K.dim, K, tol.sample_sigma, n_samples, tol.sample_margin):
         n, V = x.shape[0], probe.base(x, y)
         todo = {m: [] for m in live}  # m's candidates: (row, k, basis rows, column there)
 
-        def book(k, rows, basis_rows, members):
-            """Add the probe-k candidates of ``members`` on the draws ``rows`` to ``todo``."""
-            groups = {}
+        def book(ks, rows, basis_rows, members):
+            """Add the candidates of ``members`` on the draws ``rows`` to ``todo``.
+
+            Row i is draw ``rows[i]`` on coordinate ``ks[i]``, or on its line
+            at -1 (all rows or none); each member has one degree on them all.
+            """
+            line, groups = ks[0] < 0, {}
             for m in members:
-                groups.setdefault(deg[m][1 + k], []).append(m)
+                groups.setdefault(deg[m][1 + ks[0]], []).append(m)
             for d, group in groups.items():
                 for chunk, coeffs in _stacked(basis_rows, W, group, d + 1):
-                    r = _screened_roots(coeffs, probe.line_pairs if k < 0 else probe.fiber_pairs)
-                    i, j = np.nonzero((probe.line_ok if k < 0 else probe.fiber_screen)(r, tol))
+                    r = _screened_roots(coeffs, probe.line_pairs if line else probe.fiber_pairs)
+                    i, j = np.nonzero((probe.line_ok if line else probe.fiber_screen)(r, tol))
                     if i.size == 0:
                         continue
-                    at, t = rows[i % rows.size], r[i, j]
-                    z = (probe.line_zero(x[at], y[at], t[:, None]) if k < 0
-                         else probe.fiber_zero(V[at], k, t))
+                    ri, t = i % rows.size, r[i, j]
+                    at = rows[ri]
+                    z = (probe.line_zero(x[at], y[at], t[:, None]) if line
+                         else probe.fiber_zero(V[at], ks[ri], t))
                     # generous (confirmation asks the floor); a mask, as np.unique imports numpy.ma
                     hit = np.zeros(r.shape[0], dtype=bool)
                     hit[i[K.interior_margin_batch(z.imag, floor / 2)]] = True
                     s, col = np.divmod(np.flatnonzero(hit), rows.size)
-                    for m, row, c in zip(np.take(chunk, s).tolist(), rows[col].tolist(), col.tolist()):
+                    for m, row, k, c in zip(np.take(chunk, s).tolist(), rows[col].tolist(),
+                                            ks[col].tolist(), col.tolist()):
                         todo[m].append((row, k, basis_rows, c))
 
         def confirm(m, row, k, basis_rows, col):
@@ -681,17 +708,19 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
             else:
                 ok, zero = probe.fiber_ok, partial(probe.fiber_zero, V[row], k)
                 cert = probe.fiber_cert.format(var=basis[0].var_names[k])
-            p = UniPoly((W[m] @ basis_rows[:, col])[: deg[m][1 + k] + 1], tol=tol)
+            p = UniPoly((W[m] @ basis_rows[:, col])[: deg[m][1 + k] + 1], tol=_EXACT_ZEROS)
             got = _confirm(basis, W[m], mass[m], deg[m][0], K, p, ok, zero, tol, floor)
             return got and Verdict(FALSIFIED, witness=got[0], certificate=cert,
                                    samples=lo + row + 1, seed=rng, residual=got[1])
 
-        book(-1, np.arange(n), _laid_out([b.restrict_line(x, y) for b in basis]), live)
+        lines = _laid_out([[b.restrict_line(x, y)] for b in basis])
+        book(np.full(n, -1), np.arange(n), lines, live)
         cut = max(todo[m][0][0] if todo[m] else n for m in live)
         for start, stop in ((0, cut), (cut, n)):
             for act in {active[m] for m in live}:
-                for k, rows, F in _fiber_rows(basis, act, lo + start, V[start:stop]):
-                    book(k, start + rows, F, [m for m in live if active[m] == act])
+                keys = [by_k[k] for k in act]
+                for ks, rows, F in _fiber_rows(basis, act, keys, lo + start, V[start:stop]):
+                    book(ks, start + rows, F, [m for m in live if active[m] == act])
             for m in live:
                 # draw order, the line before the fiber; the first span ends with the line at the cut
                 todo[m].sort(key=lambda c: c[:2])
@@ -958,9 +987,10 @@ def imaginary_projection_sample(
 
     Repeatedly fixes all but one variable to random complex values with
     real and imaginary parts uniform in ``box``, solves the remaining
-    univariate fiber, and records Im(z) of every verified solution.
-    Returns an (m, nvars) float array with m <= n_points (fibers that
-    degenerate, overflow or fail verification contribute nothing).
+    univariate fiber, and records Im(z) of every verified solution, a
+    block's fibers of one degree in one solve.  Returns an (m, nvars) float
+    array with m <= n_points (fibers that degenerate, overflow or fail
+    verification contribute nothing).
     """
     seed = _as_seed(rng)
     n_points = _as_count(n_points, "n_points")
@@ -971,6 +1001,7 @@ def imaginary_projection_sample(
         raise ValueError("box must be an increasing interval")
     n = f.nvars
     active = [k for k in range(n) if f.degree_in(k) >= 1]
+    keys = [f.degree_in(k) for k in active]
     out = [np.zeros((0, n))]
     total = 0
     for start, gen in _block_stream(seed, 2 + 20 * (n_points // _BLOCK + 1)):
@@ -979,15 +1010,17 @@ def imaginary_projection_sample(
         re = gen.uniform(lo, hi, (_BLOCK, n))
         im = gen.uniform(lo, hi, (_BLOCK, n))
         V = re + 1j * im
-        for k, rows, F in _fiber_rows([f], active, start, V):
+        at, ys = [], []
+        for ks, rows, F in _fiber_rows([f], active, keys, start, V):
             r = _roots_batch(F[0])
             i, j = np.nonzero(np.isfinite(r))
-            Z = _replace_coord(V[rows[i]], k, r[i, j])
+            Z = _replace_coord(V[rows[i]], ks[i], r[i, j])
             ok = np.abs(f(Z)) <= tol.residual_tol * _coeff_scale(f.coeff_norm1(), f.degree, Z)
-            out.append(Z[ok].imag)
-            total += out[-1].shape[0]
-            if total >= n_points:  # the rest of the block would be cut off
-                break
+            at.append((ks[i] * _BLOCK + rows[i])[ok])
+            ys.append(Z[ok].imag)
+        # by coordinate (``active`` ascends), then draw, then root, across the groups
+        out.append(np.concatenate(ys)[np.argsort(np.concatenate(at), kind="stable")])
+        total += out[-1].shape[0]
     return np.concatenate(out, axis=0)[:n_points]
 
 

@@ -927,14 +927,15 @@ class TestImaginaryProjection:
         assert cloud.shape[0] == 150
 
     def test_stops_once_the_cloud_is_full(self, monkeypatch):
-        # Each 2,048-draw block solves two fiber groups of 1,024 rows; the
-        # first one already holds 10 points.
+        # A 2,048-draw block solves its fibers of one degree, here both
+        # coordinates', in one batch; that block already holds 10 points,
+        # so no second block is drawn.
         rows = []
         solve = constab._roots_batch
         monkeypatch.setattr(constab, "_roots_batch", lambda c: rows.append(c.shape[0]) or solve(c))
         cloud = imaginary_projection_sample(parse("z1 + z2 + 1"), n_points=10, rng=0)
         assert cloud.shape == (10, 2)
-        assert sum(rows) <= 1_024
+        assert rows == [constab._BLOCK]
 
     def test_small_cloud_is_a_prefix_of_a_large_one(self):
         f = parse("z1 + z2 + 1")
@@ -1336,11 +1337,13 @@ class TestExpansionRowIndependence:
         polys, X, Y = self._case(deg)
         V = X + 1j * Y
         active = (0, 1, 2, 3)
+        keys = [tuple(p.degree_in(k) for p in polys) for k in active]
 
         def per_draw(s):
             lo = s.start or 0
-            return {lo + int(r): (k, F[:, i]) for k, rows, F in
-                    constab._fiber_rows(polys, active, lo, V[s]) for i, r in enumerate(rows)}
+            return {lo + int(r): (int(k), F[:, i]) for ks, rows, F in
+                    constab._fiber_rows(polys, active, keys, lo, V[s])
+                    for i, (k, r) in enumerate(zip(ks, rows))}
 
         full = per_draw(slice(0, 60))
         assert sorted(full) == list(range(60))
@@ -1381,23 +1384,87 @@ class TestBasisLayout:
     def test_rows_are_zero_padded_to_the_widest(self):
         gen = np.random.default_rng(5)
         rows = [gen.normal(size=(7, w)) + 1j * gen.normal(size=(7, w)) for w in (3, 1, 4, 2)]
-        out = constab._laid_out(rows)
+        out = constab._laid_out([[r] for r in rows])
         assert out.shape == (4, 7, 4) and out.dtype == complex
         for o, r in zip(out, rows):
             assert np.array_equal(_bits(o[:, : r.shape[1]]), _bits(r))
             assert not _bits(o[:, r.shape[1] :]).any()  # +0.0, bit for bit
 
+    def test_blocks_are_written_down_the_draw_axis(self):
+        gen = np.random.default_rng(6)
+        parts = [[gen.normal(size=(n, w)) + 0j for n, w in zip((3, 5), ws)] for ws in ((2, 4), (1, 3))]
+        out = constab._laid_out(parts)
+        assert out.shape == (2, 8, 4)
+        for o, (a, b) in zip(out, parts):
+            assert np.array_equal(_bits(o[:3, : a.shape[1]]), _bits(a))
+            assert np.array_equal(_bits(o[3:, : b.shape[1]]), _bits(b))
+            assert not _bits(o[:3, a.shape[1] :]).any() and not _bits(o[3:, b.shape[1] :]).any()
+
     def test_line_and_fiber_rows_are_laid_out_alike(self, monkeypatch):
         # Member z1*z2 (stable on the orthant) on the basis [z1*z2, z2^3]:
-        # line rows of widths 3 and 4; z1-fiber rows of widths 2 and 1,
-        # z2-fiber rows of widths 2 and 4, 32 draws each.
+        # line rows of widths 3 and 4; the member has degree 1 in z1 and in
+        # z2, so both fibers are one group: z1-fiber rows of widths 2 and 1,
+        # then z2-fiber rows of widths 2 and 4, 32 draws each.
         shapes, orig = [], constab._laid_out
         monkeypatch.setattr(constab, "_laid_out",
-                            lambda rows: shapes.append([r.shape for r in rows]) or orig(rows))
+                            lambda parts: shapes.append([[p.shape for p in ps] for ps in parts]) or orig(parts))
         basis = [parse("z1*z2"), parse("z2^3", var_names=("z1", "z2"))]
         v, = constab._search(basis, np.array([[1.0, 0.0]]), Orthant(2), 64, 0, DEFAULT_TOL, _STABILITY)
         assert (v.status, v.samples) == (NOT_FALSIFIED, 64)
-        assert shapes == [[(64, 3), (64, 4)], [(32, 2), (32, 1)], [(32, 2), (32, 4)]]
+        assert shapes == [[[(64, 3)], [(64, 4)]], [[(32, 2), (32, 2)], [(32, 1), (32, 4)]]]
+
+
+class TestFiberGroups:
+    """A batch's fibers are laid out per degree group, not per coordinate.
+
+    ``_fiber_rows`` yields one ``(ks, rows, F)`` per group of active
+    coordinates with equal keys (the live members' degrees in them).  Every
+    draw appears once, on the coordinate its index picks, in
+    coordinate-major order, and its rows are the bits ``as_univariate_in``
+    gives it alone, zero-padded to the group's width.
+    """
+
+    @staticmethod
+    def _check(basis, active, keys, lo, V, got):
+        seen = np.concatenate([rows for _, rows, _ in got])
+        assert sorted(seen.tolist()) == list(range(V.shape[0]))
+        assert len({keys[active.index(ks[0])] for ks, _, _ in got}) == len(got)
+        for ks, rows, F in got:
+            pos = [active.index(k) for k in ks.tolist()]
+            assert len({keys[p] for p in pos}) == 1
+            assert [active[(lo + r) % len(active)] for r in rows.tolist()] == ks.tolist()
+            assert sorted(zip(pos, rows.tolist())) == list(zip(pos, rows.tolist()))
+            assert F.shape[:2] == (len(basis), rows.size)
+            for i, (k, r) in enumerate(zip(ks.tolist(), rows.tolist())):
+                for j, b in enumerate(basis):
+                    want = b.as_univariate_in(k, V[[r]])[0]
+                    assert np.array_equal(_bits(F[j, i, : want.size]), _bits(want))
+                    assert not _bits(F[j, i, want.size :]).any()
+
+    @pytest.mark.parametrize("lo,n", [(0, 64), (64, 1_984), (7, 5), (2, 1)])
+    def test_mixed_degrees_make_one_group_each(self, lo, n):
+        f = parse("z1^3*z2 + z2^2 + z3")
+        active = (0, 1, 2)
+        keys = [f.degree_in(k) for k in active]
+        V = np.random.default_rng(lo + n).normal(size=(n, 3)) + 1j
+        got = list(constab._fiber_rows([f], active, keys, lo, V))
+        assert len(got) == min(n, 3)
+        self._check([f], active, keys, lo, V, got)
+
+    def test_search_groups_a_pencil_by_its_members_degrees(self, monkeypatch):
+        # Members f: degrees (2, 2, 1), g: (1, 1, 2), the others (2, 2, 2):
+        # z1 and z2 share a group, z3 is one alone.
+        calls, orig = [], constab._fiber_rows
+        monkeypatch.setattr(constab, "_fiber_rows", lambda basis, active, keys, lo, V: calls.append(
+            (basis, active, keys, lo, V, list(orig(basis, active, keys, lo, V)))) or iter(calls[-1][-1]))
+        f, g = parse("z1^2 + z2^2 + z3 + 3"), parse("z1 + z2 + z3^2 + 1")
+        pencil_hko_check(f, g, Orthant(3), grid=[(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)], n_samples=100, rng=1)
+        pencil = [c for c in calls if len(c[0]) > 1]
+        basis, active, keys, lo, V, got = pencil[0]  # all three members live
+        assert (active, keys, lo) == ((0, 1, 2), [(2, 1, 2), (2, 1, 2), (1, 2, 2)], 0)
+        assert [sorted(set(ks.tolist())) for ks, _, _ in got] == [[0, 1], [2]]
+        for basis, active, keys, lo, V, got in pencil:
+            self._check(basis, active, keys, lo, V, got)
 
 
 class TestBudgets:

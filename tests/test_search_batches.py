@@ -294,6 +294,18 @@ class TestBatchCostAndOrder:
         v = falsify_k_stability(f, K, n_samples=2_048, rng=seed)
         assert _fields(v) == _fields(fib)
 
+    def test_each_batch_screens_its_lines_and_its_fibers_in_one_call_each(self, monkeypatch):
+        # A stable cubic product of degree 3 in each of its four variables:
+        # the fibers of all four coordinates are one group, so each batch
+        # (the probe batch, then the rest of the block) makes one screen
+        # and solve for its lines, then one for its fibers.
+        f = parse("(z1 + 2*z2 + z3 + z4 + 1i)*(2*z1 + z2 + z3 + 3*z4 + 1 + 2i)*(z1 + z2 + 2*z3 + z4 + 3i)")
+        calls, screened = [], constab._screened_roots
+        monkeypatch.setattr(constab, "_screened_roots",
+                            lambda coeffs, pairs: calls.append(coeffs.shape) or screened(coeffs, pairs))
+        assert _row(falsify_k_stability(f, Orthant(4), n_samples=2_048, rng=1)) == (NF, 2_048, None)
+        assert calls == [(64, 4), (64, 4), (1_984, 4), (1_984, 4)]
+
     def test_every_draw_reaches_the_line_and_its_fiber_once_in_order(self, monkeypatch):
         f, K, seed, budget = parse(GOLDEN[0][1][0][0]), Orthant(3), 1, 2_049  # a stable product
         lines, fibers = [], {}
@@ -314,6 +326,16 @@ class TestBatchCostAndOrder:
         assert sorted(fibers) == [0, 1, 2]
         for k, bases in fibers.items():
             assert np.array_equal(np.concatenate(bases), (x + 1j * y)[k::3])
+
+    @pytest.mark.xfail(strict=True, reason="FOUND 355: stability fibers keep only roots above the axis")
+    def test_fibers_alone_falsify_an_off_diagonal_form(self):
+        # Every z12-fiber root of z12 + 0.1i is -x12 - 0.1i, below the axis,
+        # yet y12 = -0.1 is interior for a wide diagonal; lines are disabled.
+        f = parse("z12 + 0.1*i", var_names=M2)
+        fibers_only = dataclasses.replace(_STABILITY, line_ok=_never)
+        got = [constab._search([f], np.ones((1, 1)), PSD(2), 4_096, seed, DEFAULT_TOL, fibers_only)[0].status
+               for seed in range(3)]
+        assert got == [F] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -368,3 +390,12 @@ class TestWitnessOrder:
         want = constab._search([f], np.ones((1, 1)), K, 2_048, 0, DEFAULT_TOL, fibers_only)[0]
         assert _row(v) == (F, 1, "fiber z1")
         assert _fields(v) == _fields(want)
+
+    def test_candidate_row_keeps_a_small_top_coefficient(self, monkeypatch):
+        # One draw of z1^6 with y = 1e-3: the line row's top coefficients
+        # y^6 = 1e-18 and 6 x y^5 = 3e-15 lie under the absolute trim of
+        # 1e-12, yet they are not zero, so the row confirmed has degree 6.
+        calls = _counted(monkeypatch)
+        monkeypatch.setattr(constab, "_blocks", lambda *a: iter([(0, np.array([[0.5]]), np.array([[1e-3]]))]))
+        falsify_k_stability(parse("z1^6"), Orthant(1), n_samples=1, rng=0)
+        assert [a[5].degree for a in calls] == [6]
