@@ -14,7 +14,9 @@ Subcommands
 Exit codes are a stable contract: 0 for clean/consistent outcomes, 1
 when instability is found (``falsified`` or ``certified_unstable``, an
 identically-zero determinant, or an inconsistent pair report), and 2
-for argument, expression, or input-file errors.
+for argument, expression, or input-file errors (non-finite values
+included) and for a numerical check that fails at the given tolerances
+(an ``ArithmeticError``, e.g. an eigendecomposition's residual).
 
 Cone descriptors: ``orthant:n``, ``psd:n``, ``poly:@gens.json`` (JSON
 cone descriptor or a plain array of generators), and
@@ -314,10 +316,7 @@ def _cmd_detstab(args, out) -> int:
     except (ValueError, KeyError) as exc:
         raise CliError(f"bad block-matrix data in {paths[0]}: {exc}") from exc
     B = _read_matrix_file(paths[1]) if len(paths) == 2 else np.zeros((A.p, A.p))
-    try:
-        cert = thm54_certify(A, B, tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    cert = thm54_certify(A, B, tol)
     payload = {
         "outcome": cert.outcome,
         "lambda_min": cert.lambda_min,
@@ -355,10 +354,7 @@ def _cmd_improj(args, out) -> int:
         box = (float(lo), float(hi))
     except ValueError as exc:
         raise CliError(f"--box must be lo,hi: {exc}") from exc
-    try:
-        cloud = imaginary_projection_sample(f, n_points=args.samples, box=box, rng=args.seed, tol=tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    cloud = imaginary_projection_sample(f, n_points=args.samples, box=box, rng=args.seed, tol=tol)
     if args.output == "json":
         print(json.dumps({"seed": args.seed, "points": cloud.tolist()}), file=out)
     else:
@@ -430,7 +426,7 @@ def main(argv=None) -> int:
         parser.error("csv output applies to improj only")
     try:
         return args.func(args, sys.stdout)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

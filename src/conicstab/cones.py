@@ -49,7 +49,7 @@ import numpy as np
 
 from .linalg import hermitian_eigenvalues, hermitian_eigh, min_eig_at_least
 from .poly import MatrixVarIndex
-from .tolerances import DEFAULT_TOL, ToleranceProfile
+from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "Cone",
@@ -253,21 +253,21 @@ class Polyhedral(Cone):
     """Finitely generated cone {sum_j lambda_j v_j : lambda >= 0} in R^n.
 
     Construction rejects non-finite generators first, then generator sets
-    that fail the proper-cone requirements: all generators nonzero
-    (``tol.negligible`` of each norm over the largest), spanning R^n, and
+    that fail the proper-cone requirements at ``DEFAULT_TOL``: all generators
+    nonzero (``negligible`` of each norm over the largest), spanning R^n, and
     no generator's negation inside the cone (pointedness, decided by the
     membership LP on the unit generators).  Each test is invariant under scaling the generators;
     ``generators``, the draws and the descriptor keep them as given.
     """
 
-    def __init__(self, generators, tol: ToleranceProfile = DEFAULT_TOL):
+    def __init__(self, generators):
         V = np.asarray(generators, dtype=float)
         if V.ndim != 2 or V.shape[0] == 0:
             raise ValueError("generators must be a nonempty sequence of equal-length vectors")
         if not np.isfinite(V).all():
             raise ValueError("generators must be finite")
         norms = np.linalg.norm(V, axis=1)
-        if not norms.max() or np.any(tol.negligible(norms / norms.max())):
+        if not norms.max() or np.any(DEFAULT_TOL.negligible(norms / norms.max())):
             raise ValueError("zero generator")
         if np.linalg.matrix_rank(V) < V.shape[1]:
             raise ValueError("generators must span the ambient space (cone not full-dimensional)")
@@ -276,7 +276,7 @@ class Polyhedral(Cone):
         self.draw_dim = self.m
         self._unit_gens = V / norms[:, None]
         for k, u in enumerate(self._unit_gens):
-            if simplex_solve(self._unit_gens.T, -u, np.zeros(self.m), tol.interior_tol)[0] == "optimal":
+            if simplex_solve(self._unit_gens.T, -u, np.zeros(self.m), DEFAULT_TOL.interior_tol)[0] == "optimal":
                 raise ValueError(f"generator set is not pointed: -v_{k} lies in the cone")
         self._dual_rays = self._enumerate_dual_rays() if self.dim <= _DUAL_RAY_MAX_DIM else None
         # Direction used by the interior LP: an explicit interior point.

@@ -19,10 +19,10 @@ Gaussian and y an interior sample of K, feeds two probes:
   difference-of-squares factorizations, ...) that the line probe provably
   cannot hit: their line restrictions are real-rooted for every (x, y).
 
-A probe mode says how roots are read.  Stability mode
-(`falsify_k_stability`) solves fibers at x + i y and keeps roots in the
-upper half-plane: a line root t gives the zero x + t y, a fiber root the
-base point with one coordinate replaced.  Hyperbolicity mode
+A probe mode (`_Probe`) reads each probe's roots through one `_Reader`.
+Stability mode (`falsify_k_stability`) solves fibers at x + i y and keeps
+roots in the upper half-plane: a line root t gives the zero x + t y, a
+fiber root the base point with one coordinate replaced.  Hyperbolicity mode
 (`hyperbolicity_check`, homogeneous f) reads y as a direction e, keeps
 non-real line roots t, giving ±(x + t e), and real fiber roots at the
 real base point e, giving i e' for a real interior zero e'.
@@ -64,12 +64,12 @@ the floor (on the PSD cone the same pivot test of Y - tI, no
 eigensolver).  Each member confirms its candidates in one draw order,
 the line before the fiber at one draw.  The candidate's coefficient row,
 contracted again from its basis rows (only exact zeros dropped from its
-top), is re-solved at scalar precision
-and each kept root mapped to its zero as solved.  Every witness, the
-exact linear route's and ``stab --verify``'s included, passes one
-acceptance check (`_witness_residual`): Im(z) clears the interior margin
-floor (half the sampling margin here), then |f(z)| <= residual_tol *
-sum|coeff| * max(1,|z|)^deg.
+top), is re-solved at scalar precision, and each kept root is mapped to
+its zero as solved, by the reader's one map for rows and scalars.  Every
+witness, the exact linear route's and ``stab --verify``'s included, passes
+one acceptance check (`_witness_residual`): Im(z) clears the interior
+margin floor (half the sampling margin here), then |f(z)| <= residual_tol
+* sum|coeff| * max(1,|z|)^deg.
 
 Determinism: sampling operations take an integer seed (the ``rng``
 argument).  Draw j is a pure function of (seed, j) — blocks of fixed size
@@ -81,13 +81,14 @@ on every run.  The search batches only decide when a draw is solved: the
 kernels run draws-last, so a draw's rows do not depend on its batch-mates,
 and the first witness does not depend on the batches.
 
-The zero polynomial is unstable by convention everywhere in this module.
+The zero polynomial is unstable by convention everywhere in this module;
+a polynomial with a non-finite coefficient raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -249,7 +250,13 @@ def _as_count(n, name: str) -> int:
     return int(n)
 
 
+def _check_finite(f: MultiPoly) -> None:
+    if not all(map(cmath.isfinite, f.terms.values())):
+        raise ValueError("polynomial coefficients must be finite")
+
+
 def _check_fit(f: MultiPoly, K: Cone) -> None:
+    _check_finite(f)
     if f.nvars != K.dim:
         raise ValueError(
             f"polynomial in {f.nvars} variables does not fit a cone of dimension {K.dim}"
@@ -368,30 +375,6 @@ def _stacked(rows: np.ndarray, W: np.ndarray, members: list, width: int):
         chunk = members[c : c + per]
         stack = np.dot(W[chunk], rows.reshape(nb, -1)).reshape(-1, n, d)
         yield chunk, stack[..., :width].reshape(-1, width)
-
-
-def _confirm(basis, w, mass, degree, K, p: UniPoly, ok, zero, tol, floor):
-    """Re-solve ``p`` at scalar precision; return (witness, residual) or None.
-
-    The member is ``w @ basis``, of coefficient mass ``mass`` and total
-    degree ``degree``.  Roots are tried in lexicographic order; a root
-    passing ``ok`` is mapped to a zero of the member by ``zero`` and
-    accepted by ``_witness_residual`` at margin ``floor``.
-    """
-    if p.degree < 1:
-        return None
-    try:
-        rts = roots(p, tol)
-    except (ValueError, ArithmeticError):
-        return None
-    member = lambda z: w @ [b(z) for b in basis]  # noqa: E731
-    for t in rts:
-        if ok(t, tol):
-            z = zero(t)
-            res = _witness_residual(K, z, floor, member, mass, degree, tol)
-            if res is not None:
-                return z, res
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +519,25 @@ def _replace_coord(w, k, r):
     return z
 
 
-def _imaginary_real_point(w, k, r):
-    """i * e' with e' the real base point w with coordinate k set to Re r (on rows, per row)."""
-    return 1j * _replace_coord(w.real, k, np.real(r)).astype(complex)
+def _line_zero(x, y, v, k, t):
+    """x + t y, t a NumPy scalar or, on rows, per row."""
+    return x + t[..., None] * y.astype(complex)
 
 
-def _signed_line_zero(x, e, t):
-    """x + t e, negated where Im t < 0 (f(-z) = ±f(z) for homogeneous f); rows or a scalar."""
-    z = x + t * e.astype(complex)
-    return np.where(np.imag(t) < 0, -z, z)
+def _signed_line_zero(x, e, v, k, t):
+    """x + t e, negated where Im t < 0 (f(-z) = ±f(z) for homogeneous f)."""
+    z = _line_zero(x, e, v, k, t)
+    return np.where(t.imag[..., None] < 0, -z, z)
+
+
+def _imaginary_real_point(x, e, v, k, t):
+    """i * e' with e' the real base point e with coordinate k set to Re t."""
+    return 1j * _replace_coord(e, k, np.real(t)).astype(complex)
+
+
+def _off_axis(t, tol):
+    """Root is finite and not read as real."""
+    return np.isfinite(t) & ~_near_real(t, tol.real_root_im_tol)
 
 
 def _below_pairs(c):
@@ -560,60 +553,52 @@ def _below_pairs(c):
 
 
 @dataclass(frozen=True)
-class _Probe:
-    """How a search mode reads the roots of the shared line and fiber solves.
+class _Reader:
+    """How a search mode reads the roots of one probe, the line or the fibers.
 
-    ``base(x, y)`` gives the complex points whose coordinate fibers are
-    solved.  ``line_ok``/``fiber_ok`` are the root predicates applied at
-    confirmation (``line_ok`` also keeps the batch line roots);
-    ``fiber_screen`` keeps the batch fiber roots and may be more generous
-    than ``fiber_ok``.  ``line_zero(x, y, t)`` and ``fiber_zero(w, k, r)``
-    map a root to the zero of f it stands for, on rows too: a kept root of
-    either probe is a candidate when its zero's imaginary part has interior
-    margin at least half the floor, one rule for both.
-    ``line_pairs``/``fiber_pairs`` map a block of coefficient rows to the
-    rows P + iQ of ``_screened_roots``: a row cleared there has no root
-    passing ``line_ok``, respectively ``fiber_screen``.  None screens
-    nothing.
+    ``pairs`` maps coefficient rows to the rows P + iQ of ``_screened_roots``
+    (None: no screen); a row cleared there has no root passing ``screen(t, tol)``,
+    which keeps the batch roots.  ``ok(t, tol)``, possibly stricter, keeps the
+    roots re-solved at confirmation.  ``zero(x, y, v, k, t)`` maps root t of draw
+    (x, y), base point v, coordinate k (-1 on a line) to its zero of f, on
+    candidate rows (arguments per row) and on one scalar root alike.  ``cert``
+    is the witness's certificate, the fiber's variable at ``{var}``.
     """
 
+    pairs: Callable | None
+    screen: Callable
+    ok: Callable
+    zero: Callable
+    cert: str
+
+
+@dataclass(frozen=True)
+class _Probe:
+    """A search mode: ``base(x, y)`` gives the points whose coordinate fibers are
+    solved, and ``line`` and ``fiber`` read each probe's roots (`_Reader`)."""
+
     base: Callable
-    line_ok: Callable
-    fiber_screen: Callable
-    fiber_ok: Callable
-    line_zero: Callable
-    fiber_zero: Callable
-    line_cert: str
-    fiber_cert: str
-    line_pairs: Callable | None
-    fiber_pairs: Callable | None
+    line: _Reader
+    fiber: _Reader
 
 
 _STABILITY = _Probe(
     base=lambda x, y: x + 1j * y,
-    line_ok=_upper,
-    fiber_screen=_upper,
-    fiber_ok=_upper,
-    line_zero=lambda x, y, t: x + t * y.astype(complex),
-    fiber_zero=_replace_coord,
-    line_cert="zero on a sampled line with interior imaginary direction",
-    fiber_cert="zero on the {var} coordinate fiber with interior imaginary part",
-    line_pairs=_below_pairs,
-    fiber_pairs=_below_pairs,
+    line=_Reader(pairs=_below_pairs, screen=_upper, ok=_upper, zero=_line_zero,
+                 cert="zero on a sampled line with interior imaginary direction"),
+    fiber=_Reader(pairs=_below_pairs, screen=_upper, ok=_upper,
+                  zero=lambda x, y, v, k, t: _replace_coord(v, k, t),
+                  cert="zero on the {var} coordinate fiber with interior imaginary part"),
 )
 
 _HYPERBOLICITY = _Probe(
     base=lambda x, e: e.astype(complex),
-    line_ok=lambda t, tol: np.isfinite(t) & ~_near_real(t, tol.real_root_im_tol),
-    fiber_screen=lambda t, tol: _near_real(t, _NEAR_REAL_SCREEN),
-    fiber_ok=lambda t, tol: _near_real(t, tol.real_root_im_tol),
-    line_zero=_signed_line_zero,
-    fiber_zero=_imaginary_real_point,
-    line_cert="restriction along an interior direction has a non-real root",
-    fiber_cert="vanishes at a real interior point (not hyperbolic there)",
-    line_pairs=_with_derivative,
+    line=_Reader(pairs=_with_derivative, screen=_off_axis, ok=_off_axis, zero=_signed_line_zero,
+                 cert="restriction along an interior direction has a non-real root"),
     # A real fiber root is what this probe keeps, so no fiber is screened.
-    fiber_pairs=None,
+    fiber=_Reader(pairs=None, screen=lambda t, tol: _near_real(t, _NEAR_REAL_SCREEN),
+                  ok=lambda t, tol: _near_real(t, tol.real_root_im_tol), zero=_imaginary_real_point,
+                  cert="vanishes at a real interior point (not hyperbolic there)"),
 )
 
 
@@ -639,11 +624,11 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
     The members are rows of weights ``W`` on ``basis``, polynomials over one
     variable tuple: ``[f]`` at weight 1 for a falsifier, the monomials of the
     support for the pencil.  The draws come in the batches of ``_batches``.
-    Both probes book candidates by one rule (``book``), on the line rows and
-    on each fiber group of ``_fiber_rows``: the live members are
-    grouped by row degree, their rows contracted and solved in stacked chunks
-    (``_stacked``), and a root the probe keeps is a candidate when the
-    imaginary part of its zero has interior margin at least half the floor.
+    Both probes book candidates by one rule (``book``), each through its
+    reader, on the line rows and on each fiber group of ``_fiber_rows``: the
+    live members are grouped by row degree, their rows contracted and solved
+    in stacked chunks (``_stacked``), and a root the reader keeps is a
+    candidate when its zero's imaginary part has margin at least half the floor.
     In each batch the line rows are booked first; the cut is the latest of
     the members' first line-candidate rows (the batch size if a member has
     none).  Fiber rows are booked for the draws below the cut, and each
@@ -651,9 +636,10 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
     at one draw, up to and including the line at the cut; the members still
     live then book the fibers from the cut on and confirm the rest.  The
     first that confirms is the member's witness: the first in draw order.
-    A candidate row is contracted again from its basis rows to be confirmed;
-    a member with a witness leaves the family.  Overflow in the kernels is
-    not an error: non-finite rows fail the screen and get NaN roots.
+    One routine (``confirm``) confirms every candidate, through the reader
+    that booked it; a member with a witness leaves the family.  Overflow in
+    the kernels is not an error: non-finite rows fail the screen and get NaN
+    roots.
     """
     n_samples = _as_count(n_samples, "n_samples")
     bdeg = [[b.degree] + [b.degree_in(k) for k in range(K.dim)] for b in basis]
@@ -672,55 +658,64 @@ def _search(basis, W, K, n_samples, rng, tol, probe: _Probe) -> list[Verdict]:
 
     for lo, x, y in _batches(rng, K.dim, K, tol.sample_sigma, n_samples, tol.sample_margin):
         n, V = x.shape[0], probe.base(x, y)
-        todo = {m: [] for m in live}  # m's candidates: (row, k, basis rows, column there)
+        todo = {m: [] for m in live}  # m's candidates: (row, k, reader, basis rows, column there)
 
-        def book(ks, rows, basis_rows, members):
-            """Add the candidates of ``members`` on the draws ``rows`` to ``todo``.
+        def book(reader, ks, rows, basis_rows, members):
+            """Add the candidates of ``members`` that ``reader`` keeps on the draws ``rows`` to ``todo``.
 
             Row i is draw ``rows[i]`` on coordinate ``ks[i]``, or on its line
             at -1 (all rows or none); each member has one degree on them all.
             """
-            line, groups = ks[0] < 0, {}
+            groups = {}
             for m in members:
                 groups.setdefault(deg[m][1 + ks[0]], []).append(m)
             for d, group in groups.items():
                 for chunk, coeffs in _stacked(basis_rows, W, group, d + 1):
-                    r = _screened_roots(coeffs, probe.line_pairs if line else probe.fiber_pairs)
-                    i, j = np.nonzero((probe.line_ok if line else probe.fiber_screen)(r, tol))
+                    r = _screened_roots(coeffs, reader.pairs)
+                    i, j = np.nonzero(reader.screen(r, tol))
                     if i.size == 0:
                         continue
-                    ri, t = i % rows.size, r[i, j]
+                    ri = i % rows.size
                     at = rows[ri]
-                    z = (probe.line_zero(x[at], y[at], t[:, None]) if line
-                         else probe.fiber_zero(V[at], ks[ri], t))
+                    z = reader.zero(x[at], y[at], V[at], ks[ri], r[i, j])
                     # generous (confirmation asks the floor); a mask, as np.unique imports numpy.ma
                     hit = np.zeros(r.shape[0], dtype=bool)
                     hit[i[K.interior_margin_batch(z.imag, floor / 2)]] = True
                     s, col = np.divmod(np.flatnonzero(hit), rows.size)
                     for m, row, k, c in zip(np.take(chunk, s).tolist(), rows[col].tolist(),
                                             ks[col].tolist(), col.tolist()):
-                        todo[m].append((row, k, basis_rows, c))
+                        todo[m].append((row, k, reader, basis_rows, c))
 
-        def confirm(m, row, k, basis_rows, col):
-            """m's verdict when its probe-k candidate at ``row`` confirms, else None."""
-            if k < 0:
-                ok, zero, cert = probe.line_ok, partial(probe.line_zero, x[row], y[row]), probe.line_cert
-            else:
-                ok, zero = probe.fiber_ok, partial(probe.fiber_zero, V[row], k)
-                cert = probe.fiber_cert.format(var=basis[0].var_names[k])
+        def confirm(m, row, k, reader, basis_rows, col):
+            """m's verdict when its candidate at ``row`` on coordinate k (-1: the line) confirms, else None.
+
+            The row, contracted again, is re-solved by ``roots`` (a raise confirms nothing); the
+            first root in lexicographic order that ``reader.ok`` keeps and whose zero
+            ``_witness_residual`` accepts at the floor gives the witness.
+            """
             p = UniPoly((W[m] @ basis_rows[:, col])[: deg[m][1 + k] + 1], tol=_EXACT_ZEROS)
-            got = _confirm(basis, W[m], mass[m], deg[m][0], K, p, ok, zero, tol, floor)
-            return got and Verdict(FALSIFIED, witness=got[0], certificate=cert,
-                                   samples=lo + row + 1, seed=rng, residual=got[1])
+            try:
+                rts = roots(p, tol)
+            except (ValueError, ArithmeticError):
+                return None
+            member = lambda z: W[m] @ [b(z) for b in basis]  # noqa: E731
+            for t in rts:
+                if reader.ok(t, tol):
+                    z = reader.zero(x[row], y[row], V[row], k, t)
+                    res = _witness_residual(K, z, floor, member, mass[m], deg[m][0], tol)
+                    if res is not None:
+                        return Verdict(FALSIFIED, witness=z, samples=lo + row + 1, seed=rng, residual=res,
+                                       certificate=reader.cert.format(var=basis[0].var_names[k]))
+            return None
 
         lines = _laid_out([[b.restrict_line(x, y)] for b in basis])
-        book(np.full(n, -1), np.arange(n), lines, live)
+        book(probe.line, np.full(n, -1), np.arange(n), lines, live)
         cut = max(todo[m][0][0] if todo[m] else n for m in live)
         for start, stop in ((0, cut), (cut, n)):
             for act in {active[m] for m in live}:
                 keys = [by_k[k] for k in act]
                 for ks, rows, F in _fiber_rows(basis, act, keys, lo + start, V[start:stop]):
-                    book(ks, start + rows, F, [m for m in live if active[m] == act])
+                    book(probe.fiber, ks, start + rows, F, [m for m in live if active[m] == act])
             for m in live:
                 # draw order, the line before the fiber; the first span ends with the line at the cut
                 todo[m].sort(key=lambda c: c[:2])
@@ -782,9 +777,11 @@ def hyperbolicity_check(
 # ---------------------------------------------------------------------------
 
 
-def _require_real_pair(f: MultiPoly, g: MultiPoly, tol: ToleranceProfile) -> None:
+def _require_real_pair(f: MultiPoly, g: MultiPoly, K: Cone, tol: ToleranceProfile) -> None:
     if f.var_names != g.var_names:
         raise ValueError("polynomials must share one variable tuple")
+    _check_fit(f, K)
+    _check_fit(g, K)
     if not f.is_real(tol) or not g.is_real(tol):
         raise ValueError("expected real polynomials")
 
@@ -808,8 +805,7 @@ def hb_lift_check(
     imaginary unit), so a falsification on exactly one side at equal
     budget and seed flags an implementation inconsistency.
     """
-    _require_real_pair(f, g, tol)
-    _check_fit(f, K)
+    _require_real_pair(f, g, K, tol)
     w_name = "w" if "w" not in f.var_names else "_w_lift"
     direct = falsify_k_stability(g + f.scale(1j), K, n_samples, rng, tol)
     lifted_poly = _append_variable(g, w_name, 0) + _append_variable(f, w_name, 1)
@@ -847,8 +843,7 @@ def pencil_hko_check(
     empty, holds a non-finite entry or an entry that is not a (lam, mu)
     pair raises ``ValueError``.
     """
-    _require_real_pair(f, g, tol)
-    _check_fit(f, K)
+    _require_real_pair(f, g, K, tol)
     if not f and not g:
         raise ValueError("pencil of two zero polynomials")
     pts = list(_PENCIL_GRID if grid is None else grid)
@@ -910,8 +905,7 @@ def wronskian_certificate(
     """
     seed = _as_seed(rng)
     n_points, n_directions = _as_count(n_points, "n_points"), _as_count(n_directions, "n_directions")
-    _require_real_pair(f, g, tol)
-    _check_fit(f, K)
+    _require_real_pair(f, g, K, tol)
     n = f.nvars
     if isinstance(K, Orthant):
         dirs = [np.eye(n)[k] for k in range(n)]
@@ -990,15 +984,17 @@ def imaginary_projection_sample(
     univariate fiber, and records Im(z) of every verified solution, a
     block's fibers of one degree in one solve.  Returns an (m, nvars) float
     array with m <= n_points (fibers that degenerate, overflow or fail
-    verification contribute nothing).
+    verification contribute nothing).  A non-finite coefficient of f, or a
+    box that is not a finite increasing interval, raises ``ValueError``.
     """
     seed = _as_seed(rng)
     n_points = _as_count(n_points, "n_points")
+    _check_finite(f)
     if f.degree < 1:
         raise ValueError("imaginary projection needs a nonconstant polynomial")
     lo, hi = float(box[0]), float(box[1])
-    if not lo < hi:
-        raise ValueError("box must be an increasing interval")
+    if not (lo < hi and np.isfinite(hi - lo)):
+        raise ValueError("box must be a finite increasing interval")
     n = f.nvars
     active = [k for k in range(n) if f.degree_in(k) >= 1]
     keys = [f.degree_in(k) for k in active]

@@ -9,12 +9,13 @@ tighter regime can thread one object through the whole pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
 class ToleranceProfile:
-    """Numerical slack used across the package.
+    """Numerical slack used across the package; every field finite and >= 0.
 
     Attributes
     ----------
@@ -58,6 +59,12 @@ class ToleranceProfile:
     interior_tol: float = 1e-9
     sample_margin: float = 1e-3
     sample_sigma: float = 2.0
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"tolerance {field.name} must be finite and >= 0, got {value!r}")
 
     def with_overrides(self, **kwargs: float) -> "ToleranceProfile":
         """Return a copy with the named fields replaced."""

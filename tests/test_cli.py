@@ -88,6 +88,17 @@ class TestDescriptors:
         with pytest.raises(CliError):
             parse_tol("residual_tol")
 
+    @pytest.mark.parametrize("override", ["residual_tol=nan", "sample_margin=nan", "residual_tol=-1",
+                                          "real_root_im_tol=inf"])
+    def test_non_finite_or_negative_tolerance_exits_two(self, capsys, override):
+        # the README showcase, falsified at the default profile
+        argv = ["stab", "-e", "(z1+z3)^2 - z2^2", "--cone", "orthant:3"]
+        assert run_cli(capsys, *argv)[0] == 1
+        code, out, err = run_cli(capsys, *argv, "--tol", override)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance " + override.split("=")[0])
+
     @pytest.mark.parametrize("name", ["root_merge_tol", "stability_im_tol"])
     def test_removed_tolerance_name_exits_two(self, capsys, name):
         code, _, err = run_cli(
@@ -211,6 +222,22 @@ class TestStab:
         code, out, err = run_cli(capsys, "stab", "-e", "z1 + @", "--cone", "orthant:1")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("expr", ["1e400*z1^2 + z2", "1e400*z1 + z2"])
+    def test_non_finite_coefficient_exits_two(self, capsys, expr):
+        code, out, err = run_cli(capsys, "stab", "-e", expr, "--cone", "orthant:2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: polynomial coefficients must be finite\n"
+
+    def test_failed_linear_witness_check_exits_two(self, capsys):
+        # At residual_tol 1e-30 the closed-form witness misses its residual
+        # bound: an ArithmeticError, reported as an error, not as exit 1.
+        code, out, err = run_cli(capsys, "stab", "-e", "0.3*z1 - 0.7*z2 + 0.1", "--cone", "orthant:2",
+                                 "--tol", "residual_tol=1e-30")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: closed-form linear witness failed")
 
     def test_dimension_error_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "stab", "-e", "z1 + z2 + z3", "--cone", "orthant:2")
@@ -395,6 +422,19 @@ class TestDetstab:
             assert data["outcome"] == outcome
             assert "polynomial" not in data and "falsifier" not in data
 
+    def test_failed_eigensolver_residual_exits_two(self, capsys, tmp_path):
+        # A positive definite grid whose eigendecomposition cannot meet
+        # eig_tol = 1e-20: an ArithmeticError, reported as an error.
+        G = np.random.default_rng(3).normal(size=(4, 4))
+        grid = (G @ G.T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+        path = tmp_path / "A.json"
+        path.write_text(json.dumps({"n": 2, "d": 2, "re_im": False, "blocks": grid.tolist()}))
+        assert run_cli(capsys, "detstab", "-f", str(path))[0] == 0
+        code, out, err = run_cli(capsys, "detstab", "-f", str(path), "--tol", "eig_tol=1e-20")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: eigensolver did not reach the requested residual")
+
     def test_rejects_expressions(self, capsys):
         code, _, err = run_cli(capsys, "detstab", "-e", "z1")
         assert code == 2
@@ -434,6 +474,13 @@ class TestImproj:
     def test_constant_rejected(self, capsys):
         code, _, err = run_cli(capsys, "improj", "-e", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("box", ["-inf,2", "-2,inf", "nan,2"])
+    def test_box_not_finite_exits_two(self, capsys, box):
+        code, out, err = run_cli(capsys, "improj", "-e", "z1 + z2 + 1", f"--box={box}")
+        assert code == 2
+        assert out == ""
+        assert err == "error: box must be a finite increasing interval\n"
 
 
 # ---------------------------------------------------------------------------

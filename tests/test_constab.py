@@ -38,7 +38,7 @@ from conicstab.constab import (
 )
 from conicstab.constab import _HYPERBOLICITY, _STABILITY, _upper
 from conicstab.poly import MultiPoly, parse
-from conicstab.tolerances import DEFAULT_TOL
+from conicstab.tolerances import DEFAULT_TOL, ToleranceProfile
 from conicstab.unistab import UniPoly, _clears_lower, _roots_batch, roots
 
 
@@ -1197,7 +1197,7 @@ class TestBezoutScreen:
     def test_cleared_complex_row_has_no_upper_root(self, planted, phase):
         r, n_upper = planted
         row = np.exp(1j * phase) * np.poly(r)[::-1]
-        if _clears_lower(_STABILITY.line_pairs(row[np.newaxis, :]))[0]:
+        if _clears_lower(_STABILITY.line.pairs(row[np.newaxis, :]))[0]:
             assert n_upper == 0
             assert not np.any(_upper(_scalar_roots(row), DEFAULT_TOL))
 
@@ -1206,9 +1206,9 @@ class TestBezoutScreen:
     def test_cleared_real_row_is_real_rooted(self, planted, sign):
         r, n_pairs = planted
         row = sign * np.poly(r).real[::-1].astype(complex)
-        if _clears_lower(_HYPERBOLICITY.line_pairs(row[np.newaxis, :]))[0]:
+        if _clears_lower(_HYPERBOLICITY.line.pairs(row[np.newaxis, :]))[0]:
             assert n_pairs == 0
-            assert not np.any(_HYPERBOLICITY.line_ok(_scalar_roots(row), DEFAULT_TOL))
+            assert not np.any(_HYPERBOLICITY.line.ok(_scalar_roots(row), DEFAULT_TOL))
 
     def test_cleared_rows_hold_nan_and_the_rest_are_solved(self):
         planted = ([-1j, 2 - 1j, -3 - 2j, 1 - 0.5j], [1j, 2 - 1j, -3 - 2j, 1 - 0.5j])
@@ -1236,8 +1236,8 @@ class TestBezoutScreen:
 
     def test_complex_rows_skip_the_real_rooted_screen(self):
         row = np.poly([1.0, 2.0, 3.0])[::-1].astype(complex)
-        assert _HYPERBOLICITY.line_pairs(row[np.newaxis, :]) is not None
-        assert _HYPERBOLICITY.line_pairs((1j * row)[np.newaxis, :]) is None
+        assert _HYPERBOLICITY.line.pairs(row[np.newaxis, :]) is not None
+        assert _HYPERBOLICITY.line.pairs((1j * row)[np.newaxis, :]) is None
 
     def test_screen_spares_batched_roots_on_a_stable_product(self, monkeypatch):
         # Unscreened, each draw solves one line row and one fiber row of
@@ -1508,4 +1508,59 @@ class TestBudgets:
     def test_budget_of_one_draw_is_spent(self):
         v = falsify_k_stability(parse("z1 + z2 + i"), Orthant(2), n_samples=1, rng=0)
         assert (v.status, v.samples) == (NOT_FALSIFIED, 1)
+
+
+def _with_first_coefficient(p, c):
+    """p with its first term's coefficient replaced by c."""
+    terms = dict(p.terms)
+    terms[next(iter(terms))] = c
+    return MultiPoly(p.var_names, terms)
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+class TestNonFiniteInputs:
+    """A non-finite coefficient, box or tolerance raises ``ValueError``.
+
+    Unchecked, NaN and inf coefficients gave ``not_falsified`` and a clean
+    Wronskian report (every comparison with NaN is false), and an infinite
+    box reached the generator's ``uniform``.
+    """
+
+    @pytest.mark.parametrize("c", NON_FINITE)
+    def test_single_polynomial_entry_points_reject(self, c):
+        quadric = _with_first_coefficient(parse("z1^2 + z2^2"), c)
+        for call in (lambda: falsify_k_stability(quadric, Orthant(2), n_samples=64),
+                     lambda: hyperbolicity_check(quadric, Orthant(2), n_samples=64),
+                     lambda: decompose_check(quadric, Orthant(2), n_samples=64),
+                     lambda: linear_k_stability(_with_first_coefficient(parse("z1"), c), Orthant(1)),
+                     lambda: imaginary_projection_sample(_with_first_coefficient(parse("z1 + z2 + 1"), c))):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+    @pytest.mark.parametrize("c", NON_FINITE)
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_pair_entry_points_reject_either_side(self, c, side):
+        pair = [parse("z1"), parse("z1")]
+        pair[side] = _with_first_coefficient(pair[side], c)
+        for call in (lambda: wronskian_certificate(*pair, Orthant(1)),
+                     lambda: pencil_hko_check(*pair, Orthant(1), n_samples=64),
+                     lambda: hb_lift_check(*pair, Orthant(1), n_samples=64)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+    @pytest.mark.parametrize("box", [(-np.inf, 2.0), (-2.0, np.inf), (np.nan, 2.0), (-1e308, 1e308), (2.0, 2.0)])
+    def test_imaginary_projection_rejects_a_box_that_is_not_finite_and_increasing(self, box):
+        with pytest.raises(ValueError, match="box"):
+            imaginary_projection_sample(parse("z1 + z2 + 1"), box=box)
+
+    @pytest.mark.parametrize("override", [{"residual_tol": float("nan")}, {"sample_margin": float("nan")},
+                                          {"residual_tol": -1.0}, {"real_root_im_tol": float("inf")}])
+    def test_tolerances_are_finite_and_nonnegative(self, override):
+        with pytest.raises(ValueError, match=next(iter(override))):
+            DEFAULT_TOL.with_overrides(**override)
+        with pytest.raises(ValueError, match=next(iter(override))):
+            ToleranceProfile(**override)
+        assert DEFAULT_TOL.with_overrides(coeff_zero_tol=0.0).coeff_zero_tol == 0.0
         assert imaginary_projection_sample(parse("z1 + z2 + 1"), n_points=1, rng=0).shape == (1, 2)

@@ -16,7 +16,9 @@ of this may move a verdict:
 * ``TestBatchCostAndOrder`` pins what the batches save and the order in
   which draws reach the probes;
 * ``TestWitnessOrder`` pins the scalar confirmations that one witness order
-  makes, and that a fiber witness past the cut is still reached.
+  makes, and that a fiber witness past the cut is still reached;
+* ``TestReaderZeros`` pins that a probe's one ``zero`` maps candidate rows
+  (as ``book`` does) and a lone scalar root (as ``confirm`` does) alike.
 """
 
 import dataclasses
@@ -66,9 +68,9 @@ def _sliver(delta):
 
 def _label(certificate):
     """The probe that made a certificate: "line", "fiber" or "fiber <variable>"."""
-    if certificate in (_STABILITY.line_cert, _HYPERBOLICITY.line_cert):
+    if certificate in (_STABILITY.line.cert, _HYPERBOLICITY.line.cert):
         return "line"
-    if certificate == _HYPERBOLICITY.fiber_cert:
+    if certificate == _HYPERBOLICITY.fiber.cert:
         return "fiber"
     if certificate is not None:
         return "fiber " + certificate.split()[3]  # "zero on the z2 coordinate fiber ..."
@@ -269,6 +271,15 @@ def _never(t, tol):
     return np.zeros(np.shape(t), dtype=bool)
 
 
+def _stability_with(reader, **fields):
+    """The stability probe with its ``reader`` ("line" or "fiber") given ``fields``."""
+    return dataclasses.replace(_STABILITY, **{reader: dataclasses.replace(getattr(_STABILITY, reader), **fields)})
+
+
+LINES_ONLY = _stability_with("fiber", screen=_never)
+FIBERS_ONLY = _stability_with("line", screen=_never, ok=_never)
+
+
 class TestBatchCostAndOrder:
     def test_witness_at_draw_one_expands_one_probe_batch_of_lines_and_no_fiber(self, monkeypatch):
         lines, fibers = [], []
@@ -284,10 +295,8 @@ class TestBatchCostAndOrder:
 
     def test_fiber_witness_before_the_first_line_witness_of_its_batch_wins(self):
         f, K, seed = parse(*_sliver(0.2)), PSD(2), 2
-        lines_only = dataclasses.replace(_STABILITY, fiber_screen=_never)
-        fibers_only = dataclasses.replace(_STABILITY, line_ok=_never)
         line, fib = (constab._search([f], np.ones((1, 1)), K, 2_048, seed, DEFAULT_TOL, probe)[0]
-                     for probe in (lines_only, fibers_only))
+                     for probe in (LINES_ONLY, FIBERS_ONLY))
         # both witnesses lie in the probe batch, the fiber's first
         assert _row(line) == (F, 59, "line")
         assert _row(fib) == (F, 10, "fiber z11")
@@ -332,8 +341,7 @@ class TestBatchCostAndOrder:
         # Every z12-fiber root of z12 + 0.1i is -x12 - 0.1i, below the axis,
         # yet y12 = -0.1 is interior for a wide diagonal; lines are disabled.
         f = parse("z12 + 0.1*i", var_names=M2)
-        fibers_only = dataclasses.replace(_STABILITY, line_ok=_never)
-        got = [constab._search([f], np.ones((1, 1)), PSD(2), 4_096, seed, DEFAULT_TOL, fibers_only)[0].status
+        got = [constab._search([f], np.ones((1, 1)), PSD(2), 4_096, seed, DEFAULT_TOL, FIBERS_ONLY)[0].status
                for seed in range(3)]
         assert got == [F] * 3
 
@@ -348,10 +356,10 @@ COMMON_FACTOR = ("- 0.06072674332997452*z1^2*z2",
 
 
 def _counted(monkeypatch):
-    """Count the scalar confirmations a search makes."""
+    """Record the candidate rows a search re-solves at scalar precision to confirm them."""
     calls = []
-    confirm = constab._confirm
-    monkeypatch.setattr(constab, "_confirm", lambda *a: calls.append(a) or confirm(*a))
+    solve = constab.roots
+    monkeypatch.setattr(constab, "roots", lambda p, *a: calls.append(p) or solve(p, *a))
     return calls
 
 
@@ -373,21 +381,14 @@ class TestWitnessOrder:
         assert (_row(rep.f_plus_ig), _row(rep.g_plus_if)) == ((F, 5, "line"), (F, 1, "line"))
         assert len(calls) == 3
 
-    def test_fiber_at_the_cut_is_reached_past_a_failed_line(self, monkeypatch):
-        # Every line candidate fails: the first, at draw 1, sets the cut at
-        # row 0, so the z1 fiber witness there is booked in the span past the cut.
-        confirm = constab._confirm
-
-        def no_line(basis, w, mass, degree, K, p, ok, zero, tol, floor):
-            if zero.func is _STABILITY.line_zero:
-                return None
-            return confirm(basis, w, mass, degree, K, p, ok, zero, tol, floor)
-
-        monkeypatch.setattr(constab, "_confirm", no_line)
+    def test_fiber_at_the_cut_is_reached_past_a_failed_line(self):
+        # Every line candidate is booked and fails: the first, at draw 1,
+        # sets the cut at row 0, so the z1 fiber witness there is booked in
+        # the span past the cut.
         f, K = parse("z1^2 + z2^2"), Orthant(2)
-        v = falsify_k_stability(f, K, n_samples=2_048, rng=0)
-        fibers_only = dataclasses.replace(_STABILITY, line_ok=_never)
-        want = constab._search([f], np.ones((1, 1)), K, 2_048, 0, DEFAULT_TOL, fibers_only)[0]
+        failed_lines = _stability_with("line", ok=_never)
+        v = constab._search([f], np.ones((1, 1)), K, 2_048, 0, DEFAULT_TOL, failed_lines)[0]
+        want = constab._search([f], np.ones((1, 1)), K, 2_048, 0, DEFAULT_TOL, FIBERS_ONLY)[0]
         assert _row(v) == (F, 1, "fiber z1")
         assert _fields(v) == _fields(want)
 
@@ -398,4 +399,28 @@ class TestWitnessOrder:
         calls = _counted(monkeypatch)
         monkeypatch.setattr(constab, "_blocks", lambda *a: iter([(0, np.array([[0.5]]), np.array([[1e-3]]))]))
         falsify_k_stability(parse("z1^6"), Orthant(1), n_samples=1, rng=0)
-        assert [a[5].degree for a in calls] == [6]
+        assert [p.degree for p in calls] == [6]
+
+
+# ---------------------------------------------------------------------------
+# One zero per reader
+# ---------------------------------------------------------------------------
+
+
+class TestReaderZeros:
+    @pytest.mark.parametrize("probe", [_STABILITY, _HYPERBOLICITY], ids=["stability", "hyperbolicity"])
+    @pytest.mark.parametrize("name", ["line", "fiber"])
+    def test_candidate_rows_map_as_each_candidate_alone(self, probe, name):
+        # book passes per-row arrays, confirm one draw, a Python int k and a
+        # numpy scalar root; roots on both sides of the axis
+        gen, c, n = np.random.default_rng(7), 9, 3
+        x, y = gen.normal(size=(c, n)), np.abs(gen.normal(size=(c, n)))
+        v = probe.base(x, y)
+        k = np.full(c, -1) if name == "line" else gen.integers(0, n, c)
+        t = gen.normal(size=c) + 1j * gen.normal(size=c)
+        reader = getattr(probe, name)
+        rows = reader.zero(x, y, v, k, t)
+        alone = [reader.zero(x[i], y[i], v[i], k.tolist()[i], t[i]) for i in range(c)]
+        assert rows.shape == (c, n)
+        assert [(z.dtype, z.shape) for z in alone] == [(rows.dtype, (n,))] * c
+        assert [z.tobytes() for z in rows] == [z.tobytes() for z in alone]
