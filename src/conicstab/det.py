@@ -24,6 +24,8 @@ the machinery here makes it checkable:
   the certificate can be cross-checked against the sampling falsifier,
 * :func:`perturbed_certify` walks a singular PSD matrix through the
   definite approximations A + eps * I used to reach the boundary case,
+  reading every step from the one eigensolve of A (the spectrum shifts
+  by eps) and one expansion with eps as a variable,
 * :func:`prop56_diagonal_criterion` handles grids of *diagonal* blocks,
   where semidefiniteness splits into d independent n x n conditions under
   an explicit permutation.
@@ -144,14 +146,18 @@ class BlockMatrix:
 
 
 def _check_square(A: BlockMatrix, B=None) -> np.ndarray | None:
-    """Require a square grid of square blocks; return B as a d x d complex array."""
+    """Require a square grid of square blocks and finite entries; return B as a d x d complex array."""
     if A.n1 != A.n2 or A.p != A.q:
         raise ValueError("expected a square grid of square blocks")
+    if not np.all(np.isfinite(A.blocks)):
+        raise ValueError("block matrix has a non-finite entry")
     if B is None:
         return None
     b = np.asarray(B, dtype=complex)
     if b.shape != (A.p, A.p):
         raise ValueError(f"B must be {A.p} x {A.p}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("B has a non-finite entry")
     return b
 
 
@@ -231,6 +237,8 @@ def liu_psd_check(A: BlockMatrix, B: BlockMatrix, tol: ToleranceProfile = DEFAUL
     """
     if A.grid != B.grid:
         raise ValueError(f"block grids differ: {A.grid} vs {B.grid}")
+    _check_square(A)
+    _check_square(B)
     if not A.is_hermitian(tol) or not B.is_hermitian(tol):
         raise ValueError("liu_psd_check expects Hermitian block matrices")
     a_class = psd_classify(A.flatten(), tol)
@@ -288,15 +296,19 @@ def assemble_coefficient(Y, A: BlockMatrix, tol: ToleranceProfile = DEFAULT_TOL)
 # ---------------------------------------------------------------------------
 
 
-def _entry_polynomials(A: BlockMatrix, B: np.ndarray, tol: ToleranceProfile) -> list[list[MultiPoly]]:
+def _entry_polynomials(
+    A: BlockMatrix, B: np.ndarray, tol: ToleranceProfile, shift: bool = False
+) -> list[list[MultiPoly]]:
     """The d x d grid of affine-linear entries in the symmetric variables.
 
     The variables are the upper-triangle entries of a symmetric Z, so the
-    coefficient of z_ij with i < j collects both A_ij and A_ji.
+    coefficient of z_ij with i < j collects both A_ij and A_ji.  With
+    ``shift`` the entries are those of A + eps * I, eps being one more
+    variable after the z_ij: each diagonal entry gains eps * sum_i z_ii.
     """
     n, d = A.n1, A.p
     index = MatrixVarIndex(n)
-    names = index.names
+    names = index.names + (("eps",) if shift else ())
     nvars = len(names)
     entries: list[list[MultiPoly]] = []
     zero_exp = (0,) * nvars
@@ -312,10 +324,13 @@ def _entry_polynomials(A: BlockMatrix, B: np.ndarray, tol: ToleranceProfile) -> 
                     coeff = A.blocks[i, j, k, l]
                     if i != j:
                         coeff = coeff + A.blocks[j, i, k, l]
+                    exp = [0] * nvars
+                    exp[index.flat(i, j)] = 1
                     if coeff:
-                        exp = [0] * nvars
-                        exp[index.flat(i, j)] = 1
                         terms[tuple(exp)] = complex(coeff)
+                    if shift and i == j and k == l:
+                        exp[-1] = 1
+                        terms[tuple(exp)] = 1.0
             row.append(MultiPoly(names, terms, tol=tol))
         entries.append(row)
     return entries
@@ -500,18 +515,30 @@ def perturbed_certify(
     Adds eps * I to every diagonal block (equivalently eps * I to the
     flattening), checks each perturbation is PSD with definite diagonal
     blocks, certifies it, and tracks coefficientwise convergence of the
-    expanded polynomials (each from its step's certificate) back to the
-    unperturbed one.  Definite input needs no approximation and reports a
-    trivial pass; indefinite input, singular input above the expansion
-    caps, and a ``schedule`` that is empty or holds an entry that is not
-    positive and finite are rejected with ``ValueError``.
+    perturbed polynomials back to the unperturbed one.  Definite input
+    needs no approximation and reports a trivial pass; indefinite input,
+    singular input above the expansion caps, and a ``schedule`` that is
+    empty or holds an entry that is not positive and finite are rejected
+    with ``ValueError``.
+
+    The walk costs one eigensolve and at most two expansions however long
+    the schedule.  A + eps * I has the spectrum of A shifted by eps, so
+    each step's flattening and diagonal blocks are classified from the
+    one eigensolve of A, in the band of the shifted matrix.  The
+    determinant is expanded once with eps as a variable; its eps^k parts
+    form a (d+1, T) array Q over the T monomials in z, and V @ Q, with V
+    the schedule's Vandermonde matrix, gives every step's coefficients,
+    trimmed by ``tol.negligible``.  A step is certified as
+    :func:`thm54_certify` would certify A + eps * I.  ``converged`` reads
+    the drift at the smallest eps against the drift at the largest; the
+    entries keep the schedule's order.
     """
     eps_list = [2.0 ** -k for k in range(1, 21)] if schedule is None else [float(e) for e in schedule]
     if not eps_list or not all(0 < e < np.inf for e in eps_list):
         raise ValueError("schedule must be a nonempty list of positive finite entries")
     b = _check_square(A, B)
     n, d = A.n1, A.p
-    base = thm54_certify(A, b, tol)
+    base = thm54_certify(A, b, tol)  # A + eps*I is Hermitian exactly when A is
     if base.flat_class == INDEFINITE:
         raise ValueError("perturbed_certify requires a semidefinite block matrix")
     if base.flat_class == POSITIVE_DEFINITE:
@@ -524,33 +551,53 @@ def perturbed_certify(
         )
         return PerturbReport(entries=(entry,), trivial=True, converged=True)
 
-    _check_caps(A)  # within the caps every certificate below carries its expansion
+    _check_caps(A)  # within the caps the base certificate carries its expansion
     base_poly = base.polynomial
-    flat = A.flatten()
+    entries = _entry_polynomials(A, b, tol, shift=True)
+    shifted = _det_cofactor(entries, entries[0][0].var_names)
+    # one column per monomial in z, of the base polynomial or of any eps^k part
+    monomials = [*base_poly.terms, *(e[:-1] for e in shifted.terms)]
+    cols = {e: c for c, e in enumerate(dict.fromkeys(monomials))}
+    Q = np.zeros((d + 1, len(cols)), dtype=complex)
+    for e, c in shifted.terms.items():
+        Q[e[-1], cols[e[:-1]]] = c
+    eps = np.array(eps_list)
+    coeffs = np.vander(eps, d + 1, increasing=True) @ Q
+    coeffs[tol.negligible(coeffs)] = 0
+    base_row = np.array([base_poly.terms.get(e, 0j) for e in cols], dtype=complex)
+    diffs = np.abs(coeffs - base_row).max(axis=1, initial=0.0)
+    nonzero = coeffs.any(axis=1)
+
+    flat, eye = A.flatten(), np.eye(n * d)
     # A_ii + eps*I has eigenvalues lambda(A_ii) + eps: one solve per block.
     diag_min = [float(hermitian_eigenvalues(A.blocks[i, i], tol)[0]) for i in range(n)]
-    entries = []
-    for eps in eps_list:
-        Ak = BlockMatrix.from_flat(flat + eps * np.eye(n * d), n, n)
-        cert = thm54_certify(Ak, b, tol)
+    steps = []
+    for e, diff, live in zip(eps_list, diffs, nonzero):
+        flat_class = psd_class_of(base.lambda_min + e, flat + e * eye, tol)
+        if flat_class == INDEFINITE:
+            outcome = NOT_CERTIFIED
+        elif live or flat_class == POSITIVE_DEFINITE:
+            outcome = CERTIFIED_STABLE
+        else:
+            outcome = IDENTICALLY_ZERO
         diag_def = all(
-            psd_class_of(lam + eps, Ak.blocks[i, i], tol) == POSITIVE_DEFINITE
+            psd_class_of(lam + e, A.blocks[i, i] + e * eye[:d, :d], tol) == POSITIVE_DEFINITE
             for i, lam in enumerate(diag_min)
         )
-        entries.append(
+        steps.append(
             PerturbEntry(
-                eps=eps,
-                flat_class=cert.flat_class,
+                eps=e,
+                flat_class=flat_class,
                 diagonal_definite=diag_def,
-                outcome=cert.outcome,
-                coeff_diff=cert.polynomial.max_coeff_diff(base_poly),
+                outcome=outcome,
+                coeff_diff=float(diff),
             )
         )
 
-    diffs = [e.coeff_diff for e in entries]
+    small, large = diffs[np.argmin(eps)], diffs[np.argmax(eps)]
     scale = max(1.0, base_poly.coeff_norm1())
-    converged = diffs[-1] <= 1e-4 * scale and diffs[-1] <= diffs[0] + tol.coeff_zero_tol
-    return PerturbReport(entries=tuple(entries), trivial=False, converged=converged)
+    converged = bool(small <= 1e-4 * scale and small <= large + tol.coeff_zero_tol)
+    return PerturbReport(entries=tuple(steps), trivial=False, converged=converged)
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,19 @@ class TestDetstab:
         assert out == ""
         assert err.startswith("error: eigensolver did not reach the requested residual")
 
+    def test_non_finite_entry_exits_two(self, capsys, tmp_path):
+        a_path, b_path = tmp_path / "A.json", tmp_path / "B.json"
+        b_path.write_text(json.dumps([[1.0, 0.0], [0.0, float("inf")]]))
+        spoiled = json.loads(json.dumps(COUPLING))
+        spoiled["blocks"][0][0][1][1] = float("nan")
+        for argv in (["-f", str(a_path)], ["-f", str(tmp_path / "C.json"), "-f", str(b_path)]):
+            a_path.write_text(json.dumps(spoiled))
+            (tmp_path / "C.json").write_text(json.dumps(COUPLING))
+            code, out, err = run_cli(capsys, "detstab", *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "non-finite entry" in err
+
     def test_rejects_expressions(self, capsys):
         code, _, err = run_cli(capsys, "detstab", "-e", "z1")
         assert code == 2

@@ -10,13 +10,16 @@ Frozen oracles:
   (z11+5 z22)(5 z11+z22) - 16 z12^2 = 5 z11^2 + 26 z11 z22 + 5 z22^2 - 16 z12^2.
 """
 
+import itertools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conicstab.det as det_module
+import conicstab.linalg as linalg_module
 from conicstab.cones import PSD
 from conicstab.constab import NOT_FALSIFIED, falsify_k_stability
 from conicstab.det import (
@@ -42,6 +45,7 @@ from conicstab.linalg import (
     psd_classify,
 )
 from conicstab.poly import parse
+from conicstab.tolerances import DEFAULT_TOL
 
 OFF_HALF = np.array([[0.0, 0.5], [0.5, 0.0]])
 I2 = np.eye(2)
@@ -555,6 +559,150 @@ class TestPerturbation:
     def test_degenerate_schedule_rejected(self, schedule):
         with pytest.raises(ValueError, match="schedule"):
             perturbed_certify(BlockMatrix.scalar(np.ones((2, 2))), np.zeros((1, 1)), schedule=schedule)
+
+    def test_convergence_does_not_depend_on_the_schedule_order(self):
+        # Read at the smallest eps against the largest, not by position:
+        # [2**-20, 0.5] used to report False where [0.5, 2**-20] reports True.
+        off1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        A = BlockMatrix([[I2, off1], [off1, I2]])
+        for schedule in ([0.5, 2.0**-20], [0.5, 2.0**-6, 2.0**-20, 2.0**-3]):
+            reports = [
+                perturbed_certify(A, np.zeros((2, 2)), schedule=list(order))
+                for order in itertools.permutations(schedule)
+            ]
+            assert all(rep.converged for rep in reports)
+            for order, rep in zip(itertools.permutations(schedule), reports):
+                assert [e.eps for e in rep.entries] == list(order)
+
+    def test_a_step_trims_like_its_certificate(self):
+        # f = eps * z11 on the zero 1 x 1 grid: at eps = 1e-13 the trim
+        # empties the step's polynomial, as it empties its certificate's.
+        A, schedule = BlockMatrix.scalar(np.zeros((1, 1))), [1e-13, 0.5]
+        rep = perturbed_certify(A, np.zeros((1, 1)), schedule=schedule)
+        assert [e.coeff_diff for e in rep.entries] == [0.0, 0.5]
+        assert [e.outcome for e in rep.entries] == [CERTIFIED_STABLE] * 2
+        assert not _stepwise(A, np.zeros((1, 1)), schedule)[0].polynomial
+
+    def test_cost_does_not_grow_with_the_schedule(self, monkeypatch):
+        # One eigensolve of the flattening, one per diagonal block, and two
+        # top-level expansions (the base certificate's and the eps one).
+        eighs, expansions = [], []
+        real_eigh, real_cofactor = linalg_module.hermitian_eigh, det_module._det_cofactor
+
+        def eigh(m, *args, **kwargs):
+            eighs.append(np.shape(m))
+            return real_eigh(m, *args, **kwargs)
+
+        def cofactor(rows, names):
+            if len(rows) == 2:  # the block size: a top-level expansion, not a minor
+                expansions.append(names)
+            return real_cofactor(rows, names)
+
+        monkeypatch.setattr(linalg_module, "hermitian_eigh", eigh)
+        monkeypatch.setattr(det_module, "hermitian_eigh", eigh)
+        monkeypatch.setattr(det_module, "_det_cofactor", cofactor)
+        G = np.random.default_rng(5).normal(size=(4, 6))
+        A = BlockMatrix.from_flat(G.T @ G, 3, 3)  # rank 4 of 6: singular
+        counts = []
+        for length in (1, 40):
+            eighs.clear()
+            expansions.clear()
+            rep = perturbed_certify(A, np.zeros((2, 2)), schedule=[2.0**-k for k in range(1, length + 1)])
+            assert not rep.trivial and len(rep.entries) == length
+            counts.append((sorted(eighs), len(expansions)))
+        assert counts[0] == counts[1] == ([(2, 2)] * 3 + [(6, 6)], 2)
+
+
+def _stepwise(A: BlockMatrix, B, schedule):
+    """The per-step route as the oracle: one full certificate of A + eps*I per step."""
+    flat, m = A.flatten(), A.n1 * A.p
+    return [thm54_certify(BlockMatrix.from_flat(flat + eps * np.eye(m), A.n1, A.n1), B) for eps in schedule]
+
+
+def singular_grid(seed, n, d, kind, offset):
+    """A singular PSD n x n grid of d x d blocks and a d x d Hermitian B.
+
+    ``kind`` is ``"kron"`` for a (x) I_d with a real rank-deficient Gram
+    matrix a (zero when n = 1), which makes f a power times a constant, or
+    ``"gram"`` for a complex Gram flattening of rank below n*d.  B is zero
+    unless ``offset``.
+    """
+    gen = np.random.default_rng(seed)
+    if kind == "kron":
+        g = gen.normal(size=(int(gen.integers(0, n)), n))
+        flat = np.kron(g.T @ g, np.eye(d))
+    else:
+        m = n * d
+        r = int(gen.integers(0, m))
+        G = gen.normal(size=(r, m)) + 1j * gen.normal(size=(r, m))
+        flat = G.conj().T @ G
+    H = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+    B = H + H.conj().T if offset else np.zeros((d, d))
+    return BlockMatrix.from_flat(flat, n, n), B
+
+
+class TestPerturbationOracle:
+    """Each step equals a full certificate of A + eps*I (the per-step route).
+
+    Steps sit at eps = ||A||_F * 2**-k with k <= 20, so lambda_min + eps
+    clears the semidefinite band (1e-10 * ||A + eps I||_F) by four orders
+    of magnitude and the class is not decided by rounding.  ``coeff_diff``
+    agrees with the re-expanded drift to a relative 1e-8, plus
+    ``coeff_zero_tol`` for a coefficient one route trims and the other
+    keeps.
+    """
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        d=st.integers(1, 3),
+        kind=st.sampled_from(["kron", "gram"]),
+        offset=st.booleans(),
+        ks=st.lists(st.integers(1, 20), min_size=1, max_size=4),
+    )
+    def test_each_step_matches_its_full_certificate(self, seed, n, d, kind, offset, ks):
+        A, B = singular_grid(seed, n, d, kind, offset)
+        base = thm54_certify(A, B)
+        assert base.flat_class == POSITIVE_SEMIDEFINITE
+        scale = float(np.linalg.norm(A.flatten())) or 1.0
+        schedule = [scale * 2.0**-k for k in ks]
+        rep = perturbed_certify(A, B, schedule=schedule)
+        assert not rep.trivial and [e.eps for e in rep.entries] == schedule
+        for entry, cert in zip(rep.entries, _stepwise(A, B, schedule)):
+            assert (entry.flat_class, entry.outcome) == (cert.flat_class, cert.outcome)
+            drift = cert.polynomial.max_coeff_diff(base.polynomial)
+            assert abs(entry.coeff_diff - drift) <= 1e-8 * drift + DEFAULT_TOL.coeff_zero_tol
+
+
+class TestNonFiniteBlocks:
+    """A NaN or infinite entry in A or B is one ``ValueError`` at every entry point."""
+
+    @staticmethod
+    def _spoiled(bad, where):
+        A, B = coupling_example().blocks.copy(), np.zeros((2, 2), dtype=complex)
+        if where == "A":
+            A[0, 1, 1, 0] = A[1, 0, 0, 1] = bad  # stays Hermitian up to the bad entry
+        else:
+            B[1, 1] = bad
+        return BlockMatrix(A), B
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    @pytest.mark.parametrize("where", ["A", "B"])
+    @pytest.mark.parametrize(
+        "entry", [thm54_certify, perturbed_certify, expand_det_polynomial], ids=lambda f: f.__name__
+    )
+    def test_certificates_and_expansion_reject(self, entry, where, bad):
+        A, B = self._spoiled(bad, where)
+        with pytest.raises(ValueError, match="non-finite entry"):
+            entry(A, B)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_liu_check_rejects_either_side(self, bad):
+        A, _ = self._spoiled(bad, "A")
+        for pair in ((A, coupling_example()), (coupling_example(), A)):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                liu_psd_check(*pair)
 
 
 # ---------------------------------------------------------------------------
